@@ -18,6 +18,7 @@ from . import choice
 from . import cone as cones
 from .functional import Functional, LinearF, SuperlinF
 from .lottery import embed_pref, to_vector
+from .lp import verified
 from .model_io import Model, ModelError, load_model
 from .numeric import Vector, format_rational, parse_rational
 
@@ -57,11 +58,6 @@ def _parse_set_flag(text: str) -> list[Vector]:
     return [_parse_vector_flag(part) for part in text.split(";") if part.strip()]
 
 
-def _verified(condition: bool, what: str) -> None:
-    if not condition:
-        raise RuntimeError(f"internal error: emitted {what} failed re-verification")
-
-
 def _mixing_record(cone: cones.DesirCone) -> dict:
     result = cones.is_mixing(cone)
     if result.status is None:
@@ -69,7 +65,7 @@ def _mixing_record(cone: cones.DesirCone) -> dict:
     record: dict[str, Any] = {"answer": result.status}
     if result.witness is not None:
         u, v = result.witness
-        _verified(
+        verified(
             not cones.member(cone, u)
             and not cones.member(cone, v)
             and cones.member(cone, u + v),
@@ -84,7 +80,7 @@ def _arch_consistency_record(target: cones.DesirCone) -> dict:
     if witness is not None:
         return {"answer": True, "witness": _fmt_vector(witness.coeffs)}
     evidence = arch.separation_evidence(target)
-    certificate = getattr(evidence, "certificate", ())
+    certificate = evidence.certificate
     return {"answer": False, "certificate": [format_rational(c) for c in certificate]}
 
 
@@ -103,15 +99,13 @@ def _cone_query(model: Model, query: dict, target: cones.DesirCone) -> dict:
         return {"answer": cones.member(target, option)}
     if kind == "arch_member":
         option = _query_vector(model, query, "option")
-        if cones.member(target, option):
-            return {"answer": arch.archimedean_closure_member(target, option)}
         answer = arch.archimedean_closure_member(target, option)
         record: dict[str, Any] = {"answer": answer}
         if not answer:
             witness = arch.separate(target, option)
-            assert witness is not None
-            _verified(
-                arch.verify_separation_witness(target, witness), "separation witness"
+            verified(
+                witness is not None and arch.verify_separation_witness(target, witness),
+                "separation witness",
             )
             record["witness"] = _fmt_vector(witness.functional.coeffs)
         return record
@@ -190,7 +184,7 @@ def _choose_record(model: Model, rule: str, target_name: str, menu: choice.Optio
         if not isinstance(target, choice.CredalK):
             raise UsageError("eadm needs a credal k-model")
         chosen = choice.e_admissible(target.functionals, menu)
-        _verified(
+        verified(
             chosen.options == choice.choose(target, menu).options,
             "E-admissibility/choice agreement",
         )
@@ -228,7 +222,7 @@ def _dispatch_query(model: Model, query: dict) -> dict:
         _, report = cones.natural_extension(assessment, model.space)
         record: dict[str, Any] = {"answer": report.consistent}
         if report.combination is not None:
-            _verified(
+            verified(
                 cones.verify_inconsistency_combination(report.combination),
                 "inconsistency combination",
             )

@@ -184,18 +184,11 @@ def _strict_residual_combination(
     margin_rows = [
         Vector(tuple(-g[i] for g in generators) + (v[i],)) for i in range(dim)
     ]
-    margin = lp.max_margin(base, margin_rows, Fraction(1))
-    if margin is None or margin <= 0:
+    optimum = lp.max_margin(base, margin_rows, Fraction(1))
+    if optimum is None or optimum.value <= 0:
         return None
-    # Re-solve for an explicit witness at half the achieved margin.
-    rows = list(base)
-    for row in margin_rows:
-        rows.append(lp.Constraint(row, lp.GE, margin / 2))
-    result = lp.solve(lp.LpProblem(n, tuple(rows)))
-    assert isinstance(result, lp.Feasible)
-    lambdas = tuple(result.witness[k] for k in range(m))
+    lambdas = optimum.witness.entries[:m]
     residual = v - _combine(generators, lambdas)
-    assert all(entry > 0 for entry in residual.entries)
     return (lambdas, residual)
 
 

@@ -7,9 +7,9 @@ perturbation scheme.
 
 Negative answers carry checkable evidence:
 
-* infeasibility comes with a Farkas multiplier vector, found by solving the
-  explicit alternative system and re-verified by substitution before being
-  returned;
+* infeasibility comes with a Farkas multiplier vector, read off the final
+  phase-1 tableau (the duals of the artificial columns) and re-verified by
+  substitution before being returned;
 * unboundedness comes with an improving ray read off the final tableau and
   re-verified the same way.
 
@@ -125,6 +125,12 @@ class Unbounded:
 
 
 LpResult = Union[Feasible, Optimal, Infeasible, Unbounded]
+
+
+def verified(condition: bool, what: str) -> None:
+    """Refuse to emit evidence that failed its re-check (survives ``python -O``)."""
+    if not condition:
+        raise RuntimeError(f"internal error: emitted {what} failed re-verification")
 
 
 def verify_witness(problem: LpProblem, x: Vector) -> bool:
@@ -256,7 +262,8 @@ class _StandardForm:
     """Standard-form encoding of a normalized problem.
 
     Free variables are split as x = p - q; every row gets a slack (inequalities)
-    and an artificial variable; right-hand sides are made nonnegative.
+    and an artificial variable; right-hand sides are made nonnegative, and the
+    rows negated for that are recorded in ``negated``.
     """
 
     def __init__(self, problem: LpProblem):
@@ -269,6 +276,7 @@ class _StandardForm:
         self.art_start = 2 * n + n_slacks
         rows: list[list[Fraction]] = []
         basis: list[int] = []
+        self.negated: set[int] = set()
         slack_idx = 2 * n
         for r, c in enumerate(problem.constraints):
             row = [Fraction(0)] * (self.n_cols + 1)
@@ -284,13 +292,15 @@ class _StandardForm:
             row[self.n_cols] = c.rhs
             if row[self.n_cols] < 0:
                 row = [-x for x in row]
+                self.negated.add(r)
             art_col = self.art_start + r
             row[art_col] = Fraction(1)
             rows.append(row)
             basis.append(art_col)
         self.tableau = _Tableau(rows, basis, self.n_cols)
 
-    def phase_one(self) -> bool:
+    def phase_one(self) -> Optional[tuple[Fraction, ...]]:
+        """Reach a feasible basis and return None, or return a Farkas certificate."""
         cost = [Fraction(0)] * self.n_cols
         for col in range(self.art_start, self.n_cols):
             cost[col] = Fraction(-1)
@@ -299,7 +309,17 @@ class _StandardForm:
         entering = t.run()
         assert entering is None  # phase-1 objective is bounded above by 0
         if t.value() < 0:
-            return False
+            # Row r's artificial has cost -1 and column e_r, so its reduced cost
+            # is y_r + 1 for the phase-1 duals y.  Nonnegative reduced costs on
+            # the split x columns and the slacks give y.A = 0 with the right sign
+            # on every inequality row, and y.b is the negative optimum.  Undo the
+            # rhs sign flips and orient ">=" rows as "<=".
+            certificate = []
+            for r, c in enumerate(self.problem.constraints):
+                y = t.obj[self.art_start + r] - 1
+                flip = (r in self.negated) != (c.relation == GE)
+                certificate.append(-y if flip else y)
+            return tuple(certificate)
         # Drive any remaining artificial out of the basis, or drop its row.
         for i in range(len(t.basis) - 1, -1, -1):
             if t.basis[i] >= self.art_start:
@@ -312,7 +332,7 @@ class _StandardForm:
                 else:
                     t._pivot(i, pivot_col)
         t.barred = set(range(self.art_start, self.n_cols))
-        return True
+        return None
 
     def extract(self, std: list[Fraction]) -> Vector:
         return Vector(tuple(std[j] - std[self.n + j] for j in range(self.n)))
@@ -337,38 +357,7 @@ def _max_cost(problem: LpProblem, n_cols: int, n: int) -> list[Fraction]:
     return cost
 
 
-def _farkas_certificate(problem: LpProblem) -> tuple[Fraction, ...]:
-    """Solve the alternative system for an infeasible normalized problem."""
-    constraints = problem.constraints
-    m = len(constraints)
-    n = problem.n_vars
-    rows: list[Constraint] = []
-    # sum_r y_r * a_r = 0
-    for j in range(n):
-        coeffs = Vector(tuple(c.coeffs[j] for c in constraints))
-        rows.append(Constraint(coeffs, EQ, Fraction(0)))
-    # sum_r y_r * b_r = -1 (normalization of the contradiction)
-    rows.append(Constraint(Vector(tuple(c.rhs for c in constraints)), EQ, Fraction(-1)))
-    # sign conditions per relation
-    for r, c in enumerate(constraints):
-        if c.relation == LE:
-            rows.append(Constraint(unit_vector(m, r), GE, Fraction(0)))
-        elif c.relation == GE:
-            rows.append(Constraint(unit_vector(m, r), LE, Fraction(0)))
-    alt = LpProblem(m, tuple(rows))
-    result = _solve_normalized(alt, want_certificate=False)
-    # Farkas' lemma over the rationals guarantees the alternative system is
-    # feasible exactly when the original is infeasible.
-    assert isinstance(result, Feasible)
-    y = result.witness
-    certificate = tuple(
-        -y[r] if constraints[r].relation == GE else y[r] for r in range(m)
-    )
-    assert verify_infeasibility_certificate(problem, certificate)
-    return certificate
-
-
-def _solve_normalized(problem: LpProblem, want_certificate: bool = True) -> LpResult:
+def _solve_normalized(problem: LpProblem) -> LpResult:
     if not problem.constraints:
         # Nothing constrains x; the origin is feasible.
         origin = zero_vector(problem.n_vars)
@@ -380,28 +369,27 @@ def _solve_normalized(problem: LpProblem, want_certificate: bool = True) -> LpRe
         ray = problem.objective.coeffs.scale(sign)
         return Unbounded(ray=ray, witness=origin)
     form = _StandardForm(problem)
-    if not form.phase_one():
-        if want_certificate:
-            return Infeasible(_farkas_certificate(problem))
-        return Infeasible(())
+    certificate = form.phase_one()
+    if certificate is not None:
+        verified(verify_infeasibility_certificate(problem, certificate), "Farkas certificate")
+        return Infeasible(certificate)
     if problem.objective is None:
         witness = form.extract(form.tableau.basic_solution())
-        assert verify_witness(problem, witness)
+        verified(verify_witness(problem, witness), "LP witness")
         return Feasible(witness)
     cost = _max_cost(problem, form.n_cols, form.n)
     form.tableau.set_objective(cost)
     entering = form.tableau.run()
     witness = form.extract(form.tableau.basic_solution())
-    assert verify_witness(problem, witness)
+    verified(verify_witness(problem, witness), "LP witness")
     if entering is not None:
         ray = form.extract_ray(entering)
-        if not verify_ray(problem, ray):
-            raise AssertionError("extracted ray failed verification")
+        verified(verify_ray(problem, ray), "improving ray")
         return Unbounded(ray=ray, witness=witness)
     value = form.tableau.value()
     if problem.objective.direction == "min":
         value = -value
-    assert problem.objective.coeffs.dot(witness) == value
+    verified(problem.objective.coeffs.dot(witness) == value, "optimal value")
     return Optimal(witness, value)
 
 
@@ -450,12 +438,13 @@ def max_margin(
     base: Sequence[BaseRow],
     margin_rows: Sequence[Vector],
     cap: Fraction,
-) -> Optional[Fraction]:
+) -> Optional[Optimal]:
     """Maximize t <= cap subject to the base system and row . x >= t per margin row.
 
     The strict system {row . x > 0} (with the base rows) is feasible iff the
-    returned optimum is > 0.  Returns None when the base system itself is
-    infeasible (the -infinity sentinel).
+    optimum value is > 0, and then the witness's first n entries solve it.
+    Returns None when the base system itself is infeasible (the -infinity
+    sentinel).
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
@@ -480,4 +469,4 @@ def max_margin(
     if isinstance(result, Infeasible):
         return None
     assert isinstance(result, Optimal)  # t <= cap keeps the objective bounded
-    return result.value
+    return result

@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +13,7 @@ from conechoice.lp import (
     EQ,
     GE,
     LE,
+    Bound,
     Constraint,
     Feasible,
     Infeasible,
@@ -105,11 +111,11 @@ def test_max_margin_midpoint():
     # maximize t with x >= t and 1 - x >= t; encoded with a pinned constant x0.
     base = [Constraint(vec(0, 1), EQ, Fraction(1))]
     margin = [vec(1, 0), vec(-1, 1)]
-    assert max_margin(base, margin, Fraction(1)) == Fraction(1, 2)
+    assert max_margin(base, margin, Fraction(1)).value == Fraction(1, 2)
 
 
 def test_max_margin_strictly_infeasible():
-    assert max_margin([], [vec(1), vec(-1)], Fraction(1)) == 0
+    assert max_margin([], [vec(1), vec(-1)], Fraction(1)).value == 0
 
 
 def test_max_margin_infeasible_base():
@@ -125,7 +131,13 @@ def test_max_margin_strict_dominance_residual():
         Constraint(vec(1, 0), GE, Fraction(0)),
     ]
     margin = [vec(-1, 1), vec(1, 1)]  # rows of (1,1) - lambda*(1,-1)
-    assert max_margin(base, margin, Fraction(1)) > 0
+    assert max_margin(base, margin, Fraction(1)).value > 0
+
+
+def _random_bound(rng: random.Random) -> Bound:
+    lo = rand_fraction(rng, 3, 3) if rng.random() < 0.5 else None
+    hi = rand_fraction(rng, 3, 3) if rng.random() < 0.5 else None
+    return (lo, hi)
 
 
 def _random_problem(rng: random.Random) -> LpProblem:
@@ -136,13 +148,21 @@ def _random_problem(rng: random.Random) -> LpProblem:
         coeffs = Vector(tuple(rand_fraction(rng, span=3, max_den=3) for _ in range(n)))
         relation = rng.choice([LE, GE, EQ])
         constraints.append(Constraint(coeffs, relation, rand_fraction(rng, 3, 3)))
+    if rng.random() < 0.3:
+        # A duplicated or scaled row makes the phase-1 optimum degenerate.
+        row = rng.choice(constraints)
+        scale = rng.choice([Fraction(1), Fraction(2), Fraction(-1, 2)])
+        relation = {LE: GE, GE: LE, EQ: EQ}[row.relation] if scale < 0 else row.relation
+        constraints.append(Constraint(row.coeffs.scale(scale), relation, row.rhs * scale))
     objective = None
     if rng.random() < 0.7:
         objective = Objective(
             rng.choice(["max", "min"]),
             Vector(tuple(rand_fraction(rng, 3, 3) for _ in range(n))),
         )
-    return LpProblem(n, tuple(constraints), objective)
+    # Bounds fold into extra rows of normalized(), which certificates index.
+    bounds = tuple(_random_bound(rng) for _ in range(n)) if rng.random() < 0.3 else None
+    return LpProblem(n, tuple(constraints), objective, bounds)
 
 
 def test_random_answers_carry_checkable_evidence():
@@ -180,6 +200,33 @@ def test_agreement_with_vertex_enumeration_oracle():
         assert expected == status
         if isinstance(result, Optimal):
             assert result.value == value
+
+
+def test_certificate_check_survives_optimize_flag():
+    # A rejected certificate must stop the solve even when asserts are stripped.
+    script = textwrap.dedent(
+        """
+        from fractions import Fraction
+        from conechoice import lp
+        from conechoice.numeric import vec
+
+        lp.verify_infeasibility_certificate = lambda problem, certificate: False
+        problem = lp.LpProblem(
+            1,
+            (lp.Constraint(vec(1), lp.GE, Fraction(1)), lp.Constraint(vec(1), lp.LE, Fraction(0))),
+        )
+        lp.solve(problem)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode != 0
+    assert "RuntimeError: internal error: emitted Farkas certificate failed re-verification" in proc.stderr
 
 
 def test_strict_rows_reject_zero_functional():
