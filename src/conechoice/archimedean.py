@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from . import lp
 from .cone import (
@@ -57,11 +57,13 @@ def verify_separation_witness(
     """Re-check a witness by substitution: background-positive, nonpositive at
     the separated option, strictly positive on any supplied members."""
     f = witness.functional
-    if not is_positive(f, cone.space):
-        return False
-    if f.eval(witness.separated_option) > 0:
-        return False
-    return all(f.eval(u) > 0 for u in members)
+    return _separates(f, cone, witness.separated_option) and all(
+        f.eval(u) > 0 for u in members
+    )
+
+
+def _separates(f: LinearF, cone: DesirCone, v: Optional[Vector]) -> bool:
+    return is_positive(f, cone.space) and (v is None or f.eval(v) <= 0)
 
 
 def _separation_rows(
@@ -114,11 +116,23 @@ def _identity_map(witness: Vector) -> LinearF:
     return LinearF(witness)
 
 
-def separation_evidence(cone: DesirCone, v: Optional[Vector] = None) -> lp.LpResult:
-    """The raw LP result behind separate()/archimedean_consistent(); an
-    Infeasible result carries the Farkas certificate of the separation system."""
-    strict, nonpos, nonneg, _ = _separation_rows(cone, v)
-    return lp.strict_homogeneous_solve(strict, nonpos, nonneg)
+def separation_evidence(
+    cone: DesirCone, v: Optional[Vector] = None
+) -> Union[LinearF, lp.Infeasible]:
+    """The one solve of the separation system behind every Archimedean answer.
+
+    Returns a background-positive linear functional strictly positive on the
+    cone (and nonpositive at v when v is given), re-verified before it is
+    returned, or the ``lp.Infeasible`` whose Farkas certificate shows that no
+    such functional exists.
+    """
+    strict, nonpos, nonneg, to_functional = _separation_rows(cone, v)
+    result = lp.strict_homogeneous_solve(strict, nonpos, nonneg)
+    if isinstance(result, lp.Infeasible):
+        return result
+    functional = to_functional(result.witness)
+    lp.verified(_separates(functional, cone, v), "separation witness")
+    return functional
 
 
 def separate(cone: DesirCone, v: Vector) -> Optional[SeparationWitness]:
@@ -126,24 +140,16 @@ def separate(cone: DesirCone, v: Vector) -> Optional[SeparationWitness]:
     and nonpositive at v, or None when v is in the Archimedean closure."""
     if member(cone, v):
         raise ValueError("nothing to separate: option is a member of the cone")
-    strict, nonpos, nonneg, to_functional = _separation_rows(cone, v)
-    raw = lp.strict_homogeneous_feasible(strict, nonpos, nonneg)
-    if raw is None:
+    evidence = separation_evidence(cone, v)
+    if isinstance(evidence, lp.Infeasible):
         return None
-    witness = SeparationWitness(functional=to_functional(raw), separated_option=v)
-    assert verify_separation_witness(cone, witness)
-    return witness
+    return SeparationWitness(functional=evidence, separated_option=v)
 
 
 def archimedean_consistency_witness(cone: DesirCone) -> Optional[LinearF]:
     """A background-positive linear functional strictly positive on the cone, if any."""
-    strict, nonpos, nonneg, to_functional = _separation_rows(cone, None)
-    raw = lp.strict_homogeneous_feasible(strict, nonpos, nonneg)
-    if raw is None:
-        return None
-    functional = to_functional(raw)
-    assert is_positive(functional, cone.space)
-    return functional
+    evidence = separation_evidence(cone)
+    return None if isinstance(evidence, lp.Infeasible) else evidence
 
 
 def archimedean_consistent(cone: DesirCone) -> bool:

@@ -20,6 +20,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterator, Optional, Sequence, Union
 
+from . import archimedean as arch
 from . import lp
 from .cone import (
     DesirCone,
@@ -27,7 +28,6 @@ from .cone import (
     member as cone_member,
     natural_extension,
     posi_member,
-    strict_background_rows,
 )
 from .functional import LinearF, SuperlinF, is_positive, nml
 from .numeric import OptionSpace, Vector
@@ -161,23 +161,14 @@ def consistent(model: AssessmentK, cap: int = SELECTION_CAP) -> bool:
     return False
 
 
-def _selection_positive_functional(
-    space: OptionSpace, selection: Sequence[Vector], nonpos: Sequence[Vector] = ()
-) -> Optional[Vector]:
-    strict_bg, nonneg_bg = strict_background_rows(space)
-    return lp.strict_homogeneous_feasible(
-        strict=list(selection) + strict_bg, nonpos=nonpos, nonneg=nonneg_bg
-    )
-
-
 def archimedean_consistency_witness(
     model: AssessmentK, cap: int = SELECTION_CAP
 ) -> Optional[LinearF]:
     """A background-positive functional strictly positive on some selection."""
     for selection in selections(model, cap):
-        raw = _selection_positive_functional(model.space, selection)
-        if raw is not None:
-            return LinearF(raw)
+        witness = arch.archimedean_consistency_witness(PosiCone(selection, model.space))
+        if witness is not None:
+            return witness
     return None
 
 
@@ -199,38 +190,32 @@ def archimedean_member_evidence(
     selection, and its dominating linear functionals supply the per-option
     witnesses.
     """
-    if not archimedean_consistent(model, cap):
+    witness = archimedean_consistency_witness(model, cap)
+    if witness is None:
         raise ValueError("Archimedean-inconsistent model: the closure is everything")
     options = b.without_zero()
     if not options:
         # Nothing desirable can be asserted through B; excluded by every
         # background-positive functional.
-        witness = archimedean_consistency_witness(model, cap)
-        assert witness is not None
         return SuperlinF((witness,))
     for selection in selections(model, cap):
+        cone = PosiCone(selection, model.space)
         per_option: list[LinearF] = []
         for v in options:
-            raw = _selection_positive_functional(model.space, selection, nonpos=[v])
-            if raw is None:
+            evidence = arch.separation_evidence(cone, v)
+            if isinstance(evidence, lp.Infeasible):
                 break
-            per_option.append(LinearF(raw))
+            per_option.append(evidence)
         else:
             envelope = SuperlinF(tuple(per_option))
-            _assert_excluding_envelope(model, envelope, selection, options)
+            lp.verified(
+                is_positive(envelope, model.space)
+                and all(envelope.eval(u) > 0 for u in selection)
+                and all(envelope.eval(v) <= 0 for v in options),
+                "excluding envelope",
+            )
             return envelope
     return None
-
-
-def _assert_excluding_envelope(
-    model: AssessmentK,
-    envelope: SuperlinF,
-    selection: Sequence[Vector],
-    options: Sequence[Vector],
-) -> None:
-    assert is_positive(envelope, model.space)
-    assert all(envelope.eval(u) > 0 for u in selection)
-    assert all(envelope.eval(v) <= 0 for v in options)
 
 
 def archimedean_member(model: AssessmentK, b: OptionSet, cap: int = SELECTION_CAP) -> bool:

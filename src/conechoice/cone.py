@@ -230,7 +230,7 @@ def natural_extension(
     cone = PosiCone(tuple(assessment), space)
     combination = _zero_membership_combination(cone)
     if combination is not None:
-        assert verify_inconsistency_combination(combination)
+        lp.verified(verify_inconsistency_combination(combination), "inconsistency combination")
         return cone, ConsistencyReport(consistent=False, combination=combination)
     functional = _separating_functional(cone)
     return cone, ConsistencyReport(consistent=True, functional=functional)
@@ -389,7 +389,9 @@ def _open_dual_mixing(cone: OpenDualCone) -> MixingResult:
         return MixingResult(None)
     u = Vector(result.witness.entries[:d])
     v = Vector(result.witness.entries[d:])
-    assert not member(cone, u) and not member(cone, v) and member(cone, u + v)
+    lp.verified(
+        not member(cone, u) and not member(cone, v) and member(cone, u + v), "mixing witness"
+    )
     return MixingResult(False, witness=(u, v))
 
 
@@ -415,7 +417,7 @@ def _posi_mixing(cone: PosiCone) -> MixingResult:
             u = space.u_o + n.scale(step)
             v = space.u_o - n.scale(step)
             if not member(cone, u) and not member(cone, v):
-                assert member(cone, u + v)
+                lp.verified(member(cone, u + v), "mixing witness")
                 return MixingResult(False, witness=(u, v))
             step *= 2
     return MixingResult(None)

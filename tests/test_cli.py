@@ -142,7 +142,7 @@ def test_text_report_mentions_every_query(capsys):
     assert any("eadm_choice" in line for line in lines)
 
 
-def test_usage_errors_exit_64(capsys):
+def test_usage_errors_exit_64(tmp_path, capsys):
     code, _, err = run(capsys, "member", COIN, "--target", "nope", "--option", "1,1")
     assert code == EXIT_USAGE
     assert "usage error" in err
@@ -155,6 +155,21 @@ def test_usage_errors_exit_64(capsys):
 
     code, _, err = run(capsys, "choose", COIN, "--rule", "eadm", "--target", "D_I", "--menu", "1,0")
     assert code == EXIT_USAGE
+
+    # Malformed vector lists in a model file's queries are usage errors too.
+    space = {"dim": 2, "background": "pointwise", "u_o": ["1", "1"]}
+    for field, kind, extra in (
+        ("assessment", "natural_extension", {}),
+        ("menu", "choose", {"rule": "eadm", "target": "K_cred"}),
+        ("option_set", "member", {"target": "K_cred"}),
+    ):
+        for entries in ([1], [["1", "oops"]], "1,0"):
+            query = {"name": "q", "kind": kind, field: entries, **extra}
+            path = tmp_path / "queries.json"
+            path.write_text(json.dumps({"space": space, "queries": [query]}))
+            code, _, err = run(capsys, "report", str(path))
+            assert code == EXIT_USAGE, (field, entries)
+            assert "usage error" in err
 
 
 def test_data_errors_exit_65(tmp_path, capsys):

@@ -202,22 +202,55 @@ def test_agreement_with_vertex_enumeration_oracle():
             assert result.value == value
 
 
-def test_certificate_check_survives_optimize_flag():
-    # A rejected certificate must stop the solve even when asserts are stripped.
+@pytest.mark.parametrize(
+    "patch, trigger, what",
+    [
+        pytest.param(
+            "lp.verify_infeasibility_certificate = lambda problem, certificate: False",
+            "lp.solve(lp.LpProblem(1, (lp.Constraint(vec(1), lp.GE, Fraction(1)),"
+            " lp.Constraint(vec(1), lp.LE, Fraction(0)))))",
+            "Farkas certificate",
+            id="farkas_certificate",
+        ),
+        pytest.param(
+            "archimedean._separates = lambda f, cone, v: False",
+            "archimedean.separation_evidence(cone.PosiCone((vec(1, -1),), space))",
+            "separation witness",
+            id="separation_witness",
+        ),
+        pytest.param(
+            "cone.verify_inconsistency_combination = lambda combination: False",
+            "cone.natural_extension([vec(1, -1), vec(-1, 1)], space)",
+            "inconsistency combination",
+            id="inconsistency_combination",
+        ),
+        pytest.param(
+            "choice.is_positive = lambda f, space: False",
+            "choice.archimedean_member_evidence(choice.AssessmentK((choice.option_set(vec(1, -1)),),"
+            " space), choice.option_set(vec(-1, 1)))",
+            "excluding envelope",
+            id="excluding_envelope",
+        ),
+        pytest.param(
+            "cone.member = lambda c, v: False",
+            "cone.is_mixing(cone.OpenDualCone((LinearF(vec(1, 3)), LinearF(vec(3, 1))), space))",
+            "mixing witness",
+            id="mixing_witness",
+        ),
+    ],
+)
+def test_certificate_check_survives_optimize_flag(patch, trigger, what):
+    # A rejected witness or certificate must stop the query even when asserts are stripped.
     script = textwrap.dedent(
         """
         from fractions import Fraction
-        from conechoice import lp
-        from conechoice.numeric import vec
+        from conechoice import archimedean, choice, cone, lp
+        from conechoice.functional import LinearF
+        from conechoice.numeric import Background, OptionSpace, vec
 
-        lp.verify_infeasibility_certificate = lambda problem, certificate: False
-        problem = lp.LpProblem(
-            1,
-            (lp.Constraint(vec(1), lp.GE, Fraction(1)), lp.Constraint(vec(1), lp.LE, Fraction(0))),
-        )
-        lp.solve(problem)
+        space = OptionSpace(2, Background.POINTWISE, vec(1, 1))
         """
-    )
+    ) + f"{patch}\n{trigger}\n"
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script],
@@ -226,7 +259,7 @@ def test_certificate_check_survives_optimize_flag():
         text=True,
     )
     assert proc.returncode != 0
-    assert "RuntimeError: internal error: emitted Farkas certificate failed re-verification" in proc.stderr
+    assert f"RuntimeError: internal error: emitted {what} failed re-verification" in proc.stderr
 
 
 def test_strict_rows_reject_zero_functional():
