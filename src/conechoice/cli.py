@@ -136,6 +136,9 @@ def _k_query(model: Model, query: dict, target: choice.KModel) -> dict:
 
 
 def _parse_query_vector(raw: Any, what: str) -> Vector:
+    # A string is iterable too: "10" must not be read as the vector (1, 0).
+    if not isinstance(raw, list):
+        raise UsageError(f"bad {what}: expected a list of rationals, got {raw!r}")
     try:
         return Vector(tuple(parse_rational(x) for x in raw))
     except (TypeError, ValueError) as exc:
@@ -197,6 +200,9 @@ def run_query(model: Model, query: dict) -> dict:
 def _dispatch_query(model: Model, query: dict) -> dict:
     kind = query["kind"]
     target_name = query.get("target", "")
+    for field, value in (("kind", kind), ("target", target_name)):
+        if not isinstance(value, str):
+            raise UsageError(f"query field {field!r} must be a string, got {value!r}")
     if kind == "natural_extension":
         assessment = _query_vectors(query, "assessment")
         _, report = cones.natural_extension(assessment, model.space)

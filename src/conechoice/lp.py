@@ -1,9 +1,17 @@
 """Exact rational linear programming with verifiable certificates.
 
 This is the single decision oracle behind every cone-membership and separation
-query in the engine.  The solver is a two-phase primal simplex over Fractions
-with Bland's least-index pivot rule, which guarantees termination without any
-perturbation scheme.
+query in the engine.  The solver is a two-phase primal simplex with Bland's
+least-index pivot rule, which guarantees termination without any perturbation
+scheme.  It pivots fraction-free, in the manner of Edmonds and Bareiss: each
+tableau row is an equation kept as a primitive integer vector (each constraint
+is multiplied by the lcm of its denominators, and every pivot step divides out
+the gcd of the rows it changes), and the objective row carries one positive
+integer scale.  Every pivot, ratio test and entering-column choice is integer
+arithmetic, yet makes the same choice as the rational tableau, so the pivot
+path and all evidence are those of a simplex over Fractions.  Fractions appear
+only where values enter (the constraint data and the objective costs) and
+where they leave (witnesses, optimal values, certificates and rays).
 
 Negative answers carry checkable evidence:
 
@@ -21,6 +29,7 @@ and non-homogeneous ones through :func:`max_margin`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -189,81 +198,113 @@ def verify_ray(problem: LpProblem, ray: Vector) -> bool:
 
 
 class _Tableau:
-    """A dense simplex tableau over Fractions (maximization form)."""
+    """A dense simplex tableau with integer rows (maximization form).
 
-    def __init__(self, rows: list[list[Fraction]], basis: list[int], n_cols: int):
+    Row i stands for the rational tableau row ``rows[i] / rows[i][basis[i]]``:
+    every row is an equation, so it is kept as a primitive integer vector whose
+    basic entry is positive instead of being divided through to 1.  The
+    objective row stands for ``obj / obj_scale`` with ``obj_scale > 0``.  Both
+    scalings are positive, so every sign, ratio and Bland tie-break is the one
+    the rational tableau would see, and pivots never build a Fraction.
+    Fractions appear only where costs enter, in :meth:`set_objective`, and
+    where values leave: :meth:`value`, :meth:`basic_solution` and the
+    certificate and ray read-outs.
+    """
+
+    def __init__(self, rows: list[list[int]], basis: list[int], n_cols: int):
         self.rows = rows  # each row has n_cols + 1 entries, last is the rhs
         self.basis = basis
         self.n_cols = n_cols
-        self.obj: list[Fraction] = []
-        self.barred: set[int] = set()
+        self.obj: list[int] = []
+        self.obj_scale = 1
+        self.n_entering = n_cols  # columns from here on may not enter the basis
 
-    def set_objective(self, cost: list[Fraction]) -> None:
-        obj = [-c for c in cost] + [Fraction(0)]
-        for i, b in enumerate(self.basis):
-            if cost[b] != 0:
-                factor = cost[b]
-                row = self.rows[i]
-                obj = [o + factor * x for o, x in zip(obj, row)]
-        self.obj = obj
+    def set_objective(self, cost: Sequence[Union[int, Fraction]]) -> None:
+        """Price out the basic columns of ``-cost`` in exact integers.
+
+        The reduced-cost row is ``-cost + sum_i cost[b_i] * rows[i] / rows[i][b_i]``;
+        ``obj_scale`` is the lcm of the denominators of the costs and of those
+        basic-cost factors, so every term is an integer.
+        """
+        factors = [
+            (Fraction(cost[b], self.rows[i][b]), self.rows[i])
+            for i, b in enumerate(self.basis)
+            if cost[b] != 0
+        ]
+        scale = math.lcm(*(c.denominator for c in cost), *(f.denominator for f, _ in factors))
+        obj = [-(c.numerator * (scale // c.denominator)) for c in cost] + [0]
+        for f, row in factors:
+            k = f.numerator * (scale // f.denominator)
+            obj = [o + k * x for o, x in zip(obj, row)]
+        g = math.gcd(*obj, scale)
+        self.obj = [o // g for o in obj]
+        self.obj_scale = scale // g
 
     def value(self) -> Fraction:
-        return self.obj[self.n_cols]
+        return Fraction(self.obj[self.n_cols], self.obj_scale)
 
     def _pivot(self, row_idx: int, col: int) -> None:
         pivot_row = self.rows[row_idx]
         pivot = pivot_row[col]
-        self.rows[row_idx] = pivot_row = [x / pivot for x in pivot_row]
+        if pivot < 0:
+            # The phase-1 drive-out may pivot on a negative entry; the new
+            # basic entry must be positive.
+            pivot = -pivot
+            self.rows[row_idx] = pivot_row = [-x for x in pivot_row]
         for i, row in enumerate(self.rows):
-            if i != row_idx and row[col] != 0:
-                factor = row[col]
-                self.rows[i] = [x - factor * y for x, y in zip(row, pivot_row)]
-        if self.obj and self.obj[col] != 0:
-            factor = self.obj[col]
-            self.obj = [x - factor * y for x, y in zip(self.obj, pivot_row)]
+            factor = row[col]
+            if i != row_idx and factor != 0:
+                new = [pivot * x - factor * y for x, y in zip(row, pivot_row)]
+                g = math.gcd(*new)
+                self.rows[i] = [x // g for x in new] if g > 1 else new
+        factor = self.obj[col]
+        if factor != 0:
+            new = [pivot * x - factor * y for x, y in zip(self.obj, pivot_row)]
+            scale = self.obj_scale * pivot
+            g = math.gcd(*new, scale)
+            self.obj = [x // g for x in new]
+            self.obj_scale = scale // g
         self.basis[row_idx] = col
 
     def run(self) -> Optional[int]:
         """Iterate to optimality; returns an entering column if unbounded."""
+        rhs = self.n_cols
         while True:
-            entering = None
-            for j in range(self.n_cols):
-                if j in self.barred:
-                    continue
-                if self.obj[j] < 0:
-                    entering = j
-                    break
+            obj = self.obj
+            entering = next((j for j in range(self.n_entering) if obj[j] < 0), None)
             if entering is None:
                 return None
+            # Bland's ratio test, min rhs_i / a_i over a_i > 0, by cross-multiplication.
             leaving = None
-            best_ratio: Optional[Fraction] = None
             for i, row in enumerate(self.rows):
-                if row[entering] > 0:
-                    ratio = row[self.n_cols] / row[entering]
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[i] < self.basis[leaving])
-                    ):
-                        best_ratio = ratio
-                        leaving = i
+                a = row[entering]
+                if a > 0:
+                    if leaving is None:
+                        leaving, best_rhs, best_a = i, row[rhs], a
+                        continue
+                    here, best = row[rhs] * best_a, best_rhs * a
+                    if here < best or (here == best and self.basis[i] < self.basis[leaving]):
+                        leaving, best_rhs, best_a = i, row[rhs], a
             if leaving is None:
                 return entering
             self._pivot(leaving, entering)
 
     def basic_solution(self) -> list[Fraction]:
         x = [Fraction(0)] * self.n_cols
-        for i, b in enumerate(self.basis):
-            x[b] = self.rows[i][self.n_cols]
+        for row, b in zip(self.rows, self.basis):
+            x[b] = Fraction(row[self.n_cols], row[b])
         return x
 
 
 class _StandardForm:
-    """Standard-form encoding of a normalized problem.
+    """Standard-form encoding of a normalized problem, as integer rows.
 
     Free variables are split as x = p - q; every row gets a slack (inequalities)
-    and an artificial variable; right-hand sides are made nonnegative, and the
-    rows negated for that are recorded in ``negated``.
+    and an artificial variable with coefficient 1.  Constraint r is then
+    multiplied by ``scale[r]``, the lcm of its denominators, so that it is an
+    integer equation (its artificial's coefficient becomes ``scale[r]``); the
+    rational problem and so every pivot are unchanged.  Right-hand sides are
+    made nonnegative, and the rows negated for that are recorded in ``negated``.
     """
 
     def __init__(self, problem: LpProblem):
@@ -274,38 +315,37 @@ class _StandardForm:
         n_slacks = sum(1 for c in problem.constraints if c.relation != EQ)
         self.n_cols = 2 * n + n_slacks + m
         self.art_start = 2 * n + n_slacks
-        rows: list[list[Fraction]] = []
+        rows: list[list[int]] = []
         basis: list[int] = []
         self.negated: set[int] = set()
         slack_idx = 2 * n
         for r, c in enumerate(problem.constraints):
-            row = [Fraction(0)] * (self.n_cols + 1)
-            for j in range(n):
-                row[j] = c.coeffs[j]
-                row[n + j] = -c.coeffs[j]
+            entries = (*c.coeffs.entries, c.rhs)
+            scale = math.lcm(*(x.denominator for x in entries))
+            a = [x.numerator * (scale // x.denominator) for x in entries]
+            row = [0] * (self.n_cols + 1)
+            row[:n] = a[:n]
+            row[n : 2 * n] = [-x for x in a[:n]]
             if c.relation == LE:
-                row[slack_idx] = Fraction(1)
+                row[slack_idx] = scale
                 slack_idx += 1
             elif c.relation == GE:
-                row[slack_idx] = Fraction(-1)
+                row[slack_idx] = -scale
                 slack_idx += 1
-            row[self.n_cols] = c.rhs
-            if row[self.n_cols] < 0:
+            row[self.n_cols] = a[n]
+            if a[n] < 0:
                 row = [-x for x in row]
                 self.negated.add(r)
             art_col = self.art_start + r
-            row[art_col] = Fraction(1)
+            row[art_col] = scale
             rows.append(row)
             basis.append(art_col)
         self.tableau = _Tableau(rows, basis, self.n_cols)
 
     def phase_one(self) -> Optional[tuple[Fraction, ...]]:
         """Reach a feasible basis and return None, or return a Farkas certificate."""
-        cost = [Fraction(0)] * self.n_cols
-        for col in range(self.art_start, self.n_cols):
-            cost[col] = Fraction(-1)
         t = self.tableau
-        t.set_objective(cost)
+        t.set_objective([0] * self.art_start + [-1] * (self.n_cols - self.art_start))
         entering = t.run()
         assert entering is None  # phase-1 objective is bounded above by 0
         if t.value() < 0:
@@ -316,7 +356,7 @@ class _StandardForm:
             # rhs sign flips and orient ">=" rows as "<=".
             certificate = []
             for r, c in enumerate(self.problem.constraints):
-                y = t.obj[self.art_start + r] - 1
+                y = Fraction(t.obj[self.art_start + r], t.obj_scale) - 1
                 flip = (r in self.negated) != (c.relation == GE)
                 certificate.append(-y if flip else y)
             return tuple(certificate)
@@ -331,7 +371,7 @@ class _StandardForm:
                     del t.basis[i]
                 else:
                     t._pivot(i, pivot_col)
-        t.barred = set(range(self.art_start, self.n_cols))
+        t.n_entering = self.art_start
         return None
 
     def extract(self, std: list[Fraction]) -> Vector:
@@ -341,8 +381,8 @@ class _StandardForm:
         t = self.tableau
         ray = [Fraction(0)] * self.n_cols
         ray[entering] = Fraction(1)
-        for i, b in enumerate(t.basis):
-            ray[b] = -t.rows[i][entering]
+        for row, b in zip(t.rows, t.basis):
+            ray[b] = Fraction(-row[entering], row[b])
         return self.extract(ray)
 
 

@@ -6,6 +6,7 @@ import pytest
 from conechoice.cli import EXIT_DATA, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, main
 
 COIN = str(Path(__file__).resolve().parents[1] / "models" / "coin.json")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -171,6 +172,21 @@ def test_usage_errors_exit_64(tmp_path, capsys):
             assert code == EXIT_USAGE, (field, entries)
             assert "usage error" in err
 
+    # On the coin model these queries would be answered if a string were read
+    # one character at a time, or would crash on an unhashable target.
+    coin = json.loads(Path(COIN).read_text())
+    for query, field in (
+        ({"kind": "choose", "rule": "eadm", "target": "K_cred", "menu": ["10", "01"]}, "menu"),
+        ({"kind": "member", "target": "D_I", "option": "10"}, "option"),
+        ({"kind": "member", "target": ["D_I"], "option": ["1", "0"]}, "'target'"),
+        ({"kind": 3, "target": "D_I"}, "'kind'"),
+    ):
+        path = tmp_path / "coin_queries.json"
+        path.write_text(json.dumps({**coin, "queries": [{"name": "q", **query}]}))
+        code, _, err = run(capsys, "report", str(path))
+        assert code == EXIT_USAGE, query
+        assert "usage error" in err and field in err, err
+
 
 def test_data_errors_exit_65(tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -181,3 +197,13 @@ def test_data_errors_exit_65(tmp_path, capsys):
 
     code, _, err = run(capsys, "check", str(tmp_path / "absent.json"))
     assert code == EXIT_DATA
+
+
+@pytest.mark.parametrize("command", ["report", "check"])
+def test_coin_json_output_matches_golden(capsys, command):
+    # The golden files pin every witness and certificate, so a change to the
+    # pivot rule or the certificate read-out shows as a diff, not only as
+    # evidence that still verifies.
+    code, out, _ = run(capsys, command, COIN, "--json")
+    assert code == EXIT_OK
+    assert out == (GOLDEN / f"coin_{command}.json").read_text()

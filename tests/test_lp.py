@@ -1,8 +1,10 @@
+import math
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -200,6 +202,148 @@ def test_agreement_with_vertex_enumeration_oracle():
         assert expected == status
         if isinstance(result, Optimal):
             assert result.value == value
+
+
+def _spy_pivots(monkeypatch) -> list[int]:
+    """Record each pivot entry and check the integer-row invariants after it.
+
+    Every tableau row must stay a primitive integer vector whose basic entry is
+    positive: that is what makes it a positive multiple of the rational row.
+    A primitive row divides the row of minors that Bareiss elimination would
+    hold, so its entries stay within Hadamard's bound for the starting rows.
+    """
+    entries: list[int] = []
+    bit_bounds: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+    pivot = lp._Tableau._pivot
+
+    def spy(tableau, row_idx, col):
+        if tableau not in bit_bounds:
+            bits = max(x.bit_length() for row in tableau.rows for x in row)
+            width = (tableau.n_cols + 1).bit_length()
+            bit_bounds[tableau] = len(tableau.rows) * (bits + width)
+        entries.append(tableau.rows[row_idx][col])
+        pivot(tableau, row_idx, col)
+        for row, b in zip(tableau.rows, tableau.basis):
+            assert all(type(x) is int for x in row)
+            assert row[b] > 0 and math.gcd(*row) == 1
+            assert max(x.bit_length() for x in row) <= bit_bounds[tableau]
+        assert tableau.obj_scale > 0 and math.gcd(*tableau.obj, tableau.obj_scale) == 1
+
+    monkeypatch.setattr(lp._Tableau, "_pivot", spy)
+    return entries
+
+
+def _check_evidence(problem: LpProblem, result, boxes=None) -> None:
+    kwargs = {} if boxes is None else {"boxes": boxes}
+    status, value = brute_force_lp(problem, **kwargs)
+    assert type(result).__name__.lower() == status
+    if isinstance(result, (Feasible, Optimal, Unbounded)):
+        assert verify_witness(problem, result.witness)
+    if isinstance(result, Optimal):
+        assert result.value == value == problem.objective.coeffs.dot(result.witness)
+    if isinstance(result, Infeasible):
+        assert verify_infeasibility_certificate(problem, result.certificate)
+    if isinstance(result, Unbounded):
+        assert verify_ray(problem, result.ray)
+
+
+def test_phase_one_drive_out_pivots_on_a_negative_entry(monkeypatch):
+    # The equality row duplicates the first row, so phase 1 ends with an
+    # artificial basic at level 0 whose row is driven out on a -1 entry.
+    entries = _spy_pivots(monkeypatch)
+    problem = LpProblem(
+        2,
+        (
+            Constraint(vec(2, 1), LE, Fraction(1)),
+            Constraint(vec(-2, -2), LE, Fraction(-1)),
+            Constraint(vec(2, 1), EQ, Fraction(1)),
+        ),
+        Objective("max", vec(1, 0)),
+    )
+    result = solve(problem)
+    assert any(p < 0 for p in entries)
+    assert isinstance(result, Optimal)
+    _check_evidence(problem, result)
+
+
+def test_fractional_costs_priced_against_non_unit_basic_entries(monkeypatch):
+    # Phase 1 pivots on the entries 5 and 3, so basic entries are 3 rather
+    # than 1 when phase 2 prices the costs 1/3 and 2/7, and phase 2 then
+    # pivots twice with a scaled objective row.
+    entries = _spy_pivots(monkeypatch)
+    priced: list[tuple[list[int], int]] = []
+    set_objective = lp._Tableau.set_objective
+
+    def spy(tableau, cost):
+        priced.append(([row[b] for row, b in zip(tableau.rows, tableau.basis)], len(entries)))
+        set_objective(tableau, cost)
+
+    monkeypatch.setattr(lp._Tableau, "set_objective", spy)
+    problem = LpProblem(
+        2,
+        (Constraint(vec(3, 3), GE, Fraction(6)), Constraint(vec(5, 4), GE, Fraction(7))),
+        Objective("min", vec("1/3", "2/7")),
+        bounds=((Fraction(0), None), (Fraction(0), None)),
+    )
+    result = solve(problem)
+    (_, _), (phase_two_basic, pivots_before) = priced
+    assert any(entry != 1 for entry in phase_two_basic)
+    assert len(entries) > pivots_before
+    assert isinstance(result, Optimal)
+    assert result.witness == vec(0, 2)
+    assert result.value == Fraction(4, 7)
+    _check_evidence(problem, result)
+
+
+def _huge_fraction(rng: random.Random) -> Fraction:
+    big = 2**100
+    num = rng.choice([-1, 1]) * (big + rng.randint(-(2**20), 2**20))
+    den = big + rng.randint(-(2**20), 2**20)
+    return Fraction(num, den) if rng.random() < 0.8 else Fraction(num, rng.randint(1, 9))
+
+
+def test_rows_with_hundred_bit_numerators_and_denominators(monkeypatch):
+    # Each row is scaled by the lcm of ~100-bit denominators before pivoting;
+    # the spy checks that rows stay primitive and within Hadamard's bound.
+    _spy_pivots(monkeypatch)
+    rng = random.Random(100)
+    statuses = set()
+    for _ in range(40):
+        n = rng.choice([2, 3])
+        constraints = tuple(
+            Constraint(
+                Vector(tuple(_huge_fraction(rng) for _ in range(n))),
+                rng.choice([LE, GE, EQ]),
+                _huge_fraction(rng),
+            )
+            for _ in range(rng.randint(2, 4))
+        )
+        objective = Objective(
+            rng.choice(["max", "min"]), Vector(tuple(_huge_fraction(rng) for _ in range(n)))
+        )
+        problem = LpProblem(n, constraints, objective)
+        result = solve(problem)
+        statuses.add(type(result).__name__)
+        _check_evidence(problem, result, boxes=(Fraction(2**300), Fraction(2**400)))
+    assert statuses == {"Optimal", "Infeasible", "Unbounded"}
+
+
+def test_unbounded_ray_after_row_scaling(monkeypatch):
+    # x/3 - y/2 >= 1/5 and 5x/7 + y/4 >= -3 are scaled by 30 and 28; x + y
+    # grows without bound along the first row's boundary.
+    _spy_pivots(monkeypatch)
+    problem = LpProblem(
+        2,
+        (
+            Constraint(vec("1/3", "-1/2"), GE, Fraction(1, 5)),
+            Constraint(vec("5/7", "1/4"), GE, Fraction(-3)),
+        ),
+        Objective("max", vec(1, 1)),
+        bounds=((Fraction(0), None), (None, None)),
+    )
+    result = solve(problem)
+    assert isinstance(result, Unbounded)
+    _check_evidence(problem, result)
 
 
 @pytest.mark.parametrize(
