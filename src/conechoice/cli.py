@@ -8,6 +8,7 @@ errors; 65 parse/schema errors in the model file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -87,10 +88,10 @@ def _cone_query(model: Model, query: dict, target: cones.DesirCone) -> dict:
     if kind == "arch_consistent":
         return _arch_consistency_record(target)
     if kind == "member":
-        option = _query_vector(query, "option")
+        option = _query_vector(query, "option", model.space.dim)
         return {"answer": cones.member(target, option)}
     if kind == "arch_member":
-        option = _query_vector(query, "option")
+        option = _query_vector(query, "option", model.space.dim)
         answer = arch.archimedean_closure_member(target, option)
         record: dict[str, Any] = {"answer": answer}
         if not answer:
@@ -99,7 +100,7 @@ def _cone_query(model: Model, query: dict, target: cones.DesirCone) -> dict:
             record["witness"] = _fmt_vector(witness.functional.coeffs)
         return record
     if kind == "lambda_o":
-        option = _query_vector(query, "option")
+        option = _query_vector(query, "option", model.space.dim)
         return {"answer": format_rational(arch.lambda_o(target, option))}
     raise UsageError(f"kind {kind!r} does not apply to a cone")
 
@@ -107,7 +108,7 @@ def _cone_query(model: Model, query: dict, target: cones.DesirCone) -> dict:
 def _k_query(model: Model, query: dict, target: choice.KModel) -> dict:
     kind = query["kind"]
     if kind == "member":
-        b = choice.OptionSet(tuple(_query_vectors(query, "option_set")))
+        b = choice.OptionSet(tuple(_query_vectors(query, "option_set", model.space.dim)))
         return {"answer": choice.member(target, b)}
     if kind == "consistent":
         if not isinstance(target, choice.AssessmentK):
@@ -123,7 +124,7 @@ def _k_query(model: Model, query: dict, target: choice.KModel) -> dict:
     if kind == "arch_member":
         if not isinstance(target, choice.AssessmentK):
             raise UsageError("Archimedean membership queries need an assessment model")
-        b = choice.OptionSet(tuple(_query_vectors(query, "option_set")))
+        b = choice.OptionSet(tuple(_query_vectors(query, "option_set", model.space.dim)))
         envelope = choice.archimedean_member_evidence(target, b)
         if envelope is None:
             return {"answer": True}
@@ -135,28 +136,30 @@ def _k_query(model: Model, query: dict, target: choice.KModel) -> dict:
     raise UsageError(f"kind {kind!r} does not apply to a k-model")
 
 
-def _parse_query_vector(raw: Any, what: str) -> Vector:
+def _parse_query_vector(raw: Any, what: str, dim: int) -> Vector:
     # A string is iterable too: "10" must not be read as the vector (1, 0).
     if not isinstance(raw, list):
         raise UsageError(f"bad {what}: expected a list of rationals, got {raw!r}")
+    if len(raw) != dim:
+        raise UsageError(f"bad {what}: expected {dim} entries, got {len(raw)}")
     try:
         return Vector(tuple(parse_rational(x) for x in raw))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad {what}: {exc}") from exc
 
 
-def _query_vector(query: dict, key: str) -> Vector:
+def _query_vector(query: dict, key: str, dim: int) -> Vector:
     raw = query.get(key)
     if raw is None:
         raise UsageError(f"query needs an {key!r} field")
-    return _parse_query_vector(raw, key)
+    return _parse_query_vector(raw, key, dim)
 
 
-def _query_vectors(query: dict, key: str) -> list[Vector]:
+def _query_vectors(query: dict, key: str, dim: int) -> list[Vector]:
     raw = query.get(key)
     if not isinstance(raw, list):
         raise UsageError(f"query needs a {key!r} list of vectors")
-    return [_parse_query_vector(entry, f"{key} entry") for entry in raw]
+    return [_parse_query_vector(entry, f"{key} entry", dim) for entry in raw]
 
 
 def _choose_record(model: Model, rule: str, target_name: str, menu: choice.OptionSet) -> dict:
@@ -204,7 +207,7 @@ def _dispatch_query(model: Model, query: dict) -> dict:
         if not isinstance(value, str):
             raise UsageError(f"query field {field!r} must be a string, got {value!r}")
     if kind == "natural_extension":
-        assessment = _query_vectors(query, "assessment")
+        assessment = _query_vectors(query, "assessment", model.space.dim)
         _, report = cones.natural_extension(assessment, model.space)
         record: dict[str, Any] = {"answer": report.consistent}
         if report.combination is not None:
@@ -219,7 +222,7 @@ def _dispatch_query(model: Model, query: dict) -> dict:
         rule = query.get("rule")
         if rule is None:
             raise UsageError("choose queries need a \"rule\" field")
-        menu = choice.OptionSet(tuple(_query_vectors(query, "menu")))
+        menu = choice.OptionSet(tuple(_query_vectors(query, "menu", model.space.dim)))
         return _choose_record(model, rule, target_name, menu)
     if kind == "nml":
         if target_name not in model.functionals:
@@ -282,6 +285,9 @@ def _exit_code(records: list[dict]) -> int:
     return EXIT_OK
 
 
+# Built once per process: setting up argparse costs more than a small query, and
+# parsing leaves the parser unchanged.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="conechoice", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

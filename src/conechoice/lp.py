@@ -13,11 +13,19 @@ path and all evidence are those of a simplex over Fractions.  Fractions appear
 only where values enter (the constraint data and the objective costs) and
 where they leave (witnesses, optimal values, certificates and rays).
 
+The tableau holds only what the problem needs.  A sign row, one that says
+``x_j >= 0`` and nothing else, stays out of it and gives x_j one nonnegative
+column; only the other variables are split as ``p - q``.  Rows that read
+``<=`` with a nonnegative rhs (``>= 0`` rows are negated into that form) start
+with their slack basic, and only the remaining rows get an artificial, so a
+system without any skips phase 1.
+
 Negative answers carry checkable evidence:
 
 * infeasibility comes with a Farkas multiplier vector, read off the final
-  phase-1 tableau (the duals of the artificial columns) and re-verified by
-  substitution before being returned;
+  phase-1 tableau (the duals of the starting columns, and for sign rows the
+  reduced costs of their variables) and re-verified by substitution before
+  being returned;
 * unboundedness comes with an improving ray read off the final tableau and
   re-verified the same way.
 
@@ -41,6 +49,7 @@ EQ = "="
 GE = ">="
 
 _RELATIONS = (LE, EQ, GE)
+_REVERSED = {LE: GE, EQ: EQ, GE: LE}
 
 
 @dataclass(frozen=True)
@@ -147,13 +156,6 @@ def verify_witness(problem: LpProblem, x: Vector) -> bool:
     return all(c.holds_at(x) for c in problem.normalized().constraints)
 
 
-def _oriented(c: Constraint) -> tuple[Vector, Fraction]:
-    # Rewrite the row in "<=" orientation (equalities stay put, multiplier free).
-    if c.relation == GE:
-        return -c.coeffs, -c.rhs
-    return c.coeffs, c.rhs
-
-
 def verify_infeasibility_certificate(
     problem: LpProblem, certificate: Sequence[Fraction]
 ) -> bool:
@@ -173,10 +175,15 @@ def verify_infeasibility_certificate(
     for mult, c in zip(certificate, constraints):
         if c.relation != EQ and mult < 0:
             return False
-        coeffs, rhs = _oriented(c)
-        for j in range(n):
-            combo[j] += mult * coeffs[j]
-        rhs_combo += mult * rhs
+        if mult == 0:
+            continue
+        # The multiplier of a ">=" row applies to the row negated into "<=".
+        if c.relation == GE:
+            mult = -mult
+        for j, a in enumerate(c.coeffs.entries):
+            if a:
+                combo[j] += mult * a
+        rhs_combo += mult * c.rhs
     return all(v == 0 for v in combo) and rhs_combo < 0
 
 
@@ -296,70 +303,105 @@ class _Tableau:
         return x
 
 
+def _sign_row(c: Constraint) -> Optional[tuple[int, Fraction]]:
+    """``(j, |a|)`` when the row says only ``x_j >= 0``, else None.
+
+    A sign row has one nonzero coefficient ``a`` and rhs 0, and reads
+    ``a x_j >= 0`` with ``a > 0`` or ``a x_j <= 0`` with ``a < 0``.
+    """
+    if c.rhs or c.relation == EQ:
+        return None
+    nonzero = [j for j, a in enumerate(c.coeffs.entries) if a]
+    if len(nonzero) != 1:
+        return None
+    a = c.coeffs[nonzero[0]]
+    return (nonzero[0], abs(a)) if (a > 0) == (c.relation == GE) else None
+
+
 class _StandardForm:
     """Standard-form encoding of a normalized problem, as integer rows.
 
-    Free variables are split as x = p - q; every row gets a slack (inequalities)
-    and an artificial variable with coefficient 1.  Constraint r is then
-    multiplied by ``scale[r]``, the lcm of its denominators, so that it is an
-    integer equation (its artificial's coefficient becomes ``scale[r]``); the
-    rational problem and so every pivot are unchanged.  Right-hand sides are
-    made nonnegative, and the rows negated for that are recorded in ``negated``.
+    Sign rows (see :func:`_sign_row`) stay out of the tableau: a variable with
+    one gets a single nonnegative column, and every other variable is split as
+    x = p - q.  Each kept row is multiplied by ``scale``, the lcm of its
+    denominators, so that it is an integer equation; the rational problem and
+    so every pivot are unchanged.  The row is oriented so that its rhs is
+    nonnegative, a ``>= 0`` row becoming ``<= 0``.  An inequality gets a slack
+    with coefficient ``+-scale``; where that coefficient is positive the slack
+    starts basic.  Only ``=`` rows, and rows that read ``>=`` with a positive
+    rhs once oriented, get an artificial (coefficient ``scale``); with none,
+    phase 1 is skipped.
     """
 
     def __init__(self, problem: LpProblem):
         n = problem.n_vars
-        m = len(problem.constraints)
-        self.n = n
         self.problem = problem
-        n_slacks = sum(1 for c in problem.constraints if c.relation != EQ)
-        self.n_cols = 2 * n + n_slacks + m
-        self.art_start = 2 * n + n_slacks
+        # sign_rows[r] = (j, |a|) for the first sign row r of each variable x_j.
+        self.sign_rows: dict[int, tuple[int, Fraction]] = {}
+        signed: set[int] = set()
+        kept = []
+        for r, c in enumerate(problem.constraints):
+            sign = _sign_row(c)
+            if sign is None:
+                flip = c.rhs < 0 or (c.rhs == 0 and c.relation == GE)
+                relation = _REVERSED[c.relation] if flip else c.relation
+                kept.append((r, c, flip, relation))
+            elif sign[0] not in signed:
+                signed.add(sign[0])
+                self.sign_rows[r] = sign
+        # Column j holds x_j (or p_j); split[j] is the column of q_j, if any.
+        self.split: list[Optional[int]] = [None] * n
+        n_structural = n
+        for j in range(n):
+            if j not in signed:
+                self.split[j] = n_structural
+                n_structural += 1
+        self.art_start = n_structural + sum(1 for *_, rel in kept if rel != EQ)
+        self.n_cols = self.art_start + sum(1 for *_, rel in kept if rel != LE)
         rows: list[list[int]] = []
         basis: list[int] = []
-        self.negated: set[int] = set()
-        slack_idx = 2 * n
-        for r, c in enumerate(problem.constraints):
+        # Kept row r -> its starting basic column, and whether its multiplier
+        # changes sign on the way out (negated here xor a ">=" row).
+        self.start: dict[int, tuple[int, bool]] = {}
+        slack_col, art_col = n_structural, self.art_start
+        for r, c, flip, relation in kept:
             entries = (*c.coeffs.entries, c.rhs)
             scale = math.lcm(*(x.denominator for x in entries))
             a = [x.numerator * (scale // x.denominator) for x in entries]
+            if flip:
+                a = [-x for x in a]
             row = [0] * (self.n_cols + 1)
             row[:n] = a[:n]
-            row[n : 2 * n] = [-x for x in a[:n]]
-            if c.relation == LE:
-                row[slack_idx] = scale
-                slack_idx += 1
-            elif c.relation == GE:
-                row[slack_idx] = -scale
-                slack_idx += 1
+            for j, q in enumerate(self.split):
+                if q is not None:
+                    row[q] = -a[j]
             row[self.n_cols] = a[n]
-            if a[n] < 0:
-                row = [-x for x in row]
-                self.negated.add(r)
-            art_col = self.art_start + r
-            row[art_col] = scale
+            if relation == LE:
+                row[slack_col] = scale
+                basic = slack_col
+                slack_col += 1
+            else:
+                if relation == GE:
+                    row[slack_col] = -scale
+                    slack_col += 1
+                row[art_col] = scale
+                basic = art_col
+                art_col += 1
             rows.append(row)
-            basis.append(art_col)
+            basis.append(basic)
+            self.start[r] = (basic, flip != (c.relation == GE))
         self.tableau = _Tableau(rows, basis, self.n_cols)
 
     def phase_one(self) -> Optional[tuple[Fraction, ...]]:
         """Reach a feasible basis and return None, or return a Farkas certificate."""
         t = self.tableau
+        if self.art_start == self.n_cols:
+            return None  # the slack basis is feasible
         t.set_objective([0] * self.art_start + [-1] * (self.n_cols - self.art_start))
         entering = t.run()
         assert entering is None  # phase-1 objective is bounded above by 0
         if t.value() < 0:
-            # Row r's artificial has cost -1 and column e_r, so its reduced cost
-            # is y_r + 1 for the phase-1 duals y.  Nonnegative reduced costs on
-            # the split x columns and the slacks give y.A = 0 with the right sign
-            # on every inequality row, and y.b is the negative optimum.  Undo the
-            # rhs sign flips and orient ">=" rows as "<=".
-            certificate = []
-            for r, c in enumerate(self.problem.constraints):
-                y = Fraction(t.obj[self.art_start + r], t.obj_scale) - 1
-                flip = (r in self.negated) != (c.relation == GE)
-                certificate.append(-y if flip else y)
-            return tuple(certificate)
+            return self._certificate()
         # Drive any remaining artificial out of the basis, or drop its row.
         for i in range(len(t.basis) - 1, -1, -1):
             if t.basis[i] >= self.art_start:
@@ -374,8 +416,40 @@ class _StandardForm:
         t.n_entering = self.art_start
         return None
 
+    def _certificate(self) -> tuple[Fraction, ...]:
+        """The Farkas multipliers of a phase 1 that ended negative.
+
+        For the phase-1 duals y (per unscaled kept row), a starting column has
+        reduced cost ``y_r + 1`` for an artificial (cost -1) and ``y_r`` for a
+        slack (cost 0), as it is ``scale[r]`` times the unit vector in the
+        scaled row.  Nonnegative reduced costs on the other columns give
+        ``y.A = 0`` on split variables, ``y.A >= 0`` on signed ones, and the
+        right sign on every inequality row; ``y.b`` is the negative optimum.
+        The first sign row of a signed x_j, oriented as ``-|a| x_j <= 0``, takes
+        the reduced cost of column j over ``|a|`` and so cancels it; further
+        sign rows of x_j take 0.  Rhs sign flips are undone and ``>=`` rows are
+        oriented as ``<=``.
+        """
+        t = self.tableau
+        certificate = []
+        for r in range(len(self.problem.constraints)):
+            if r in self.start:
+                col, flip = self.start[r]
+                y = Fraction(t.obj[col], t.obj_scale)
+                if col >= self.art_start:
+                    y -= 1
+                certificate.append(-y if flip else y)
+            elif r in self.sign_rows:
+                j, a = self.sign_rows[r]
+                certificate.append(Fraction(t.obj[j], t.obj_scale) / a)
+            else:
+                certificate.append(Fraction(0))
+        return tuple(certificate)
+
     def extract(self, std: list[Fraction]) -> Vector:
-        return Vector(tuple(std[j] - std[self.n + j] for j in range(self.n)))
+        return Vector(
+            tuple(std[j] if q is None else std[j] - std[q] for j, q in enumerate(self.split))
+        )
 
     def extract_ray(self, entering: int) -> Vector:
         t = self.tableau
@@ -386,14 +460,15 @@ class _StandardForm:
         return self.extract(ray)
 
 
-def _max_cost(problem: LpProblem, n_cols: int, n: int) -> list[Fraction]:
+def _max_cost(problem: LpProblem, form: _StandardForm) -> list[Fraction]:
     obj = problem.objective
     assert obj is not None
     sign = Fraction(1) if obj.direction == "max" else Fraction(-1)
-    cost = [Fraction(0)] * n_cols
-    for j in range(n):
+    cost = [Fraction(0)] * form.n_cols
+    for j, q in enumerate(form.split):
         cost[j] = sign * obj.coeffs[j]
-        cost[n + j] = -sign * obj.coeffs[j]
+        if q is not None:
+            cost[q] = -cost[j]
     return cost
 
 
@@ -417,7 +492,7 @@ def _solve_normalized(problem: LpProblem) -> LpResult:
         witness = form.extract(form.tableau.basic_solution())
         verified(verify_witness(problem, witness), "LP witness")
         return Feasible(witness)
-    cost = _max_cost(problem, form.n_cols, form.n)
+    cost = _max_cost(problem, form)
     form.tableau.set_objective(cost)
     entering = form.tableau.run()
     witness = form.extract(form.tableau.basic_solution())

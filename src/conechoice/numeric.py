@@ -106,7 +106,7 @@ class Vector:
 
     def dot(self, other: "Vector") -> Fraction:
         self._check_dim(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
+        return sum((a * b for a, b in zip(self.entries, other.entries) if a and b), Fraction(0))
 
     def sup_norm(self) -> Fraction:
         return max(abs(a) for a in self.entries)

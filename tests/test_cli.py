@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,6 +157,10 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     code, _, err = run(capsys, "member", COIN, "--target", "D_I", "--option", "1,oops")
     assert code == EXIT_USAGE
 
+    # The parser is built once per process; a usage error leaves it fit for the next call.
+    code, records = run_json(capsys, "member", COIN, "--target", "D_I", "--option", "1,-1")
+    assert code == EXIT_OK and records["member"]["answer"] is False
+
     code, _, err = run(capsys, "choose", COIN, "--rule", "eadm", "--target", "D_I", "--menu", "1,0")
     assert code == EXIT_USAGE
 
@@ -180,12 +187,29 @@ def test_usage_errors_exit_64(tmp_path, capsys):
         ({"kind": "member", "target": "D_I", "option": "10"}, "option"),
         ({"kind": "member", "target": ["D_I"], "option": ["1", "0"]}, "'target'"),
         ({"kind": 3, "target": "D_I"}, "'kind'"),
+        # A vector of the wrong dimension is malformed input, not a precondition.
+        ({"kind": "member", "target": "D_I", "option": ["1", "0", "0"]}, "expected 2 entries"),
+        (
+            {"kind": "choose", "rule": "eadm", "target": "K_cred", "menu": [["1", "0", "0"]]},
+            "expected 2 entries",
+        ),
     ):
         path = tmp_path / "coin_queries.json"
         path.write_text(json.dumps({**coin, "queries": [{"name": "q", **query}]}))
         code, _, err = run(capsys, "report", str(path))
         assert code == EXIT_USAGE, query
         assert "usage error" in err and field in err, err
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "conechoice", "check", COIN, "--json"],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == (GOLDEN / "coin_check.json").read_text()
 
 
 def test_data_errors_exit_65(tmp_path, capsys):

@@ -266,10 +266,8 @@ def test_phase_one_drive_out_pivots_on_a_negative_entry(monkeypatch):
     _check_evidence(problem, result)
 
 
-def test_fractional_costs_priced_against_non_unit_basic_entries(monkeypatch):
-    # Phase 1 pivots on the entries 5 and 3, so basic entries are 3 rather
-    # than 1 when phase 2 prices the costs 1/3 and 2/7, and phase 2 then
-    # pivots twice with a scaled objective row.
+def _spy_phases(monkeypatch) -> tuple[list[int], list[tuple[list[int], int]]]:
+    """Pivot entries, and per objective priced: the basic entries and the pivots before."""
     entries = _spy_pivots(monkeypatch)
     priced: list[tuple[list[int], int]] = []
     set_objective = lp._Tableau.set_objective
@@ -279,9 +277,21 @@ def test_fractional_costs_priced_against_non_unit_basic_entries(monkeypatch):
         set_objective(tableau, cost)
 
     monkeypatch.setattr(lp._Tableau, "set_objective", spy)
+    return entries, priced
+
+
+def test_fractional_costs_priced_against_non_unit_basic_entries(monkeypatch):
+    # Phase 1 pivots on the entries 2, 8 and 5, so basic entries are 5, 2 and
+    # 10 rather than 1 when phase 2 prices the costs 1/3 and 2/7, and phase 2
+    # then pivots twice with a scaled objective row.
+    entries, priced = _spy_phases(monkeypatch)
     problem = LpProblem(
         2,
-        (Constraint(vec(3, 3), GE, Fraction(6)), Constraint(vec(5, 4), GE, Fraction(7))),
+        (
+            Constraint(vec(3, 5), GE, Fraction(9)),
+            Constraint(vec(2, 2), GE, Fraction(4)),
+            Constraint(vec(1, 5), GE, Fraction(5)),
+        ),
         Objective("min", vec("1/3", "2/7")),
         bounds=((Fraction(0), None), (Fraction(0), None)),
     )
@@ -293,6 +303,103 @@ def test_fractional_costs_priced_against_non_unit_basic_entries(monkeypatch):
     assert result.witness == vec(0, 2)
     assert result.value == Fraction(4, 7)
     _check_evidence(problem, result)
+
+
+def test_slack_basis_skips_phase_one(monkeypatch):
+    # Every row is "<=" with a nonnegative rhs, so the slacks are a feasible
+    # starting basis: the only objective priced is phase 2's, before any pivot.
+    entries, priced = _spy_phases(monkeypatch)
+    problem = LpProblem(
+        2,
+        (
+            Constraint(vec(1, 2), LE, Fraction(4)),
+            Constraint(vec(3, -1), LE, Fraction(0)),
+            Constraint(vec(-1, 0), LE, Fraction(0)),
+        ),
+        Objective("max", vec(1, 1)),
+    )
+    result = solve(problem)
+    assert len(priced) == 1 and priced[0][1] == 0
+    assert entries  # phase 2 still pivots
+    assert isinstance(result, Optimal)
+    assert result.value == Fraction(16, 7)
+    _check_evidence(problem, result)
+
+    entries.clear()
+    assert isinstance(solve(LpProblem(2, problem.constraints)), Feasible)
+    assert not entries
+
+
+def test_certificate_weights_sign_rows():
+    # x + y <= -1 contradicts x >= 0 and 2y >= 0 only through both sign rows;
+    # the duplicate 3x >= 0 takes no weight.
+    problem = LpProblem(
+        2,
+        (
+            Constraint(vec(1, 1), LE, Fraction(-1)),
+            Constraint(vec(1, 0), GE, Fraction(0)),
+            Constraint(vec(0, 2), GE, Fraction(0)),
+            Constraint(vec(3, 0), GE, Fraction(0)),
+        ),
+    )
+    result = solve(problem)
+    assert isinstance(result, Infeasible)
+    assert result.certificate == (1, 1, Fraction(1, 2), 0)
+    _check_evidence(problem, result)
+
+
+def _random_sign_row(rng: random.Random, n: int) -> Constraint:
+    # x_j >= 0 written as a x_j >= 0 or -a x_j <= 0 with a > 0.
+    a = [Fraction(0)] * n
+    j = rng.randrange(n)
+    a[j] = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    if rng.random() < 0.5:
+        return Constraint(Vector(tuple(a)), GE, Fraction(0))
+    return Constraint(-Vector(tuple(a)), LE, Fraction(0))
+
+
+def _random_signed_problem(rng: random.Random) -> LpProblem:
+    n = rng.choice([2, 2, 3])
+    constraints = []
+    for _ in range(rng.randint(1, 4)):
+        coeffs = Vector(tuple(rand_fraction(rng, 3, 3) for _ in range(n)))
+        rhs = Fraction(0) if rng.random() < 0.4 else rand_fraction(rng, 3, 3)
+        constraints.append(Constraint(coeffs, rng.choice([LE, GE, EQ]), rhs))
+    for _ in range(rng.randint(0, n)):
+        row = _random_sign_row(rng, n)
+        constraints.append(row)
+        if rng.random() < 0.3:
+            # The same sign row again, duplicated or scaled.
+            scale = rng.choice([Fraction(1), Fraction(3), Fraction(1, 2)])
+            constraints.append(Constraint(row.coeffs.scale(scale), row.relation, row.rhs))
+    rng.shuffle(constraints)
+    objective = None
+    if rng.random() < 0.7:
+        objective = Objective(
+            rng.choice(["max", "min"]),
+            Vector(tuple(rand_fraction(rng, 3, 3) for _ in range(n))),
+        )
+    bounds = None
+    if rng.random() < 0.4:
+        bounds = tuple(
+            (
+                Fraction(0) if rng.random() < 0.6 else None,
+                rand_fraction(rng, 3, 3) if rng.random() < 0.3 else None,
+            )
+            for _ in range(n)
+        )
+    return LpProblem(n, tuple(constraints), objective, bounds)
+
+
+def test_sign_rows_agree_with_vertex_enumeration_oracle():
+    rng = random.Random(55)
+    statuses = set()
+    for _ in range(150):
+        problem = _random_signed_problem(rng)
+        result = solve(problem)
+        statuses.add(type(result).__name__)
+        _check_evidence(problem, result)
+    assert statuses == {"Feasible", "Optimal", "Infeasible", "Unbounded"}
 
 
 def _huge_fraction(rng: random.Random) -> Fraction:
