@@ -135,13 +135,40 @@ def separation_evidence(
     return functional
 
 
+def _excludes(f: LinearF, cone: DesirCone, v: Vector) -> bool:
+    """Does f show by substitution, with no LP, that v is not a member?
+
+    For a PosiCone, a background-positive f that is strictly positive on every
+    generator is strictly positive on the whole cone, so ``f(v) <= 0`` puts v
+    outside.  The other classes decide membership by evaluation.
+    """
+    if isinstance(cone, PosiCone):
+        return _separates(f, cone, v) and all(f.eval(g) > 0 for g in cone.generators)
+    return not member(cone, v)
+
+
+def _separation_of(cone: DesirCone, v: Vector) -> Union[LinearF, lp.Infeasible]:
+    """``separation_evidence(cone, v)``, with a functional it finds checked to exclude v."""
+    if v.dim != cone.space.dim:
+        raise ValueError("dimension mismatch")
+    evidence = separation_evidence(cone, v)
+    if isinstance(evidence, LinearF):
+        lp.verified(_excludes(evidence, cone, v), "member exclusion")
+    return evidence
+
+
 def separate(cone: DesirCone, v: Vector) -> Optional[SeparationWitness]:
     """A background-positive linear functional strictly positive on the cone
-    and nonpositive at v, or None when v is in the Archimedean closure."""
-    if member(cone, v):
-        raise ValueError("nothing to separate: option is a member of the cone")
-    evidence = separation_evidence(cone, v)
+    and nonpositive at v, or None when v is in the Archimedean closure.
+
+    The separation LP is solved first.  A functional it finds also shows that
+    v is no member, so it is returned at once.  Only when there is none is
+    membership decided, to refuse a member with ``ValueError``.
+    """
+    evidence = _separation_of(cone, v)
     if isinstance(evidence, lp.Infeasible):
+        if member(cone, v):
+            raise ValueError("nothing to separate: option is a member of the cone")
         return None
     return SeparationWitness(functional=evidence, separated_option=v)
 
@@ -158,12 +185,18 @@ def archimedean_consistent(cone: DesirCone) -> bool:
 
 
 def archimedean_closure_member(cone: DesirCone, v: Vector) -> bool:
-    """Is v in the intersection of all open half-spaces containing the cone?"""
+    """Is v in the intersection of all open half-spaces containing the cone?
+
+    The separation LP is solved first, and a functional it finds means False.
+    Only when there is none does the consistency LP run, to tell a closure
+    member (True) from an Archimedean-inconsistent cone (``ValueError``).
+    No membership LP is solved.
+    """
+    if isinstance(_separation_of(cone, v), LinearF):
+        return False
     if not archimedean_consistent(cone):
         raise ValueError("Archimedean-inconsistent cone: the closure is all of V")
-    if member(cone, v):
-        return True
-    return separate(cone, v) is None
+    return True
 
 
 def is_essentially_archimedean(cone: DesirCone) -> bool:

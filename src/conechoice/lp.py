@@ -11,7 +11,10 @@ integer scale.  Every pivot, ratio test and entering-column choice is integer
 arithmetic, yet makes the same choice as the rational tableau, so the pivot
 path and all evidence are those of a simplex over Fractions.  Fractions appear
 only where values enter (the constraint data and the objective costs) and
-where they leave (witnesses, optimal values, certificates and rays).
+where they leave (witnesses, optimal values, certificates and rays).  Each
+constraint is scaled to its integer row once (:attr:`Constraint.integer_row`,
+cached on the frozen constraint), and the tableau and the evidence checks
+share it.
 
 The tableau holds only what the problem needs.  A sign row, one that says
 ``x_j >= 0`` and nothing else, stays out of it and gives x_j one nonnegative
@@ -29,6 +32,12 @@ Negative answers carry checkable evidence:
 * unboundedness comes with an improving ray read off the final tableau and
   re-verified the same way.
 
+The checks run in integers with the same exact predicates.  A witness or ray
+is read as an integer vector X over one denominator d, and each row is tested
+as ``a.X REL b.d`` on its integer row (a sign row as ``X_j >= 0``).  A
+certificate weighs each integer row by its multiplier over the row's scale, all
+over one common denominator.
+
 Strict inequalities never appear in an ``LpProblem``.  Homogeneous strict
 systems are decided through :func:`strict_homogeneous_feasible` (each strict
 row ``row . x > 0`` is replaced by ``row . x >= 1``, valid by homogeneity),
@@ -38,8 +47,10 @@ and non-homogeneous ones through :func:`max_margin`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .numeric import Vector, unit_vector, zero_vector
@@ -62,13 +73,29 @@ class Constraint:
         if self.relation not in _RELATIONS:
             raise ValueError(f"unknown relation {self.relation!r}")
 
-    def holds_at(self, x: Vector) -> bool:
-        value = self.coeffs.dot(x)
-        if self.relation == LE:
-            return value <= self.rhs
-        if self.relation == GE:
-            return value >= self.rhs
-        return value == self.rhs
+    @cached_property
+    def sign_row(self) -> Optional[tuple[int, Fraction]]:
+        """``(j, |a|)`` when the row says only ``x_j >= 0``, else None.
+
+        A sign row has one nonzero coefficient ``a`` and rhs 0, and reads
+        ``a x_j >= 0`` with ``a > 0`` or ``a x_j <= 0`` with ``a < 0``.
+        """
+        if self.rhs or self.relation == EQ:
+            return None
+        nonzero = [j for j, a in enumerate(self.coeffs.entries) if a]
+        if len(nonzero) != 1:
+            return None
+        a = self.coeffs[nonzero[0]]
+        return (nonzero[0], abs(a)) if (a > 0) == (self.relation == GE) else None
+
+    @cached_property
+    def integer_row(self) -> tuple[int, tuple[int, ...]]:
+        """``(scale, row)``: the coefficients and then the rhs, times ``scale``,
+        the lcm of their denominators, as integers."""
+        entries = (*self.coeffs.entries, self.rhs)
+        dens = [x.denominator for x in entries]
+        scale = math.lcm(*dens)
+        return scale, tuple(x.numerator * (scale // q) for x, q in zip(entries, dens))
 
 
 @dataclass(frozen=True)
@@ -151,9 +178,38 @@ def verified(condition: bool, what: str) -> None:
         raise RuntimeError(f"internal error: emitted {what} failed re-verification")
 
 
+def _integer_vector(problem: LpProblem, x: Vector) -> tuple[list[int], int]:
+    """``(X, d)`` with integers X and ``d > 0`` such that ``x = X / d``."""
+    if x.dim != problem.n_vars:
+        raise ValueError(f"dimension mismatch: {problem.n_vars} vs {x.dim}")
+    d = math.lcm(*(e.denominator for e in x.entries))
+    return [e.numerator * (d // e.denominator) for e in x.entries], d
+
+
+def _holds(c: Constraint, X: Sequence[int], d: int) -> bool:
+    """Does c hold at ``X / d``?  With ``d = 0``, does it hold at X with rhs 0?
+
+    A sign row reads ``X_j >= 0``; any other row is compared in its integer
+    form, ``a.X REL b.d``.
+    """
+    if c.sign_row is not None:
+        return X[c.sign_row[0]] >= 0
+    row = c.integer_row[1]
+    value = sum(map(operator.mul, row, X)) - row[-1] * d
+    if c.relation == LE:
+        return value <= 0
+    if c.relation == GE:
+        return value >= 0
+    return value == 0
+
+
+def _holds_all(problem: LpProblem, X: Sequence[int], d: int) -> bool:
+    return all(_holds(c, X, d) for c in problem.normalized().constraints)
+
+
 def verify_witness(problem: LpProblem, x: Vector) -> bool:
     """Does x satisfy every constraint of the normalized problem exactly?"""
-    return all(c.holds_at(x) for c in problem.normalized().constraints)
+    return _holds_all(problem, *_integer_vector(problem, x))
 
 
 def verify_infeasibility_certificate(
@@ -165,26 +221,41 @@ def verify_infeasibility_certificate(
     as "<=" (for ">=" rows the multiplier applies to the negated row).  A valid
     certificate has nonnegative multipliers on inequality rows and combines the
     rows into the contradiction 0 <= negative, i.e. 0 >= positive.
+
+    The combination is formed in integers: multiplier ``y`` of a row with
+    integer form ``scale * (a, b)`` weighs that form by ``y / scale``, and all
+    weights are brought over one common denominator.  A sign row, oriented as
+    ``-|a| x_j <= 0``, adds ``-y |a|`` to entry j alone.
     """
     constraints = problem.normalized().constraints
     if len(certificate) != len(constraints):
         return False
     n = problem.n_vars
-    combo = [Fraction(0)] * n
-    rhs_combo = Fraction(0)
+    weighted: list[tuple[Fraction, Sequence[int]]] = []
+    signs: list[tuple[Fraction, int]] = []
     for mult, c in zip(certificate, constraints):
         if c.relation != EQ and mult < 0:
             return False
         if mult == 0:
             continue
+        if c.sign_row is not None:
+            j, a = c.sign_row
+            signs.append((mult * a, j))
+            continue
+        scale, row = c.integer_row
+        w = Fraction(mult, scale)
         # The multiplier of a ">=" row applies to the row negated into "<=".
-        if c.relation == GE:
-            mult = -mult
-        for j, a in enumerate(c.coeffs.entries):
+        weighted.append((-w if c.relation == GE else w, row))
+    d = math.lcm(*(w.denominator for w, _ in weighted), *(w.denominator for w, _ in signs))
+    combo = [0] * (n + 1)
+    for w, row in weighted:
+        k = w.numerator * (d // w.denominator)
+        for j, a in enumerate(row):
             if a:
-                combo[j] += mult * a
-        rhs_combo += mult * c.rhs
-    return all(v == 0 for v in combo) and rhs_combo < 0
+                combo[j] += k * a
+    for w, j in signs:
+        combo[j] -= w.numerator * (d // w.denominator)
+    return not any(combo[:n]) and combo[n] < 0
 
 
 def verify_ray(problem: LpProblem, ray: Vector) -> bool:
@@ -192,14 +263,9 @@ def verify_ray(problem: LpProblem, ray: Vector) -> bool:
     norm = problem.normalized()
     if norm.objective is None:
         return False
-    for c in norm.constraints:
-        value = c.coeffs.dot(ray)
-        if c.relation == LE and value > 0:
-            return False
-        if c.relation == GE and value < 0:
-            return False
-        if c.relation == EQ and value != 0:
-            return False
+    R, _ = _integer_vector(norm, ray)
+    if not _holds_all(norm, R, 0):
+        return False
     gain = norm.objective.coeffs.dot(ray)
     return gain > 0 if norm.objective.direction == "max" else gain < 0
 
@@ -214,8 +280,8 @@ class _Tableau:
     scalings are positive, so every sign, ratio and Bland tie-break is the one
     the rational tableau would see, and pivots never build a Fraction.
     Fractions appear only where costs enter, in :meth:`set_objective`, and
-    where values leave: :meth:`value`, :meth:`basic_solution` and the
-    certificate and ray read-outs.
+    where values leave: :meth:`value` and the certificate read-out (the
+    basic solution and rays leave as integers over one denominator).
     """
 
     def __init__(self, rows: list[list[int]], basis: list[int], n_cols: int):
@@ -230,18 +296,20 @@ class _Tableau:
         """Price out the basic columns of ``-cost`` in exact integers.
 
         The reduced-cost row is ``-cost + sum_i cost[b_i] * rows[i] / rows[i][b_i]``;
-        ``obj_scale`` is the lcm of the denominators of the costs and of those
-        basic-cost factors, so every term is an integer.
+        ``obj_scale`` is a common multiple of the denominators of the costs and
+        of those basic-cost factors, so every term is an integer.  The factors
+        are kept unreduced, as numerator and denominator: dividing out the gcd
+        at the end gives the same row as reduced factors would.
         """
         factors = [
-            (Fraction(cost[b], self.rows[i][b]), self.rows[i])
-            for i, b in enumerate(self.basis)
-            if cost[b] != 0
+            (cost[b].numerator, cost[b].denominator * row[b], row)
+            for row, b in zip(self.rows, self.basis)
+            if cost[b]
         ]
-        scale = math.lcm(*(c.denominator for c in cost), *(f.denominator for f, _ in factors))
+        scale = math.lcm(*(c.denominator for c in cost), *(den for _, den, _ in factors))
         obj = [-(c.numerator * (scale // c.denominator)) for c in cost] + [0]
-        for f, row in factors:
-            k = f.numerator * (scale // f.denominator)
+        for num, den, row in factors:
+            k = num * (scale // den)
             obj = [o + k * x for o, x in zip(obj, row)]
         g = math.gcd(*obj, scale)
         self.obj = [o // g for o in obj]
@@ -296,34 +364,13 @@ class _Tableau:
                 return entering
             self._pivot(leaving, entering)
 
-    def basic_solution(self) -> list[Fraction]:
-        x = [Fraction(0)] * self.n_cols
-        for row, b in zip(self.rows, self.basis):
-            x[b] = Fraction(row[self.n_cols], row[b])
-        return x
-
-
-def _sign_row(c: Constraint) -> Optional[tuple[int, Fraction]]:
-    """``(j, |a|)`` when the row says only ``x_j >= 0``, else None.
-
-    A sign row has one nonzero coefficient ``a`` and rhs 0, and reads
-    ``a x_j >= 0`` with ``a > 0`` or ``a x_j <= 0`` with ``a < 0``.
-    """
-    if c.rhs or c.relation == EQ:
-        return None
-    nonzero = [j for j, a in enumerate(c.coeffs.entries) if a]
-    if len(nonzero) != 1:
-        return None
-    a = c.coeffs[nonzero[0]]
-    return (nonzero[0], abs(a)) if (a > 0) == (c.relation == GE) else None
-
-
 class _StandardForm:
     """Standard-form encoding of a normalized problem, as integer rows.
 
-    Sign rows (see :func:`_sign_row`) stay out of the tableau: a variable with
-    one gets a single nonnegative column, and every other variable is split as
-    x = p - q.  Each kept row is multiplied by ``scale``, the lcm of its
+    Sign rows (see :attr:`Constraint.sign_row`) stay out of the tableau: a
+    variable with one gets a single nonnegative column, and every other
+    variable is split as x = p - q.  Each kept row is its integer row
+    (:attr:`Constraint.integer_row`), multiplied by ``scale``, the lcm of its
     denominators, so that it is an integer equation; the rational problem and
     so every pivot are unchanged.  The row is oriented so that its rhs is
     nonnegative, a ``>= 0`` row becoming ``<= 0``.  An inequality gets a slack
@@ -341,11 +388,14 @@ class _StandardForm:
         signed: set[int] = set()
         kept = []
         for r, c in enumerate(problem.constraints):
-            sign = _sign_row(c)
+            sign = c.sign_row
             if sign is None:
-                flip = c.rhs < 0 or (c.rhs == 0 and c.relation == GE)
+                scale, a = c.integer_row
+                flip = a[n] < 0 or (a[n] == 0 and c.relation == GE)
+                if flip:
+                    a = tuple(-x for x in a)
                 relation = _REVERSED[c.relation] if flip else c.relation
-                kept.append((r, c, flip, relation))
+                kept.append((r, c, flip, scale, a, relation))
             elif sign[0] not in signed:
                 signed.add(sign[0])
                 self.sign_rows[r] = sign
@@ -364,12 +414,7 @@ class _StandardForm:
         # changes sign on the way out (negated here xor a ">=" row).
         self.start: dict[int, tuple[int, bool]] = {}
         slack_col, art_col = n_structural, self.art_start
-        for r, c, flip, relation in kept:
-            entries = (*c.coeffs.entries, c.rhs)
-            scale = math.lcm(*(x.denominator for x in entries))
-            a = [x.numerator * (scale // x.denominator) for x in entries]
-            if flip:
-                a = [-x for x in a]
+        for r, c, flip, scale, a, relation in kept:
             row = [0] * (self.n_cols + 1)
             row[:n] = a[:n]
             for j, q in enumerate(self.split):
@@ -399,7 +444,8 @@ class _StandardForm:
             return None  # the slack basis is feasible
         t.set_objective([0] * self.art_start + [-1] * (self.n_cols - self.art_start))
         entering = t.run()
-        assert entering is None  # phase-1 objective is bounded above by 0
+        if entering is not None:
+            raise RuntimeError("internal error: phase 1, bounded above by 0, came out unbounded")
         if t.value() < 0:
             return self._certificate()
         # Drive any remaining artificial out of the basis, or drop its row.
@@ -446,23 +492,32 @@ class _StandardForm:
                 certificate.append(Fraction(0))
         return tuple(certificate)
 
-    def extract(self, std: list[Fraction]) -> Vector:
-        return Vector(
-            tuple(std[j] if q is None else std[j] - std[q] for j, q in enumerate(self.split))
-        )
+    def _original(self, values: dict[int, tuple[int, int]]) -> tuple[list[int], int]:
+        """``(X, d)`` with ``x = X / d`` in the problem's variables, from the
+        standard-form values ``{column: (numerator, denominator > 0)}``."""
+        d = math.lcm(*(den for _, den in values.values()))
+        std = [0] * self.n_cols
+        for col, (num, den) in values.items():
+            std[col] = num * (d // den)
+        return [std[j] if q is None else std[j] - std[q] for j, q in enumerate(self.split)], d
 
-    def extract_ray(self, entering: int) -> Vector:
+    def solution(self) -> tuple[list[int], int]:
+        """The basic solution, as ``(X, d)``."""
         t = self.tableau
-        ray = [Fraction(0)] * self.n_cols
-        ray[entering] = Fraction(1)
-        for row, b in zip(t.rows, t.basis):
-            ray[b] = Fraction(-row[entering], row[b])
-        return self.extract(ray)
+        return self._original({b: (row[-1], row[b]) for row, b in zip(t.rows, t.basis)})
+
+    def ray(self, entering: int) -> tuple[list[int], int]:
+        """The ray along a column that no row bounds, as ``(R, d)``."""
+        t = self.tableau
+        values = {b: (-row[entering], row[b]) for row, b in zip(t.rows, t.basis)}
+        values[entering] = (1, 1)
+        return self._original(values)
 
 
 def _max_cost(problem: LpProblem, form: _StandardForm) -> list[Fraction]:
     obj = problem.objective
-    assert obj is not None
+    if obj is None:
+        raise RuntimeError("internal error: phase 2 priced a problem without an objective")
     sign = Fraction(1) if obj.direction == "max" else Fraction(-1)
     cost = [Fraction(0)] * form.n_cols
     for j, q in enumerate(form.split):
@@ -470,6 +525,17 @@ def _max_cost(problem: LpProblem, form: _StandardForm) -> list[Fraction]:
         if q is not None:
             cost[q] = -cost[j]
     return cost
+
+
+def _vector(X: Sequence[int], d: int) -> Vector:
+    return Vector(tuple(Fraction(x, d) for x in X))
+
+
+def _checked_witness(problem: LpProblem, form: _StandardForm) -> Vector:
+    """The basic solution, checked in integers before it leaves as Fractions."""
+    X, d = form.solution()
+    verified(_holds_all(problem, X, d), "LP witness")
+    return _vector(X, d)
 
 
 def _solve_normalized(problem: LpProblem) -> LpResult:
@@ -489,16 +555,13 @@ def _solve_normalized(problem: LpProblem) -> LpResult:
         verified(verify_infeasibility_certificate(problem, certificate), "Farkas certificate")
         return Infeasible(certificate)
     if problem.objective is None:
-        witness = form.extract(form.tableau.basic_solution())
-        verified(verify_witness(problem, witness), "LP witness")
-        return Feasible(witness)
+        return Feasible(_checked_witness(problem, form))
     cost = _max_cost(problem, form)
     form.tableau.set_objective(cost)
     entering = form.tableau.run()
-    witness = form.extract(form.tableau.basic_solution())
-    verified(verify_witness(problem, witness), "LP witness")
+    witness = _checked_witness(problem, form)
     if entering is not None:
-        ray = form.extract_ray(entering)
+        ray = _vector(*form.ray(entering))
         verified(verify_ray(problem, ray), "improving ray")
         return Unbounded(ray=ray, witness=witness)
     value = form.tableau.value()
@@ -583,5 +646,6 @@ def max_margin(
     result = solve(LpProblem(n + 1, tuple(rows), objective))
     if isinstance(result, Infeasible):
         return None
-    assert isinstance(result, Optimal)  # t <= cap keeps the objective bounded
+    if not isinstance(result, Optimal):
+        raise RuntimeError("internal error: the margin LP, bounded by t <= cap, has no optimum")
     return result

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Rational = Fraction
 
@@ -123,10 +123,6 @@ def vec(*values: RationalLike) -> Vector:
     return Vector(tuple(as_rational(v) for v in values))
 
 
-def vector_from_seq(values: Iterable[RationalLike]) -> Vector:
-    return Vector(tuple(as_rational(v) for v in values))
-
-
 def zero_vector(dim: int) -> Vector:
     return Vector((Fraction(0),) * dim)
 
@@ -176,10 +172,6 @@ class OptionSpace:
         if self.background is Background.POINTWISE:
             return all(a >= 0 for a in u.entries) and any(a > 0 for a in u.entries)
         return all(a > 0 for a in u.entries)
-
-
-def default_space(dim: int, background: Background = Background.POINTWISE) -> OptionSpace:
-    return OptionSpace(dim=dim, background=background, u_o=ones(dim))
 
 
 def row_reduce(rows: Sequence[Vector]) -> tuple[list[list[Fraction]], list[int]]:

@@ -17,10 +17,10 @@ from conechoice.archimedean import (
 )
 from conechoice.cone import LexCone, OpenDualCone, PosiCone, is_mixing, member, natural_extension
 from conechoice.functional import LinearF, is_positive
-from conechoice.numeric import vec, zero_vector
+from conechoice.numeric import Background, Vector, vec, zero_vector
 
 from conftest import expectation
-from oracles import grid_2d
+from oracles import grid_2d, separation_direction_2d
 
 
 def test_separate_from_a_single_bet_closure(pw2):
@@ -162,3 +162,118 @@ def test_mixing_equivalence_on_mixing_fixtures(d_half, d_lex):
             for v in grid_2d(Fraction(1), Fraction(1, 5)):
                 assert archimedean_closure_member(cone, v) == member(cone, v)
                 assert (functional.eval(v) > 0) == member(cone, v)
+
+
+def _rot90(v: Vector) -> Vector:
+    return vec(-v[1], v[0])
+
+
+def _separation_system_2d(cone):
+    """(strict, nonneg) rows on L in the plane: L background-positive and
+    strictly positive on the cone.  Derived per class from the geometry, not
+    from the engine's rows.
+
+    * PosiCone: L > 0 on every generator.
+    * OpenDualCone: L >= 0 on the closure {p_k >= 0}, which the boundary rays
+      +-rot90(p_k) lying in it generate (with p for a half-plane, implied by
+      the other rows), and L > 0 at an interior point; that is, L nonzero.
+    * LexCone: L >= 0 on the closure {level_1 >= 0}, generated by level_1 and
+      +-rot90(level_1), and L > 0 at each of those that is a member.
+    """
+    units = [vec(1, 0), vec(0, 1)]
+    if cone.space.background is Background.POINTWISE:
+        strict, nonneg = list(units), []
+    else:
+        strict, nonneg = [vec(1, 1)], list(units)
+    if isinstance(cone, PosiCone):
+        return strict + list(cone.generators), nonneg
+    if isinstance(cone, OpenDualCone):
+        pieces = [p.coeffs for p in cone.pieces]
+        interior = separation_direction_2d(pieces)
+        assert interior is not None  # every cone below is a nonempty open set
+        rays = [
+            r for p in pieces for r in (_rot90(p), -_rot90(p))
+            if all(q.dot(r) >= 0 for q in pieces)
+        ]
+        return strict + [interior], nonneg + rays
+    first = cone.levels[0].coeffs
+    for ray in (first, _rot90(first), -_rot90(first)):
+        (strict if member(cone, ray) else nonneg).append(ray)
+    return strict, nonneg
+
+
+def _two_d_cones(space):
+    # Each class with a consistent and an inconsistent cone (under both
+    # backgrounds), their boundary rays on the step 1/2 grid of [-1, 1]^2.
+    linear = lambda *pieces: tuple(LinearF(vec(*p)) for p in pieces)  # noqa: E731
+    return [
+        PosiCone((vec(1, "-1/2"), vec("-1/2", 1)), space),
+        PosiCone((vec(1, -1), vec(-1, 1)), space),
+        PosiCone((), space),
+        OpenDualCone(linear(("1/3", "2/3"), ("2/3", "1/3")), space),
+        OpenDualCone(linear((1, -1)), space),
+        OpenDualCone(linear((1, 0), (1, 2)), space),
+        LexCone(linear((1, 2)), space),
+        LexCone(linear((1, 0), (0, 1)), space),
+    ]
+
+
+def test_separate_and_closure_agree_with_the_planar_oracle(pw2, st2):
+    # The grid meets the generator rays, the piece kernels and the level
+    # kernels, so boundary points are among the options.
+    options = grid_2d(Fraction(1), Fraction(1, 2))
+    verdicts = set()
+    for cone in _two_d_cones(pw2) + _two_d_cones(st2):
+        strict, nonneg = _separation_system_2d(cone)
+        consistent = separation_direction_2d(strict, [], nonneg) is not None
+        for v in options:
+            separable = separation_direction_2d(strict, [v], nonneg) is not None
+            if member(cone, v):
+                assert not separable
+                with pytest.raises(ValueError, match="member"):
+                    separate(cone, v)
+            else:
+                witness = separate(cone, v)
+                assert (witness is not None) == separable
+                if witness is not None:
+                    f = witness.functional
+                    assert verify_separation_witness(cone, witness)
+                    assert all(f.eval(s) > 0 for s in strict)
+                    assert all(f.eval(w) >= 0 for w in nonneg)
+            if consistent:
+                assert archimedean_closure_member(cone, v) == (not separable)
+            else:
+                with pytest.raises(ValueError, match="inconsistent"):
+                    archimedean_closure_member(cone, v)
+            verdicts.add((consistent, separable, member(cone, v)))
+        for wrong in (vec(1), vec(1, 1, 1)):
+            for query in (separate, archimedean_closure_member):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    query(cone, wrong)
+    assert verdicts == {
+        (True, True, False), (True, False, False), (True, False, True),
+        (False, False, False), (False, False, True),
+    }
+
+
+def test_one_separation_solve_decides_a_non_member(monkeypatch, d_sector, d_interval):
+    # A separating functional answers separate and the closure query with one
+    # LP; membership is solved only when no functional exists.
+    solves = []
+    solve = lp.solve
+
+    def counting(problem):
+        solves.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    for cone in (d_sector, d_interval):
+        solves.clear()
+        assert separate(cone, vec(-1, 0)) is not None
+        assert len(solves) == 1
+        solves.clear()
+        assert archimedean_closure_member(cone, vec(-1, 0)) is False
+        assert len(solves) == 1
+    solves.clear()
+    assert archimedean_closure_member(d_sector, vec(1, 0))
+    assert len(solves) == 2  # the separation system, then consistency

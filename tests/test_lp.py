@@ -33,7 +33,7 @@ from conechoice.lp import (
 from conechoice.numeric import Vector, vec
 
 from conftest import rand_fraction
-from oracles import brute_force_lp
+from oracles import _satisfies, brute_force_lp
 
 
 def test_bounded_maximization():
@@ -453,6 +453,82 @@ def test_unbounded_ray_after_row_scaling(monkeypatch):
     _check_evidence(problem, result)
 
 
+def _farkas_by_fractions(problem: LpProblem, certificate) -> bool:
+    """The Farkas predicate recomputed row by row over Fractions."""
+    constraints = problem.normalized().constraints
+    if len(certificate) != len(constraints):
+        return False
+    combo = [Fraction(0)] * problem.n_vars
+    rhs = Fraction(0)
+    for y, c in zip(certificate, constraints):
+        if c.relation != EQ and y < 0:
+            return False
+        if c.relation == GE:
+            y = -y
+        combo = [s + y * a for s, a in zip(combo, c.coeffs)]
+        rhs += y * c.rhs
+    return all(s == 0 for s in combo) and rhs < 0
+
+
+def test_integer_checks_reject_broken_evidence():
+    # Valid evidence, broken in the smallest way: a witness entry moved by
+    # +-1/q, an inequality multiplier negated or a multiplier zeroed, or the
+    # certificate one entry too long or too short.  The integer checks must
+    # give the verdict of oracles._satisfies or of a Fraction recomputation,
+    # and reject every break that always invalidates.
+    rng = random.Random(606)
+    rejected = {"moved": 0, "negated": 0, "zeroed": 0, "length": 0}
+    for i in range(600):
+        problem = (_random_problem if i % 2 else _random_signed_problem)(rng)
+        result = solve(problem)
+        if isinstance(result, Infeasible):
+            y = list(result.certificate)
+            assert verify_infeasibility_certificate(problem, y)
+            for broken in (y + [Fraction(0)], y[:-1]):
+                assert not verify_infeasibility_certificate(problem, broken)
+                rejected["length"] += 1
+            for r, c in enumerate(problem.normalized().constraints):
+                if y[r] == 0:
+                    continue
+                zeroed = y[:r] + [Fraction(0)] + y[r + 1:]
+                expected = _farkas_by_fractions(problem, zeroed)
+                assert verify_infeasibility_certificate(problem, zeroed) == expected
+                rejected["zeroed"] += not expected
+                if c.relation != EQ:
+                    negated = y[:r] + [-y[r]] + y[r + 1:]
+                    assert not verify_infeasibility_certificate(problem, negated)
+                    rejected["negated"] += 1
+        else:
+            assert verify_witness(problem, result.witness)
+            rows = [
+                (tuple(c.coeffs), c.relation, c.rhs) for c in problem.normalized().constraints
+            ]
+            x = list(result.witness)
+            q = rng.randint(10**6, 10**7)
+            for j in range(problem.n_vars):
+                for step in (Fraction(1, q), Fraction(-1, q)):
+                    moved = x[:j] + [x[j] + step] + x[j + 1:]
+                    expected = _satisfies(rows, moved)
+                    assert verify_witness(problem, Vector(tuple(moved))) == expected
+                    rejected["moved"] += not expected
+    assert min(rejected.values()) >= 100, rejected
+
+
+def test_broken_invariants_raise_runtime_errors(monkeypatch):
+    # Explicit checks, not asserts: a broken invariant stops the solve even
+    # under python -O instead of handing on a result of the wrong kind.
+    problem = LpProblem(1, (Constraint(vec(1), GE, Fraction(1)),))
+    with pytest.raises(RuntimeError, match="without an objective"):
+        lp._max_cost(problem, lp._StandardForm(problem))
+    with monkeypatch.context() as m:
+        m.setattr(lp._Tableau, "run", lambda tableau: 0)
+        with pytest.raises(RuntimeError, match="phase 1"):
+            solve(problem)
+    monkeypatch.setattr(lp, "solve", lambda problem: Unbounded(vec(0, 1), vec(0, 0)))
+    with pytest.raises(RuntimeError, match="margin LP"):
+        max_margin([], [vec(1)], Fraction(1))
+
+
 @pytest.mark.parametrize(
     "patch, trigger, what",
     [
@@ -481,6 +557,12 @@ def test_unbounded_ray_after_row_scaling(monkeypatch):
             " space), choice.option_set(vec(-1, 1)))",
             "excluding envelope",
             id="excluding_envelope",
+        ),
+        pytest.param(
+            "archimedean._excludes = lambda f, cone, v: False",
+            "archimedean.separate(cone.PosiCone((vec(1, -1),), space), vec(-1, 3))",
+            "member exclusion",
+            id="separation_excludes_member",
         ),
         pytest.param(
             "cone.member = lambda c, v: False",
