@@ -208,21 +208,25 @@ def _dispatch_query(model: Model, query: dict) -> dict:
             raise UsageError(f"query field {field!r} must be a string, got {value!r}")
     if kind == "natural_extension":
         assessment = _query_vectors(query, "assessment", model.space.dim)
-        _, report = cones.natural_extension(assessment, model.space)
+        extension, report = cones.natural_extension(assessment, model.space)
         record: dict[str, Any] = {"answer": report.consistent}
         if report.combination is not None:
             record["certificate"] = [
                 {"vector": _fmt_vector(v), "coeff": format_rational(c)}
                 for v, c in report.combination
             ]
-        if report.functional is not None:
-            record["witness"] = _fmt_vector(report.functional.coeffs)
+        else:
+            witness = arch.archimedean_consistency_witness(extension)
+            if witness is not None:
+                record["witness"] = _fmt_vector(witness.coeffs)
         return record
     if kind == "choose":
         rule = query.get("rule")
         if rule is None:
             raise UsageError("choose queries need a \"rule\" field")
         menu = choice.OptionSet(tuple(_query_vectors(query, "menu", model.space.dim)))
+        if not menu:
+            raise UsageError("choose queries need a nonempty \"menu\"")
         return _choose_record(model, rule, target_name, menu)
     if kind == "nml":
         if target_name not in model.functionals:

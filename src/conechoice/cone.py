@@ -104,14 +104,13 @@ class ConsistencyReport:
     For an inconsistent assessment, ``combination`` is a list of
     (vector, coefficient) pairs with nonnegative coefficients, not all zero,
     summing to the zero vector -- a Farkas-style certificate verifiable by
-    substitution.  For a consistent one, ``functional`` is a separating linear
-    functional strictly positive on the assessment and background (when one
-    exists; it always does under pointwise dominance).
+    substitution.  A consistent one carries nothing more: a functional
+    strictly positive on the extension, where one exists, is
+    ``archimedean.archimedean_consistency_witness`` of the extension.
     """
 
     consistent: bool
     combination: Optional[tuple[tuple[Vector, Fraction], ...]] = None
-    functional: Optional[LinearF] = None
 
 
 def verify_inconsistency_combination(
@@ -166,28 +165,25 @@ def _strict_residual_combination(
 ) -> Optional[tuple[tuple[Fraction, ...], Vector]]:
     """Find lambda >= 0 with v - sum lambda_k g_k strictly positive, or None.
 
-    Decided by max-margin: maximize t with (v - sum lambda_k g_k)_i >= t.
+    Homogenised with a scale x0 (Motzkin): one strict homogeneous solve over
+    (lambda, x0) with x0 > 0, x0 v_i - sum_k lambda_k g_k[i] > 0 for every i,
+    and lambda >= 0.  A solution divided by its x0 (>= 1 by its own row) is
+    the lambda sought; no solution comes with a Farkas certificate.
     """
-    dim = v.dim
     m = len(generators)
     if m == 0:
         if all(entry > 0 for entry in v.entries):
             return ((), v)
         return None
-    # Variables: lambda_1..lambda_m plus a pinned unit x0 carrying the constant v.
     n = m + 1
-    base: list[lp.Constraint] = [
-        lp.Constraint(unit_vector(n, m), lp.EQ, Fraction(1))
+    strict = [unit_vector(n, m)] + [
+        Vector(tuple(-g[i] for g in generators) + (v[i],)) for i in range(v.dim)
     ]
-    for k in range(m):
-        base.append(lp.Constraint(unit_vector(n, k), lp.GE, Fraction(0)))
-    margin_rows = [
-        Vector(tuple(-g[i] for g in generators) + (v[i],)) for i in range(dim)
-    ]
-    optimum = lp.max_margin(base, margin_rows, Fraction(1))
-    if optimum is None or optimum.value <= 0:
+    result = lp.strict_homogeneous_solve(strict, nonneg=[unit_vector(n, k) for k in range(m)])
+    if isinstance(result, lp.Infeasible):
         return None
-    lambdas = optimum.witness.entries[:m]
+    x0 = result.witness[m]
+    lambdas = tuple(lam / x0 for lam in result.witness.entries[:m])
     residual = v - _combine(generators, lambdas)
     return (lambdas, residual)
 
@@ -226,14 +222,18 @@ def member(cone: DesirCone, v: Vector) -> bool:
 def natural_extension(
     assessment: Sequence[Vector], space: OptionSpace
 ) -> tuple[PosiCone, ConsistencyReport]:
-    """The coherent closure of an assessment, with a consistency report."""
+    """The coherent closure of an assessment, with a consistency report.
+
+    The assessment is consistent iff its closure excludes 0, so only that
+    question is solved; an inconsistent answer carries the checked
+    combination that reaches 0.
+    """
     cone = PosiCone(tuple(assessment), space)
     combination = _zero_membership_combination(cone)
     if combination is not None:
         lp.verified(verify_inconsistency_combination(combination), "inconsistency combination")
         return cone, ConsistencyReport(consistent=False, combination=combination)
-    functional = _separating_functional(cone)
-    return cone, ConsistencyReport(consistent=True, functional=functional)
+    return cone, ConsistencyReport(consistent=True)
 
 
 def _zero_membership_combination(
@@ -280,12 +280,12 @@ def strict_background_rows(space: OptionSpace) -> tuple[list[Vector], list[Vecto
 
 def _separating_functional(cone: PosiCone) -> Optional[LinearF]:
     strict_bg, nonneg_bg = strict_background_rows(cone.space)
-    witness = lp.strict_homogeneous_feasible(
+    result = lp.strict_homogeneous_solve(
         strict=list(cone.generators) + strict_bg, nonneg=nonneg_bg
     )
-    if witness is None:
+    if isinstance(result, lp.Infeasible):
         return None
-    return LinearF(witness)
+    return LinearF(result.witness)
 
 
 def is_coherent(cone: DesirCone) -> bool:

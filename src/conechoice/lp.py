@@ -38,10 +38,14 @@ as ``a.X REL b.d`` on its integer row (a sign row as ``X_j >= 0``).  A
 certificate weighs each integer row by its multiplier over the row's scale, all
 over one common denominator.
 
-Strict inequalities never appear in an ``LpProblem``.  Homogeneous strict
-systems are decided through :func:`strict_homogeneous_feasible` (each strict
-row ``row . x > 0`` is replaced by ``row . x >= 1``, valid by homogeneity),
-and non-homogeneous ones through :func:`max_margin`.
+Strict inequalities never appear in an ``LpProblem``.  Every strict system
+is decided by one solve of :func:`strict_homogeneous_solve`, which replaces
+each strict row ``row . x > 0`` by ``row . x >= 1`` (valid by homogeneity).
+A caller whose system has constants homogenises it first, as in Motzkin's
+transposition theorem: the constants move into a column of one scale variable
+``x0`` with the strict row ``x0 > 0``, and a solution divided by its ``x0``
+solves the original system.  So a strict system answers either with a checked
+solution or with a Farkas certificate.
 """
 
 from __future__ import annotations
@@ -581,7 +585,13 @@ def strict_homogeneous_solve(
     nonpos: Sequence[Vector] = (),
     nonneg: Sequence[Vector] = (),
 ) -> LpResult:
-    """Full LP result for the homogeneous strict system (see below)."""
+    """Decide the system Lambda.s > 0 (strict), Lambda.t <= 0, Lambda.w >= 0.
+
+    Each strict row is replaced by "... >= 1": the system is homogeneous in
+    Lambda and has finitely many rows, so any strict solution scales to a >= 1
+    solution and conversely.  The result is ``Feasible`` with a checked
+    solution or ``Infeasible`` with a checked Farkas certificate.
+    """
     dims = {v.dim for v in (*strict, *nonpos, *nonneg)}
     if len(dims) != 1:
         raise ValueError("all rows must share one dimension")
@@ -590,62 +600,3 @@ def strict_homogeneous_solve(
     rows += [Constraint(t, LE, Fraction(0)) for t in nonpos]
     rows += [Constraint(w, GE, Fraction(0)) for w in nonneg]
     return solve(LpProblem(dim, tuple(rows)))
-
-
-def strict_homogeneous_feasible(
-    strict: Sequence[Vector],
-    nonpos: Sequence[Vector] = (),
-    nonneg: Sequence[Vector] = (),
-) -> Optional[Vector]:
-    """Find Lambda with Lambda.s > 0 (strict), Lambda.t <= 0, Lambda.w >= 0, or report absence.
-
-    Each strict row is replaced by "... >= 1"; the system is homogeneous in
-    Lambda and has finitely many rows, so any strict solution scales to a >= 1
-    solution and conversely.
-    """
-    result = strict_homogeneous_solve(strict, nonpos, nonneg)
-    if isinstance(result, Feasible):
-        return result.witness
-    return None
-
-
-BaseRow = Union[Constraint, tuple[Vector, str, Fraction]]
-
-
-def max_margin(
-    base: Sequence[BaseRow],
-    margin_rows: Sequence[Vector],
-    cap: Fraction,
-) -> Optional[Optimal]:
-    """Maximize t <= cap subject to the base system and row . x >= t per margin row.
-
-    The strict system {row . x > 0} (with the base rows) is feasible iff the
-    optimum value is > 0, and then the witness's first n entries solve it.
-    Returns None when the base system itself is infeasible (the -infinity
-    sentinel).
-    """
-    if cap <= 0:
-        raise ValueError("cap must be positive")
-    if not margin_rows:
-        raise ValueError("need at least one margin row")
-    n = margin_rows[0].dim
-    t_index = n
-    rows: list[Constraint] = []
-    for entry in base:
-        if isinstance(entry, Constraint):
-            coeffs, relation, rhs = entry.coeffs, entry.relation, entry.rhs
-        else:
-            coeffs, relation, rhs = entry
-        rows.append(Constraint(Vector(tuple(coeffs.entries) + (Fraction(0),)), relation, rhs))
-    for row in margin_rows:
-        rows.append(
-            Constraint(Vector(tuple(row.entries) + (Fraction(-1),)), GE, Fraction(0))
-        )
-    rows.append(Constraint(unit_vector(n + 1, t_index), LE, cap))
-    objective = Objective("max", unit_vector(n + 1, t_index))
-    result = solve(LpProblem(n + 1, tuple(rows), objective))
-    if isinstance(result, Infeasible):
-        return None
-    if not isinstance(result, Optimal):
-        raise RuntimeError("internal error: the margin LP, bounded by t <= cap, has no optimum")
-    return result

@@ -123,18 +123,23 @@ def vec(*values: RationalLike) -> Vector:
     return Vector(tuple(as_rational(v) for v in values))
 
 
+# Fractions are immutable, so the constant vectors share these two.
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 def zero_vector(dim: int) -> Vector:
-    return Vector((Fraction(0),) * dim)
+    return Vector((_ZERO,) * dim)
 
 
 def unit_vector(dim: int, i: int) -> Vector:
-    entries = [Fraction(0)] * dim
-    entries[i] = Fraction(1)
+    entries = [_ZERO] * dim
+    entries[i] = _ONE
     return Vector(tuple(entries))
 
 
 def ones(dim: int) -> Vector:
-    return Vector((Fraction(1),) * dim)
+    return Vector((_ONE,) * dim)
 
 
 class Background(Enum):

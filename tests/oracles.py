@@ -127,7 +127,9 @@ def separation_direction_2d(
         if not w.is_zero():
             base.extend([w, -w, _rot90(w), -_rot90(w)])
     base.extend([Vector((Fraction(1), Fraction(0))), Vector((Fraction(0), Fraction(1)))])
-    candidates = list(base) + [a + b for a, b in combinations(base, 2)]
+    # Equal candidates need testing once; the first occurrence keeps its place.
+    base = list(dict.fromkeys(base))
+    candidates = dict.fromkeys([*base, *(a + b for a, b in combinations(base, 2))])
 
     def ok(direction: Vector) -> bool:
         if direction.is_zero():

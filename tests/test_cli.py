@@ -164,6 +164,12 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     code, _, err = run(capsys, "choose", COIN, "--rule", "eadm", "--target", "D_I", "--menu", "1,0")
     assert code == EXIT_USAGE
 
+    # An empty menu is a usage error under every rule.
+    for rule, target in (("maximality", "D_I"), ("eadm", "K_cred"), ("reject", "K_cred")):
+        code, _, err = run(capsys, "choose", COIN, "--rule", rule, "--target", target, "--menu", "")
+        assert code == EXIT_USAGE, rule
+        assert "nonempty" in err
+
     # Malformed vector lists in a model file's queries are usage errors too.
     space = {"dim": 2, "background": "pointwise", "u_o": ["1", "1"]}
     for field, kind, extra in (
@@ -187,6 +193,9 @@ def test_usage_errors_exit_64(tmp_path, capsys):
         ({"kind": "member", "target": "D_I", "option": "10"}, "option"),
         ({"kind": "member", "target": ["D_I"], "option": ["1", "0"]}, "'target'"),
         ({"kind": 3, "target": "D_I"}, "'kind'"),
+        ({"kind": "choose", "rule": "maximality", "target": "D_I", "menu": []}, "nonempty"),
+        ({"kind": "choose", "rule": "eadm", "target": "K_cred", "menu": []}, "nonempty"),
+        ({"kind": "choose", "rule": "reject", "target": "K_cred", "menu": []}, "nonempty"),
         # A vector of the wrong dimension is malformed input, not a precondition.
         ({"kind": "member", "target": "D_I", "option": ["1", "0", "0"]}, "expected 2 entries"),
         (

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conechoice.archimedean import archimedean_consistency_witness
 from conechoice.cone import (
     LexCone,
     OpenDualCone,
@@ -17,11 +18,11 @@ from conechoice.cone import (
     posi_member,
     verify_inconsistency_combination,
 )
-from conechoice.functional import LinearF
+from conechoice.functional import LinearF, is_positive
 from conechoice.numeric import Background, OptionSpace, vec, zero_vector
 
 from conftest import expectation, rand_fraction, rand_vector
-from oracles import cone2_member, grid_2d, units_2d
+from oracles import cone2_member, grid_2d, separation_direction_2d, units_2d
 
 
 def test_posi_member_examples():
@@ -81,7 +82,9 @@ def test_coin_joint_assessment_is_inconsistent(pw2):
 def test_single_bet_extension(pw2):
     cone, report = natural_extension([vec(1, -1)], pw2)
     assert report.consistent
-    assert report.functional is not None
+    witness = archimedean_consistency_witness(cone)
+    assert witness is not None
+    assert witness.eval(vec(1, -1)) > 0 and is_positive(witness, pw2)
     assert member(cone, vec(1, 0))
     assert not member(cone, vec(-1, 3))
 
@@ -167,6 +170,35 @@ def test_strict_posi_cone_open_orthant_residual(st2):
     assert member(cone, vec(2, 0))  # (1,-1) + (1,1)
     assert not member(cone, vec(0, 1))  # boundary of the orthant, not reachable
     assert not member(cone, vec(-1, 1))
+
+
+def test_grid_agreement_posi_strict(st2):
+    # Under strict dominance v is a member iff it is in posi(G), or no
+    # functional nonnegative on G and the units, positive on (1,1), is
+    # nonpositive at v (Motzkin): then v is posi(G) plus the open orthant.
+    # The assessment G is consistent iff 0 is in neither part (Gordan for
+    # posi(G), Motzkin for the rest).
+    rng = random.Random(23)
+    points = [v for v in grid_2d(Fraction(2), Fraction(1, 2)) if not v.is_zero()]
+    interior = [vec(1, 1)]
+    for _ in range(60):
+        gens: list = []
+        for _ in range(rng.randint(0, 4)):
+            g = vec(rng.randint(-3, 3), rng.randint(-3, 3))
+            while g.is_zero():
+                g = vec(rng.randint(-3, 3), rng.randint(-3, 3))
+            gens.append(g)
+        cone, report = natural_extension(gens, st2)
+        closed = units_2d() + gens
+        assert report.consistent == (
+            (not gens or separation_direction_2d(strict=gens) is not None)
+            and separation_direction_2d(strict=interior, nonneg=closed) is not None
+        ), gens
+        for v in points:
+            expected = cone2_member(gens, v) or (
+                separation_direction_2d(strict=interior, nonpos=[v], nonneg=closed) is None
+            )
+            assert member(cone, v) == expected, (gens, v)
 
 
 def test_closure_is_extensive_and_monotone(pw2):

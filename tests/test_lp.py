@@ -23,9 +23,8 @@ from conechoice.lp import (
     Objective,
     Optimal,
     Unbounded,
-    max_margin,
     solve,
-    strict_homogeneous_feasible,
+    strict_homogeneous_solve,
     verify_infeasibility_certificate,
     verify_ray,
     verify_witness,
@@ -92,48 +91,36 @@ def test_equality_rows_and_free_variables():
     assert result.witness == vec(2, -1)
 
 
-def test_strict_homogeneous_examples():
-    witness = strict_homogeneous_feasible(
-        strict=[vec(1, 0), vec(0, 1)], nonpos=[vec(-1, -1)]
-    )
-    assert witness is not None
-    assert witness.dot(vec(1, 0)) > 0 and witness.dot(vec(0, 1)) > 0
-    assert witness.dot(vec(-1, -1)) <= 0
+def _strict_witness(strict, nonpos=(), nonneg=()):
+    result = strict_homogeneous_solve(strict, nonpos, nonneg)
+    assert isinstance(result, Feasible)
+    w = result.witness
+    assert all(w.dot(s) > 0 for s in strict)
+    assert all(w.dot(t) <= 0 for t in nonpos)
+    assert all(w.dot(u) >= 0 for u in nonneg)
+    return w
 
-    assert strict_homogeneous_feasible(strict=[vec(1, 0), vec(-1, 0)]) is None
+
+def test_strict_homogeneous_examples():
+    _strict_witness(strict=[vec(1, 0), vec(0, 1)], nonpos=[vec(-1, -1)])
+
+    strict = [vec(1, 0), vec(-1, 0)]
+    result = strict_homogeneous_solve(strict)
+    assert isinstance(result, Infeasible)
+    problem = LpProblem(2, tuple(Constraint(s, GE, Fraction(1)) for s in strict))
+    assert verify_infeasibility_certificate(problem, result.certificate)
 
     # Any finite truncation of the family {(0,1)} + {(1,-a)} admits a witness.
-    family = [vec(0, 1)] + [vec(1, -a) for a in (0, 1, 2)]
-    witness = strict_homogeneous_feasible(strict=family)
-    assert witness is not None
-    assert all(witness.dot(row) > 0 for row in family)
+    _strict_witness(strict=[vec(0, 1)] + [vec(1, -a) for a in (0, 1, 2)])
 
-
-def test_max_margin_midpoint():
-    # maximize t with x >= t and 1 - x >= t; encoded with a pinned constant x0.
-    base = [Constraint(vec(0, 1), EQ, Fraction(1))]
-    margin = [vec(1, 0), vec(-1, 1)]
-    assert max_margin(base, margin, Fraction(1)).value == Fraction(1, 2)
-
-
-def test_max_margin_strictly_infeasible():
-    assert max_margin([], [vec(1), vec(-1)], Fraction(1)).value == 0
-
-
-def test_max_margin_infeasible_base():
-    base = [Constraint(vec(1), GE, Fraction(1)), Constraint(vec(1), LE, Fraction(0))]
-    assert max_margin(base, [vec(1)], Fraction(1)) is None
-
-
-def test_max_margin_strict_dominance_residual():
-    # Does (1,1) strictly dominate some nonnegative multiple of (1,-1)?
-    # Variables (lambda, x0) with x0 pinned to 1; optimum at lambda = 0.
-    base = [
-        Constraint(vec(0, 1), EQ, Fraction(1)),
-        Constraint(vec(1, 0), GE, Fraction(0)),
-    ]
-    margin = [vec(-1, 1), vec(1, 1)]  # rows of (1,1) - lambda*(1,-1)
-    assert max_margin(base, margin, Fraction(1)).value > 0
+    # Homogenised with a scale x0 (the last entry): is (1,1) minus some
+    # nonnegative multiple of (1,-1) strictly positive?  Yes, at lambda = 0.
+    w = _strict_witness(strict=[vec(0, 1), vec(-1, 1), vec(1, 1)], nonneg=[vec(1, 0)])
+    assert w[1] >= 1
+    # Is (-1, 1) minus a nonnegative multiple of (1, -1) strictly positive?
+    # Every such residual has entries summing to 0, so no.
+    result = strict_homogeneous_solve([vec(0, 1), vec(-1, -1), vec(1, 1)], nonneg=[vec(1, 0)])
+    assert isinstance(result, Infeasible)
 
 
 def _random_bound(rng: random.Random) -> Bound:
@@ -524,9 +511,6 @@ def test_broken_invariants_raise_runtime_errors(monkeypatch):
         m.setattr(lp._Tableau, "run", lambda tableau: 0)
         with pytest.raises(RuntimeError, match="phase 1"):
             solve(problem)
-    monkeypatch.setattr(lp, "solve", lambda problem: Unbounded(vec(0, 1), vec(0, 0)))
-    with pytest.raises(RuntimeError, match="margin LP"):
-        max_margin([], [vec(1)], Fraction(1))
 
 
 @pytest.mark.parametrize(
@@ -597,8 +581,9 @@ def test_certificate_check_survives_optimize_flag(patch, trigger, what):
 
 def test_strict_rows_reject_zero_functional():
     # The ">= 1" substitution must not accept the trivial Lambda = 0.
-    witness = strict_homogeneous_feasible(strict=[vec(1, 1)])
-    assert witness is not None and witness.dot(vec(1, 1)) > 0
+    assert not _strict_witness(strict=[vec(1, 1)]).is_zero()
+    result = strict_homogeneous_solve(strict=[vec(1, 1)], nonpos=[vec(1, 1)])
+    assert isinstance(result, Infeasible)
 
 
 def test_problem_validation():
