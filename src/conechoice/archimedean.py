@@ -2,30 +2,17 @@
 
 Separation always produces a *linear* witness (the superlinear and linear
 separation properties are equivalent; superlinear witnesses are assembled only
-in the choice module, where they are genuinely needed).
-
-Representation notes per cone class:
-
-* PosiCone: a functional is strictly positive on the cone iff it is strictly
-  positive on the finitely many generators and background-positive, so
-  separation is one strict homogeneous LP.
-* OpenDualCone {u : piece_j(u) > 0}: a linear functional is strictly positive
-  on this nonempty open cone iff it is nonnegative on the closure
-  {u : piece_j(u) >= 0}, i.e. iff it is a nonnegative combination of the
-  pieces (Farkas); the LP therefore runs over the combination weights.
-* LexCone: the closure of a lexicographic cone is the half-space
-  {u : level_1(u) >= 0}, finitely generated by the first level's coefficient
-  vector plus plus/minus a nullspace basis of that level.  A functional
-  strictly positive on the cone must be nonnegative on those generators
-  (forcing it onto the ray of level_1) and strictly positive on the generators
-  that are themselves members -- which is exactly where multi-level cones fail.
+in the choice module, where they are genuinely needed).  Every answer here
+rests on one solve of the separation system, whose rows per cone class are
+built in :mod:`conechoice.cone` (``separation_evidence``), where
+``is_mixing`` also reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import lp
 from .cone import (
@@ -33,16 +20,14 @@ from .cone import (
     LexCone,
     OpenDualCone,
     PosiCone,
+    _separates,
     background_generators,
     is_coherent,
     member,
-    strict_background_rows,
+    separation_evidence,
 )
-from .functional import LinearF, SuperlinF, is_positive, nml
-from .numeric import Background, Vector, nullspace_basis, ones, unit_vector, zero_vector
-
-
-_WitnessMap = Callable[[Vector], LinearF]
+from .functional import LinearF, SuperlinF, nml
+from .numeric import Background, Vector, unit_vector
 
 
 @dataclass(frozen=True)
@@ -60,79 +45,6 @@ def verify_separation_witness(
     return _separates(f, cone, witness.separated_option) and all(
         f.eval(u) > 0 for u in members
     )
-
-
-def _separates(f: LinearF, cone: DesirCone, v: Optional[Vector]) -> bool:
-    return is_positive(f, cone.space) and (v is None or f.eval(v) <= 0)
-
-
-def _separation_rows(
-    cone: DesirCone, v: Optional[Vector]
-) -> tuple[list[Vector], list[Vector], list[Vector], "_WitnessMap"]:
-    """Rows (strict, nonpos, nonneg) of the separation system plus the map
-    taking an LP witness back to a linear functional on the option space."""
-    space = cone.space
-    strict_bg, nonneg_bg = strict_background_rows(space)
-    if isinstance(cone, PosiCone):
-        strict = list(cone.generators) + strict_bg
-        nonneg = list(nonneg_bg)
-        nonpos = [v] if v is not None else []
-        return strict, nonpos, nonneg, _identity_map
-    if isinstance(cone, OpenDualCone):
-        pieces = cone.pieces
-
-        def weight_row(u: Vector) -> Vector:
-            return Vector(tuple(p.eval(u) for p in pieces))
-
-        n = len(pieces)
-        strict = [ones(n)] + [weight_row(s) for s in strict_bg]
-        nonneg = [unit_vector(n, j) for j in range(n)] + [
-            weight_row(w) for w in nonneg_bg
-        ]
-        nonpos = [weight_row(v)] if v is not None else []
-
-        def to_functional(mu: Vector) -> LinearF:
-            total = zero_vector(space.dim)
-            for weight, piece in zip(mu.entries, pieces):
-                total = total + piece.coeffs.scale(weight)
-            return LinearF(total)
-
-        return strict, nonpos, nonneg, to_functional
-    assert isinstance(cone, LexCone)
-    first = cone.levels[0].coeffs
-    strict = [first] + strict_bg
-    nonneg = list(nonneg_bg)
-    for k in nullspace_basis([first]):
-        for ray in (k, -k):
-            if member(cone, ray):
-                strict.append(ray)
-            else:
-                nonneg.append(ray)
-    nonpos = [v] if v is not None else []
-    return strict, nonpos, nonneg, _identity_map
-
-
-def _identity_map(witness: Vector) -> LinearF:
-    return LinearF(witness)
-
-
-def separation_evidence(
-    cone: DesirCone, v: Optional[Vector] = None
-) -> Union[LinearF, lp.Infeasible]:
-    """The one solve of the separation system behind every Archimedean answer.
-
-    Returns a background-positive linear functional strictly positive on the
-    cone (and nonpositive at v when v is given), re-verified before it is
-    returned, or the ``lp.Infeasible`` whose Farkas certificate shows that no
-    such functional exists.
-    """
-    strict, nonpos, nonneg, to_functional = _separation_rows(cone, v)
-    result = lp.strict_homogeneous_solve(strict, nonpos, nonneg)
-    if isinstance(result, lp.Infeasible):
-        return result
-    functional = to_functional(result.witness)
-    lp.verified(_separates(functional, cone, v), "separation witness")
-    return functional
 
 
 def _excludes(f: LinearF, cone: DesirCone, v: Vector) -> bool:
@@ -217,14 +129,16 @@ def is_essentially_archimedean(cone: DesirCone) -> bool:
 
 
 def lambda_o(cone: DesirCone, u: Vector) -> Fraction:
-    """sup{alpha : u - alpha * u_o in D} for the cone's reference option u_o."""
+    """sup{alpha : u - alpha * u_o in D} for the cone's reference option u_o.
+
+    An open-dual or lexicographic cone evaluates ``lambda_o_functional``,
+    which raises ``ValueError`` when a piece (the first level) is nonpositive
+    at u_o.
+    """
+    if isinstance(cone, (OpenDualCone, LexCone)):
+        return lambda_o_functional(cone).eval(u)
     space = cone.space
     u_o = space.u_o
-    if isinstance(cone, OpenDualCone):
-        return min(p.eval(u) / p.eval(u_o) for p in cone.pieces)
-    if isinstance(cone, LexCone):
-        first = cone.levels[0]
-        return first.eval(u) / first.eval(u_o)
     # PosiCone: the sup over the cone equals the sup over its closed hull
     # posi(generators plus units) under both background orders, an exact LP.
     hull = list(cone.generators) + background_generators(space)

@@ -8,8 +8,8 @@ cone compatible with the assessment contains some selection's extension, and
 each consistent selection's extension is itself such a cone, so the finitely
 many selection extensions are exactly the minimal witnesses.)
 
-Selection enumeration is exponential in the number of assessment sets; a
-documented cap (default 10**6 selections) raises beyond.
+Selection enumeration is exponential in the number of assessment sets; beyond
+``SELECTION_CAP`` (10**6) selections it raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -125,18 +125,18 @@ class BinaryK:
 KModel = Union[AssessmentK, CredalK, BinaryK]
 
 
-def selections(model: AssessmentK, cap: int = SELECTION_CAP) -> Iterator[tuple[Vector, ...]]:
+def selections(model: AssessmentK) -> Iterator[tuple[Vector, ...]]:
     """All ways of picking one (nonzero) option from each assessment set."""
     pruned = [a.without_zero() for a in model.assessment]
     count = 1
     for choices in pruned:
         count *= len(choices)
-        if count > cap:
-            raise ValueError(f"selection enumeration exceeds the cap of {cap}")
+        if count > SELECTION_CAP:
+            raise ValueError(f"selection enumeration exceeds the cap of {SELECTION_CAP}")
     return product(*pruned)
 
 
-def member(model: KModel, b: OptionSet, cap: int = SELECTION_CAP) -> bool:
+def member(model: KModel, b: OptionSet) -> bool:
     """Is B in the model's semantic set (for AssessmentK: in the closure)?"""
     options = b.without_zero()
     if not options:
@@ -145,40 +145,36 @@ def member(model: KModel, b: OptionSet, cap: int = SELECTION_CAP) -> bool:
         return all(any(f.eval(u) > 0 for u in options) for f in model.functionals)
     if isinstance(model, BinaryK):
         return any(cone_member(model.cone, u) for u in options)
-    for selection in selections(model, cap):
+    for selection in selections(model):
         extension, report = natural_extension(list(selection), model.space)
         if report.consistent and not any(cone_member(extension, u) for u in options):
             return False
     return True
 
 
-def consistent(model: AssessmentK, cap: int = SELECTION_CAP) -> bool:
+def consistent(model: AssessmentK) -> bool:
     """Does some selection have a consistent natural extension?"""
-    for selection in selections(model, cap):
+    for selection in selections(model):
         _, report = natural_extension(list(selection), model.space)
         if report.consistent:
             return True
     return False
 
 
-def archimedean_consistency_witness(
-    model: AssessmentK, cap: int = SELECTION_CAP
-) -> Optional[LinearF]:
+def archimedean_consistency_witness(model: AssessmentK) -> Optional[LinearF]:
     """A background-positive functional strictly positive on some selection."""
-    for selection in selections(model, cap):
+    for selection in selections(model):
         witness = arch.archimedean_consistency_witness(PosiCone(selection, model.space))
         if witness is not None:
             return witness
     return None
 
 
-def archimedean_consistent(model: AssessmentK, cap: int = SELECTION_CAP) -> bool:
-    return archimedean_consistency_witness(model, cap) is not None
+def archimedean_consistent(model: AssessmentK) -> bool:
+    return archimedean_consistency_witness(model) is not None
 
 
-def archimedean_member_evidence(
-    model: AssessmentK, b: OptionSet, cap: int = SELECTION_CAP
-) -> Optional[SuperlinF]:
+def archimedean_member_evidence(model: AssessmentK, b: OptionSet) -> Optional[SuperlinF]:
     """None when B is in the Archimedean closure; otherwise an excluding
     min-envelope, assembled from one per-option linear witness each strictly
     positive on a common selection, and re-verified before being returned.
@@ -190,7 +186,7 @@ def archimedean_member_evidence(
     selection, and its dominating linear functionals supply the per-option
     witnesses.
     """
-    witness = archimedean_consistency_witness(model, cap)
+    witness = archimedean_consistency_witness(model)
     if witness is None:
         raise ValueError("Archimedean-inconsistent model: the closure is everything")
     options = b.without_zero()
@@ -198,7 +194,7 @@ def archimedean_member_evidence(
         # Nothing desirable can be asserted through B; excluded by every
         # background-positive functional.
         return SuperlinF((witness,))
-    for selection in selections(model, cap):
+    for selection in selections(model):
         cone = PosiCone(selection, model.space)
         per_option: list[LinearF] = []
         for v in options:
@@ -218,8 +214,8 @@ def archimedean_member_evidence(
     return None
 
 
-def archimedean_member(model: AssessmentK, b: OptionSet, cap: int = SELECTION_CAP) -> bool:
-    return archimedean_member_evidence(model, b, cap) is None
+def archimedean_member(model: AssessmentK, b: OptionSet) -> bool:
+    return archimedean_member_evidence(model, b) is None
 
 
 def to_binary_D(model: KModel) -> Callable[[Vector], bool]:
@@ -231,7 +227,7 @@ def to_binary_D(model: KModel) -> Callable[[Vector], bool]:
     return d_k
 
 
-def is_binary(model: AssessmentK, cap: int = SELECTION_CAP) -> bool:
+def is_binary(model: AssessmentK) -> bool:
     """Does every assessment set contain an option whose singleton is in the closure?"""
     d_k = to_binary_D(model)
     return all(

@@ -10,13 +10,30 @@ Three finite representations cover every cone the engine needs:
 
 No single representation can express all three shapes (closed sectors, open
 half-spaces, lexicographic cones), which is why all three exist.
+
+Separation -- a background-positive linear functional strictly positive on
+the cone -- is one strict homogeneous solve (``separation_evidence``), with
+rows per class:
+
+* PosiCone: a functional is strictly positive on the cone iff it is strictly
+  positive on the finitely many generators and background-positive.
+* OpenDualCone {u : piece_j(u) > 0}: a linear functional is strictly positive
+  on this nonempty open cone iff it is nonnegative on the closure
+  {u : piece_j(u) >= 0}, i.e. iff it is a nonnegative combination of the
+  pieces (Farkas); the LP therefore runs over the combination weights.
+* LexCone: the closure of a lexicographic cone is the half-space
+  {u : level_1(u) >= 0}, finitely generated by the first level's coefficient
+  vector plus plus/minus a nullspace basis of that level.  A functional
+  strictly positive on the cone must be nonnegative on those generators
+  (forcing it onto the ray of level_1) and strictly positive on the generators
+  that are themselves members -- which is exactly where multi-level cones fail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import lp
 from .functional import LinearF, is_positive
@@ -24,6 +41,7 @@ from .numeric import (
     Background,
     OptionSpace,
     Vector,
+    nullspace_basis,
     ones,
     rank_of,
     unit_vector,
@@ -212,11 +230,33 @@ def member(cone: DesirCone, v: Vector) -> bool:
         return all(p.eval(v) > 0 for p in cone.pieces)
     if isinstance(cone, LexCone):
         return lex_sign([level.eval(v) for level in cone.levels]) > 0
-    if cone.space.background is Background.POINTWISE:
-        return posi_member(list(cone.generators) + background_generators(cone.space), v)
-    if posi_member(cone.generators, v):
-        return True
-    return _strict_residual_combination(cone.generators, v) is not None
+    return _membership_combination(cone, v) is not None
+
+
+def _membership_combination(
+    cone: PosiCone, v: Vector
+) -> Optional[tuple[tuple[Vector, Fraction], ...]]:
+    """The nonzero (vector, coefficient) terms of a combination reaching v, or None.
+
+    Pointwise dominance combines the generators and the unit vectors.  Strict
+    dominance tries the generators alone, then the generators plus one
+    strictly positive residual, which enters with coefficient 1.
+    """
+    pointwise = cone.space.background is Background.POINTWISE
+    generators = list(cone.generators)
+    if pointwise:
+        generators += background_generators(cone.space)
+    lambdas = _posi_combination(generators, v)
+    if lambdas is not None:
+        return tuple((g, lam) for g, lam in zip(generators, lambdas) if lam != 0)
+    if pointwise:
+        return None
+    residual = _strict_residual_combination(generators, v)
+    if residual is None:
+        return None
+    lambdas, strict_part = residual
+    terms = tuple((g, lam) for g, lam in zip(generators, lambdas) if lam != 0)
+    return terms + ((strict_part, Fraction(1)),)
 
 
 def natural_extension(
@@ -229,40 +269,11 @@ def natural_extension(
     combination that reaches 0.
     """
     cone = PosiCone(tuple(assessment), space)
-    combination = _zero_membership_combination(cone)
+    combination = _membership_combination(cone, zero_vector(space.dim))
     if combination is not None:
         lp.verified(verify_inconsistency_combination(combination), "inconsistency combination")
         return cone, ConsistencyReport(consistent=False, combination=combination)
     return cone, ConsistencyReport(consistent=True)
-
-
-def _zero_membership_combination(
-    cone: PosiCone,
-) -> Optional[tuple[tuple[Vector, Fraction], ...]]:
-    """An offending combination witnessing 0 in the cone, or None."""
-    space = cone.space
-    if space.background is Background.POINTWISE:
-        generators = list(cone.generators) + background_generators(space)
-        lambdas = _posi_combination(generators, zero_vector(space.dim))
-        if lambdas is None:
-            return None
-        return tuple(
-            (g, lam) for g, lam in zip(generators, lambdas) if lam != 0
-        )
-    lambdas = _posi_combination(cone.generators, zero_vector(space.dim))
-    if lambdas is not None:
-        return tuple(
-            (g, lam) for g, lam in zip(cone.generators, lambdas) if lam != 0
-        )
-    residual = _strict_residual_combination(cone.generators, zero_vector(space.dim))
-    if residual is None:
-        return None
-    lambdas, strict_part = residual
-    combination = [
-        (g, lam) for g, lam in zip(cone.generators, lambdas) if lam != 0
-    ]
-    combination.append((strict_part, Fraction(1)))
-    return tuple(combination)
 
 
 def strict_background_rows(space: OptionSpace) -> tuple[list[Vector], list[Vector]]:
@@ -278,23 +289,13 @@ def strict_background_rows(space: OptionSpace) -> tuple[list[Vector], list[Vecto
     return [ones(space.dim)], units
 
 
-def _separating_functional(cone: PosiCone) -> Optional[LinearF]:
-    strict_bg, nonneg_bg = strict_background_rows(cone.space)
-    result = lp.strict_homogeneous_solve(
-        strict=list(cone.generators) + strict_bg, nonneg=nonneg_bg
-    )
-    if isinstance(result, lp.Infeasible):
-        return None
-    return LinearF(result.witness)
-
-
 def is_coherent(cone: DesirCone) -> bool:
     """Axioms: 0 excluded, posi-closed (structural), background included."""
     space = cone.space
     if isinstance(cone, PosiCone):
         # Posi-closure and background inclusion hold by construction;
         # only the exclusion of 0 can fail.
-        return _zero_membership_combination(cone) is None
+        return _membership_combination(cone, zero_vector(space.dim)) is None
     if isinstance(cone, OpenDualCone):
         # 0 is never a member (every piece evaluates to 0 there).
         return all(is_positive(p, space) for p in cone.pieces)
@@ -304,30 +305,79 @@ def is_coherent(cone: DesirCone) -> bool:
             lex_sign([level.eval(e) for level in cone.levels]) > 0
             for e in background_generators(space)
         )
-    return _lex_strict_background_included(cone)
+    # Strict dominance: a negative first-level coefficient makes some strictly
+    # positive option negative there; a nonnegative, nonzero first level
+    # (the levels are independent) is positive on every such option.
+    return is_positive(cone.levels[0], space)
 
 
-def _lex_strict_background_included(cone: LexCone) -> bool:
-    """Is every strictly positive option lex-positive?
+def _separates(f: LinearF, cone: DesirCone, v: Optional[Vector]) -> bool:
+    return is_positive(f, cone.space) and (v is None or f.eval(v) <= 0)
 
-    A violation is a strictly positive u whose first nonvanishing level is
-    negative, or whose levels all vanish.  Both are homogeneous, so u_i >= 1
-    and "level <= -1" lose no generality.  One LP per candidate level.
+
+def _separation_rows(
+    cone: DesirCone, v: Optional[Vector]
+) -> tuple[list[Vector], list[Vector], list[Vector], Callable[[Vector], LinearF]]:
+    """Rows (strict, nonpos, nonneg) of the separation system plus the map
+    taking an LP witness back to a linear functional on the option space."""
+    space = cone.space
+    strict_bg, nonneg_bg = strict_background_rows(space)
+    if isinstance(cone, PosiCone):
+        strict = list(cone.generators) + strict_bg
+        nonneg = list(nonneg_bg)
+        nonpos = [v] if v is not None else []
+        return strict, nonpos, nonneg, LinearF
+    if isinstance(cone, OpenDualCone):
+        pieces = cone.pieces
+
+        def weight_row(u: Vector) -> Vector:
+            return Vector(tuple(p.eval(u) for p in pieces))
+
+        n = len(pieces)
+        strict = [ones(n)] + [weight_row(s) for s in strict_bg]
+        nonneg = [unit_vector(n, j) for j in range(n)] + [
+            weight_row(w) for w in nonneg_bg
+        ]
+        nonpos = [weight_row(v)] if v is not None else []
+
+        def to_functional(mu: Vector) -> LinearF:
+            total = zero_vector(space.dim)
+            for weight, piece in zip(mu.entries, pieces):
+                total = total + piece.coeffs.scale(weight)
+            return LinearF(total)
+
+        return strict, nonpos, nonneg, to_functional
+    assert isinstance(cone, LexCone)
+    first = cone.levels[0].coeffs
+    strict = [first] + strict_bg
+    nonneg = list(nonneg_bg)
+    for k in nullspace_basis([first]):
+        for ray in (k, -k):
+            if member(cone, ray):
+                strict.append(ray)
+            else:
+                nonneg.append(ray)
+    nonpos = [v] if v is not None else []
+    return strict, nonpos, nonneg, LinearF
+
+
+def separation_evidence(
+    cone: DesirCone, v: Optional[Vector] = None
+) -> Union[LinearF, lp.Infeasible]:
+    """The one solve of the separation system behind every Archimedean answer.
+
+    Returns a background-positive linear functional strictly positive on the
+    cone (and nonpositive at v when v is given), re-verified before it is
+    returned, or the ``lp.Infeasible`` whose Farkas certificate shows that no
+    such functional exists.
     """
-    dim = cone.space.dim
-    m = len(cone.levels)
-    for k in range(m + 1):
-        rows: list[lp.Constraint] = []
-        for i in range(dim):
-            rows.append(lp.Constraint(unit_vector(dim, i), lp.GE, Fraction(1)))
-        for level in cone.levels[:k]:
-            rows.append(lp.Constraint(level.coeffs, lp.EQ, Fraction(0)))
-        if k < m:
-            rows.append(lp.Constraint(cone.levels[k].coeffs, lp.LE, Fraction(-1)))
-        result = lp.solve(lp.LpProblem(dim, tuple(rows)))
-        if isinstance(result, (lp.Feasible, lp.Optimal)):
-            return False
-    return True
+    strict, nonpos, nonneg, to_functional = _separation_rows(cone, v)
+    result = lp.strict_homogeneous_solve(strict, nonpos, nonneg)
+    if isinstance(result, lp.Infeasible):
+        return result
+    functional = to_functional(result.witness)
+    lp.verified(_separates(functional, cone, v), "separation witness")
+    return functional
 
 
 @dataclass(frozen=True)
@@ -401,8 +451,8 @@ def _posi_mixing(cone: PosiCone) -> MixingResult:
         # The only coherent cone is the positive ray; its complement is the
         # nonpositive ray, which is posi-closed.
         return MixingResult(True)
-    functional = _separating_functional(cone)
-    if functional is None:
+    functional = separation_evidence(cone)
+    if isinstance(functional, lp.Infeasible):
         return MixingResult(None)
     coeffs = functional.coeffs
     hull = list(cone.generators) + background_generators(space)

@@ -179,6 +179,11 @@ def _lottery_block(name: str, raw: Any) -> LotteryBlock:
         raise ModelError(f"{where}.states: expected a list of labels")
     if not isinstance(rewards, list) or not all(isinstance(r, str) for r in rewards):
         raise ModelError(f"{where}.rewards: expected a list of labels")
+    # The embedding has one coordinate per state and non-reference reward.
+    if not states:
+        raise ModelError(f"{where}.states: need at least one state")
+    if len(rewards) < 2:
+        raise ModelError(f"{where}.rewards: need at least two rewards")
     try:
         h = HorseLottery(
             tuple(states), tuple(rewards),

@@ -10,7 +10,6 @@ from itertools import product
 
 from conechoice import lp
 from conechoice.archimedean import (
-    _separation_rows,
     archimedean_closure_member,
     archimedean_consistent,
     is_essentially_archimedean,
@@ -39,6 +38,7 @@ from conechoice.cone import (
     LexCone,
     OpenDualCone,
     PosiCone,
+    _separation_rows,
     is_coherent,
     is_mixing,
     member,

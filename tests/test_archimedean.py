@@ -118,6 +118,20 @@ def test_lambda_o_step_property(d_interval, d_lex, d_sector):
                 assert not member(cone, u - u_o.scale(threshold + delta))
 
 
+def test_lambda_o_refuses_pieces_nonpositive_at_u_o(pw2):
+    # At u_o = (1, 1) the piece or first level (1, -1) is 0 and (1, -2) is
+    # negative; the ratio formula would divide by zero or, for
+    # {u1 - 2 u2 > 0} at (1, 0), answer -1 though (1, 0) - 5 u_o is a member.
+    for bad in (vec(1, -1), vec(1, -2)):
+        for cone in (
+            OpenDualCone((LinearF(bad), LinearF(vec(1, 0))), pw2),
+            OpenDualCone((LinearF(bad),), pw2),
+            LexCone((LinearF(bad), LinearF(vec(0, 1))), pw2),
+        ):
+            with pytest.raises(ValueError):
+                lambda_o(cone, vec(1, 0))
+
+
 def test_lambda_o_functional_closed_forms(d_interval, d_half, d_lex):
     f_lex = lambda_o_functional(d_lex)
     assert isinstance(f_lex, LinearF) and f_lex.coeffs == vec(1, 0)

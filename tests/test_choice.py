@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from conechoice import choice
 from conechoice.choice import (
     AssessmentK,
     BinaryK,
@@ -91,12 +92,13 @@ def test_consistency_examples(pw2):
     assert consistent(AssessmentK((), pw2))
 
 
-def test_selection_cap(pw2):
+def test_selection_cap(pw2, monkeypatch):
     sets = tuple(option_set(vec(1, 1), vec(1, 2)) for _ in range(3))
     model = AssessmentK(sets, pw2)
     assert len(list(selections(model))) == 8
+    monkeypatch.setattr(choice, "SELECTION_CAP", 7)
     with pytest.raises(ValueError):
-        list(selections(model, cap=7))
+        list(selections(model))
 
 
 def test_archimedean_consistency_examples(pw2, k_hot):

@@ -102,6 +102,18 @@ def test_arch_closure_on_inconsistent_cone_exits_2(capsys):
     assert "error" in records["arch"]
 
 
+def test_lambda_o_on_a_piece_vanishing_at_u_o_exits_2(tmp_path, capsys):
+    model = tmp_path / "open_dual.json"
+    model.write_text(json.dumps({
+        "space": {"dim": 2, "background": "pointwise", "u_o": ["1", "1"]},
+        "cones": {"O": {"type": "open_dual", "pieces": [["1", "-1"], ["1", "0"]]}},
+        "queries": [{"name": "q", "kind": "lambda_o", "target": "O", "option": ["1", "0"]}],
+    }))
+    code, records = run_json(capsys, "report", str(model))
+    assert code == EXIT_PRECONDITION
+    assert "nonpositive at u_o" in records["q"]["error"]
+
+
 def test_nml_flag(capsys):
     code, records = run_json(capsys, "nml", COIN, "--functional", "L_half")
     assert code == EXIT_OK
@@ -230,6 +242,17 @@ def test_data_errors_exit_65(tmp_path, capsys):
 
     code, _, err = run(capsys, "check", str(tmp_path / "absent.json"))
     assert code == EXIT_DATA
+
+    # A lottery block embeds into one coordinate per state and non-reference
+    # reward, so it needs a state and two rewards.
+    space = {"dim": 2, "background": "pointwise", "u_o": ["1", "1"]}
+    for states, rewards in (([], []), ([], ["a", "b"]), (["s"], ["a"]), (["s"], [])):
+        row = ["1"] + ["0"] * (len(rewards) - 1) if rewards else []
+        block = {"states": states, "rewards": rewards, "h": [row] * len(states), "g": [row] * len(states)}
+        bad.write_text(json.dumps({"space": space, "lotteries": {"L": block}}))
+        code, _, err = run(capsys, "check", str(bad))
+        assert code == EXIT_DATA, (states, rewards)
+        assert "model error" in err and "lotteries.L" in err, err
 
 
 @pytest.mark.parametrize("command", ["report", "check"])

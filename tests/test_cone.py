@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from conechoice import lp
 from conechoice.archimedean import archimedean_consistency_witness
 from conechoice.cone import (
     LexCone,
@@ -19,7 +21,7 @@ from conechoice.cone import (
     verify_inconsistency_combination,
 )
 from conechoice.functional import LinearF, is_positive
-from conechoice.numeric import Background, OptionSpace, vec, zero_vector
+from conechoice.numeric import Background, OptionSpace, Vector, vec, zero_vector
 
 from conftest import expectation, rand_fraction, rand_vector
 from oracles import cone2_member, grid_2d, separation_direction_2d, units_2d
@@ -106,6 +108,39 @@ def test_lex_coherence_under_strict_background(st2):
     assert is_coherent(LexCone((LinearF(vec(1, 0)), LinearF(vec(0, 1))), st2))
     # First level (1,-1) is negative at the strictly positive option (1,2).
     assert not is_coherent(LexCone((LinearF(vec(1, -1)), LinearF(vec(1, 1))), st2))
+
+
+def test_strict_lex_coherence_is_a_sign_test(monkeypatch):
+    # Under strict dominance a LexCone is coherent iff its first level is
+    # background-positive, which needs no LP.  With entries in [-3, 3] and
+    # d <= 5 the options with entries in {1, 100} decide it exactly: a
+    # negative first-level entry at the 100 outweighs the rest (-100 + 3*4 < 0).
+    solves = []
+    solve = lp.solve
+
+    def counting(problem):
+        solves.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    rng = random.Random(81)
+    coherent = 0
+    for _ in range(300):
+        d = rng.randint(1, 5)
+        space = OptionSpace(d, Background.STRICT, Vector((Fraction(1),) * d))
+        levels = tuple(
+            LinearF(Vector(tuple(Fraction(rng.randint(-3, 3)) for _ in range(d))))
+            for _ in range(rng.randint(1, d))
+        )
+        try:
+            cone = LexCone(levels, space)
+        except ValueError:
+            continue  # dependent levels
+        expected = all(member(cone, vec(*u)) for u in product((1, 100), repeat=d))
+        assert is_coherent(cone) == expected, levels
+        coherent += expected
+    assert not solves
+    assert coherent >= 20
 
 
 def test_mixing_examples(d_half, d_interval, d_lex):

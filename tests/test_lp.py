@@ -524,7 +524,7 @@ def test_broken_invariants_raise_runtime_errors(monkeypatch):
             id="farkas_certificate",
         ),
         pytest.param(
-            "archimedean._separates = lambda f, cone, v: False",
+            "cone._separates = lambda f, cone, v: False",
             "archimedean.separation_evidence(cone.PosiCone((vec(1, -1),), space))",
             "separation witness",
             id="separation_witness",
