@@ -21,13 +21,13 @@ from .cone import (
     OpenDualCone,
     PosiCone,
     _separates,
-    background_generators,
+    hull_lambda_o,
     is_coherent,
     member,
     separation_evidence,
 )
-from .functional import LinearF, SuperlinF, nml
-from .numeric import Background, Vector, unit_vector
+from .functional import LinearF, SuperlinF, nml, pieces_of
+from .numeric import Background, Vector
 
 
 @dataclass(frozen=True)
@@ -133,28 +133,14 @@ def lambda_o(cone: DesirCone, u: Vector) -> Fraction:
 
     An open-dual or lexicographic cone evaluates ``lambda_o_functional``,
     which raises ``ValueError`` when a piece (the first level) is nonpositive
-    at u_o.
+    at u_o.  A PosiCone solves one LP over its closed hull
+    (``cone.hull_lambda_o``).
     """
-    if isinstance(cone, (OpenDualCone, LexCone)):
-        return lambda_o_functional(cone).eval(u)
-    space = cone.space
-    u_o = space.u_o
-    # PosiCone: the sup over the cone equals the sup over its closed hull
-    # posi(generators plus units) under both background orders, an exact LP.
-    hull = list(cone.generators) + background_generators(space)
-    m = len(hull)
-    n = m + 1  # lambda_1..lambda_m, alpha
-    rows = []
-    for i in range(space.dim):
-        coeffs = tuple(g[i] for g in hull) + (u_o[i],)
-        rows.append(lp.Constraint(Vector(coeffs), lp.EQ, u[i]))
-    for k in range(m):
-        rows.append(lp.Constraint(unit_vector(n, k), lp.GE, Fraction(0)))
-    objective = lp.Objective("max", unit_vector(n, m))
-    result = lp.solve(lp.LpProblem(n, tuple(rows), objective))
-    if not isinstance(result, lp.Optimal):
-        raise ValueError("lambda_o undefined: cone is not pointed")
-    return result.value
+    if u.dim != cone.space.dim:
+        raise ValueError("dimension mismatch")
+    if isinstance(cone, PosiCone):
+        return hull_lambda_o(cone, u)
+    return lambda_o_functional(cone).eval(u)
 
 
 def lambda_o_functional(cone: DesirCone):
@@ -163,10 +149,8 @@ def lambda_o_functional(cone: DesirCone):
     if isinstance(cone, LexCone):
         return nml(LinearF(cone.levels[0].coeffs), u_o)
     if isinstance(cone, OpenDualCone):
-        normalized = nml(SuperlinF(tuple(cone.pieces)), u_o)
-        assert isinstance(normalized, SuperlinF)
         distinct: list[LinearF] = []
-        for piece in normalized.pieces:
+        for piece in pieces_of(nml(SuperlinF(cone.pieces), u_o)):
             if piece not in distinct:
                 distinct.append(piece)
         if len(distinct) == 1:

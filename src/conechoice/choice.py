@@ -105,9 +105,7 @@ class CredalK:
                 raise ValueError("credal functional has wrong dimension")
             if not is_positive(f, self.space):
                 raise ValueError("credal functionals must be background-positive")
-            g = nml(f, self.space.u_o)
-            assert isinstance(g, LinearF)
-            normalized.append(g)
+            normalized.append(nml(f, self.space.u_o))
         object.__setattr__(self, "functionals", tuple(normalized))
 
 

@@ -48,17 +48,6 @@ def _fmt_functional(f: Functional) -> dict:
     return {"type": "superlinear", "pieces": [_fmt_vector(p.coeffs) for p in f.pieces]}
 
 
-def _parse_vector_flag(text: str) -> Vector:
-    try:
-        return Vector(tuple(parse_rational(part) for part in text.split(",")))
-    except ValueError as exc:
-        raise UsageError(f"bad vector {text!r}: {exc}") from exc
-
-
-def _parse_set_flag(text: str) -> list[Vector]:
-    return [_parse_vector_flag(part) for part in text.split(";") if part.strip()]
-
-
 def _mixing_record(cone: cones.DesirCone) -> dict:
     result = cones.is_mixing(cone)
     if result.status is None:
@@ -325,40 +314,35 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _flag_vectors(text: str) -> list[list[str]]:
+    """Semicolon-separated vectors from a flag, as a model file's query lists them."""
+    return [part.split(",") for part in text.split(";") if part.strip()]
+
+
 def _flag_query(args) -> dict:
-    if args.command == "member":
-        query: dict[str, Any] = {"name": "member", "kind": "member", "target": args.target}
+    """The model-file query a subcommand's flags stand for; entries are parsed
+    with the model file's queries, by ``_query_vector(s)``."""
+    if args.command in ("member", "arch"):
+        kind = "member" if args.command == "member" else "arch_member"
+        query: dict[str, Any] = {"name": args.command, "kind": kind, "target": args.target}
         if args.option:
-            query["option"] = [format_rational(x) for x in _parse_vector_flag(args.option)]
+            query["option"] = args.option.split(",")
         elif args.option_set:
-            query["option_set"] = [
-                [format_rational(x) for x in v] for v in _parse_set_flag(args.option_set)
-            ]
+            query["option_set"] = _flag_vectors(args.option_set)
+        elif args.command == "arch":
+            query["kind"] = "arch_consistent"
         else:
             raise UsageError("member needs --option or --option-set")
         return query
-    if args.command == "arch":
-        query = {"name": "arch", "target": args.target}
-        if args.option:
-            query["kind"] = "arch_member"
-            query["option"] = [format_rational(x) for x in _parse_vector_flag(args.option)]
-        elif args.option_set:
-            query["kind"] = "arch_member"
-            query["option_set"] = [
-                [format_rational(x) for x in v] for v in _parse_set_flag(args.option_set)
-            ]
-        else:
-            query["kind"] = "arch_consistent"
-        return query
     if args.command == "nml":
         return {"name": "nml", "kind": "nml", "target": args.functional}
-    assert args.command == "choose"
+    # choose
     return {
         "name": "choose",
         "kind": "choose",
         "rule": args.rule,
         "target": args.target,
-        "menu": [[format_rational(x) for x in v] for v in _parse_set_flag(args.menu)],
+        "menu": _flag_vectors(args.menu),
     }
 
 

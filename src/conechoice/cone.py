@@ -27,6 +27,10 @@ rows per class:
   strictly positive on the cone must be nonnegative on those generators
   (forcing it onto the ray of level_1) and strictly positive on the generators
   that are themselves members -- which is exactly where multi-level cones fail.
+
+Mixing reads the same solve for a PosiCone: a separating functional shows
+that a PosiCone of dimension 2 or more is not mixing, and one Lambda_o LP over
+its closed hull (``hull_lambda_o``) turns it into a witness pair.
 """
 
 from __future__ import annotations
@@ -347,7 +351,7 @@ def _separation_rows(
             return LinearF(total)
 
         return strict, nonpos, nonneg, to_functional
-    assert isinstance(cone, LexCone)
+    # LexCone
     first = cone.levels[0].coeffs
     strict = [first] + strict_bg
     nonneg = list(nonneg_bg)
@@ -402,82 +406,101 @@ def is_mixing(cone: DesirCone) -> MixingResult:
     """Is the complement closed under positive linear combinations?
 
     A False answer carries a witness pair u, v outside the cone with u + v
-    inside it.
+    inside it, checked here by membership.  Unknown is left only for a
+    PosiCone of dimension at least 2 that no functional separates.
     """
     if isinstance(cone, LexCone):
         # The complement (lex-nonpositive options) is closed under positive
         # combinations: lexicographic positivity is additive.
         return MixingResult(True)
     if isinstance(cone, OpenDualCone):
-        return _open_dual_mixing(cone)
-    return _posi_mixing(cone)
-
-
-def _open_dual_mixing(cone: OpenDualCone) -> MixingResult:
-    first = cone.pieces[0]
-    offending = next(
-        (p for p in cone.pieces[1:] if not _positively_proportional(first.coeffs, p.coeffs)),
-        None,
-    )
-    if offending is None:
-        # A single half-space: the complement is the closed opposite half-space.
+        first = cone.pieces[0]
+        offending = next(
+            (p for p in cone.pieces[1:] if not _positively_proportional(first.coeffs, p.coeffs)),
+            None,
+        )
+        if offending is None:
+            # A single half-space: the complement is the closed opposite half-space.
+            return MixingResult(True)
+        pair = _open_dual_mixing(cone, first, offending)
+    elif cone.space.dim == 1:
+        # The only coherent cone is the positive ray; its complement is the
+        # nonpositive ray, which is posi-closed.
         return MixingResult(True)
-    # Look for u killed by the first piece, v killed by the other, u+v interior.
+    else:
+        pair = _posi_mixing(cone)
+    if pair is None:
+        return MixingResult(None)
+    u, v = pair
+    lp.verified(
+        not member(cone, u) and not member(cone, v) and member(cone, u + v), "mixing witness"
+    )
+    return MixingResult(False, witness=pair)
+
+
+def _open_dual_mixing(
+    cone: OpenDualCone, first: LinearF, offending: LinearF
+) -> Optional[tuple[Vector, Vector]]:
+    """u killed by the first piece, v by a piece not proportional to it, u + v
+    strictly inside every piece; None when the LP finds no such pair."""
     d = cone.space.dim
-    rows: list[lp.Constraint] = []
 
     def pair_row(u_part: Vector, v_part: Vector) -> Vector:
         return Vector(tuple(u_part.entries) + tuple(v_part.entries))
 
     zero = zero_vector(d)
+    rows: list[lp.Constraint] = []
     rows.append(lp.Constraint(pair_row(first.coeffs, zero), lp.LE, Fraction(0)))
     rows.append(lp.Constraint(pair_row(zero, offending.coeffs), lp.LE, Fraction(0)))
     for piece in cone.pieces:
         rows.append(lp.Constraint(pair_row(piece.coeffs, piece.coeffs), lp.GE, Fraction(1)))
     result = lp.solve(lp.LpProblem(2 * d, tuple(rows)))
     if not isinstance(result, lp.Feasible):
-        return MixingResult(None)
-    u = Vector(result.witness.entries[:d])
-    v = Vector(result.witness.entries[d:])
-    lp.verified(
-        not member(cone, u) and not member(cone, v) and member(cone, u + v), "mixing witness"
-    )
-    return MixingResult(False, witness=(u, v))
+        return None
+    return Vector(result.witness.entries[:d]), Vector(result.witness.entries[d:])
 
 
-def _posi_mixing(cone: PosiCone) -> MixingResult:
-    space = cone.space
-    if space.dim == 1:
-        # The only coherent cone is the positive ray; its complement is the
-        # nonpositive ray, which is posi-closed.
-        return MixingResult(True)
+def _posi_mixing(cone: PosiCone) -> Optional[tuple[Vector, Vector]]:
+    """The non-mixing pair built from a separating functional f, or None without one.
+
+    Take the first i with f_i != 0 (so f_i > 0), another index j and the
+    kernel direction n = f_j e_i - f_i e_j.  The closed hull
+    H = posi(generators plus units) meets ker f only in the nonnegative
+    orthant and n_j < 0, so n is not in H; H is pointed, so
+    lambda_o(n) < 0 is finite.  With delta = -lambda_o(n)/2, u = n + delta u_o
+    is outside H, v = -n is outside the cone (f(v) = 0), and u + v = delta u_o
+    is inside.
+    """
     functional = separation_evidence(cone)
     if isinstance(functional, lp.Infeasible):
-        return MixingResult(None)
-    coeffs = functional.coeffs
+        return None
+    f = functional.coeffs
+    d = f.dim
+    i = next(k for k in range(d) if f[k] != 0)
+    j = 1 if i == 0 else 0
+    n = unit_vector(d, i).scale(f[j]) - unit_vector(d, j).scale(f[i])
+    delta = -hull_lambda_o(cone, n) / 2
+    return n + cone.space.u_o.scale(delta), -n
+
+
+def hull_lambda_o(cone: PosiCone, u: Vector) -> Fraction:
+    """sup{alpha : u - alpha * u_o in posi(generators plus units)}, one LP.
+
+    Under both background orders this is Lambda_o of the cone at u: the sup
+    over the cone equals the sup over its closed hull.
+    """
+    space = cone.space
+    u_o = space.u_o
     hull = list(cone.generators) + background_generators(space)
-    for n in _kernel_candidates(coeffs):
-        # n lies on the functional's kernel; when neither n nor -n is in the
-        # cone's closed hull, pushing u_o far enough along +/-n leaves the cone
-        # while u + v = 2 u_o stays inside.
-        if posi_member(hull, n) or posi_member(hull, -n):
-            continue
-        step = Fraction(1)
-        for _ in range(64):
-            u = space.u_o + n.scale(step)
-            v = space.u_o - n.scale(step)
-            if not member(cone, u) and not member(cone, v):
-                lp.verified(member(cone, u + v), "mixing witness")
-                return MixingResult(False, witness=(u, v))
-            step *= 2
-    return MixingResult(None)
-
-
-def _kernel_candidates(coeffs: Vector):
-    dim = coeffs.dim
-    for i in range(dim):
-        if coeffs[i] == 0:
-            continue
-        for j in range(dim):
-            if j != i:
-                yield unit_vector(dim, i).scale(coeffs[j]) - unit_vector(dim, j).scale(coeffs[i])
+    m = len(hull)
+    n = m + 1  # lambda_1..lambda_m, alpha
+    rows = [
+        lp.Constraint(Vector(tuple(g[i] for g in hull) + (u_o[i],)), lp.EQ, u[i])
+        for i in range(space.dim)
+    ]
+    rows += [lp.Constraint(unit_vector(n, k), lp.GE, Fraction(0)) for k in range(m)]
+    objective = lp.Objective("max", unit_vector(n, m))
+    result = lp.solve(lp.LpProblem(n, tuple(rows), objective))
+    if not isinstance(result, lp.Optimal):
+        raise ValueError("lambda_o undefined: cone is not pointed")
+    return result.value

@@ -74,7 +74,8 @@ def _space(raw: Any) -> OptionSpace:
         background = raw["background"]
     except KeyError as exc:
         raise ModelError(f"space: missing field {exc}") from exc
-    if not isinstance(dim, int) or dim <= 0:
+    # bool is a subclass of int: "dim": true is not a dimension.
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
         raise ModelError("space.dim: expected a positive integer")
     try:
         bg = Background(background)

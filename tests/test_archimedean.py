@@ -132,6 +132,14 @@ def test_lambda_o_refuses_pieces_nonpositive_at_u_o(pw2):
                 lambda_o(cone, vec(1, 0))
 
 
+def test_lambda_o_refuses_a_vector_of_the_wrong_length(pw2, d_interval):
+    # (1, 2, 99) used to be cut to (1, 2) and answer 1; (1,) raised IndexError.
+    for cone in (PosiCone((vec(1, -1),), pw2), d_interval):
+        for u in (vec(1, 2, 99), vec(1)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                lambda_o(cone, u)
+
+
 def test_lambda_o_functional_closed_forms(d_interval, d_half, d_lex):
     f_lex = lambda_o_functional(d_lex)
     assert isinstance(f_lex, LinearF) and f_lex.coeffs == vec(1, 0)

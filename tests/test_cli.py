@@ -169,6 +169,17 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     code, _, err = run(capsys, "member", COIN, "--target", "D_I", "--option", "1,oops")
     assert code == EXIT_USAGE
 
+    # Flag vectors take the model file's parse path: a bad or short entry in
+    # any set is a usage error that names the query field.
+    for argv, field in (
+        (("member", COIN, "--target", "K_hot", "--option-set", "1,-1;1,oops"), "option_set"),
+        (("arch", COIN, "--target", "K_hot", "--option-set", "1,-1;1"), "option_set"),
+        (("choose", COIN, "--rule", "reject", "--target", "K_cred", "--menu", "1,0;0,1/0"), "menu"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert f"bad {field} entry" in err, err
+
     # The parser is built once per process; a usage error leaves it fit for the next call.
     code, records = run_json(capsys, "member", COIN, "--target", "D_I", "--option", "1,-1")
     assert code == EXIT_OK and records["member"]["answer"] is False
@@ -242,6 +253,12 @@ def test_data_errors_exit_65(tmp_path, capsys):
 
     code, _, err = run(capsys, "check", str(tmp_path / "absent.json"))
     assert code == EXIT_DATA
+
+    # JSON true is a Python bool, and bool is a subclass of int.
+    bad.write_text('{"space": {"dim": true, "background": "pointwise", "u_o": ["1"]}}')
+    code, _, err = run(capsys, "check", str(bad))
+    assert code == EXIT_DATA
+    assert "space.dim" in err
 
     # A lottery block embeds into one coordinate per state and non-reference
     # reward, so it needs a state and two rewards.

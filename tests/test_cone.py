@@ -18,6 +18,7 @@ from conechoice.cone import (
     member,
     natural_extension,
     posi_member,
+    separation_evidence,
     verify_inconsistency_combination,
 )
 from conechoice.functional import LinearF, is_positive
@@ -165,6 +166,55 @@ def test_vacuous_cone_is_not_mixing(vacuous):
 def test_one_dimensional_posi_cone_is_mixing():
     line = OptionSpace(dim=1, background=Background.POINTWISE, u_o=vec(1))
     assert is_mixing(PosiCone((), line)).status is True
+
+
+@pytest.mark.parametrize("background", list(Background))
+def test_posi_mixing_agrees_with_the_planar_oracle(background):
+    # A PosiCone that some background-positive functional separates is not
+    # mixing, and its witness is built from that functional; without one the
+    # answer stays Unknown.  The oracles decide separability (the rows of
+    # cone._separation_rows) and membership: posi(G plus units) pointwise;
+    # under strict dominance, as in test_grid_agreement_posi_strict, posi(G)
+    # or no functional nonnegative on G and the units, positive on (1,1), is
+    # nonpositive at v.
+    rng = random.Random(31)
+    units = units_2d()
+    interior = [vec(1, 1)]
+    pointwise = background is Background.POINTWISE
+
+    def oracle_member(gens, v):
+        closed = gens + units
+        if pointwise:
+            return cone2_member(closed, v)
+        return cone2_member(gens, v) or (
+            separation_direction_2d(strict=interior, nonpos=[v], nonneg=closed) is None
+        )
+
+    decided = 0
+    for _ in range(60):
+        space = OptionSpace(2, background, vec(rng.randint(1, 3), rng.randint(1, 3)))
+        gens = []
+        for _ in range(rng.randint(0, 4)):
+            g = vec(rng.randint(-3, 3), rng.randint(-3, 3))
+            if not g.is_zero():
+                gens.append(g)
+        cone = PosiCone(tuple(gens), space)
+        if pointwise:
+            separable = separation_direction_2d(strict=gens + units) is not None
+        else:
+            separable = separation_direction_2d(strict=gens + interior, nonneg=units) is not None
+        assert separable == isinstance(separation_evidence(cone), LinearF), gens
+        result = is_mixing(cone)
+        if not separable:
+            assert result.status is None, gens
+            continue
+        assert result.status is False, gens
+        u, v = result.witness
+        assert not oracle_member(gens, u), (gens, u)
+        assert not oracle_member(gens, v), (gens, v)
+        assert oracle_member(gens, u + v), (gens, u, v)
+        decided += 1
+    assert decided >= 25
 
 
 def _grid():

@@ -554,6 +554,12 @@ def test_broken_invariants_raise_runtime_errors(monkeypatch):
             "mixing witness",
             id="mixing_witness",
         ),
+        pytest.param(
+            "cone.member = lambda c, v: False",
+            "cone.is_mixing(cone.PosiCone((vec(3, -1), vec(-1, 3)), space))",
+            "mixing witness",
+            id="posi_mixing_witness",
+        ),
     ],
 )
 def test_certificate_check_survives_optimize_flag(patch, trigger, what):
