@@ -77,10 +77,10 @@ def _cone_query(model: Model, query: dict, target: cones.DesirCone) -> dict:
     if kind == "arch_consistent":
         return _arch_consistency_record(target)
     if kind == "member":
-        option = _query_vector(query, "option", model.space.dim)
+        option = _cone_option(model, query)
         return {"answer": cones.member(target, option)}
     if kind == "arch_member":
-        option = _query_vector(query, "option", model.space.dim)
+        option = _cone_option(model, query)
         answer = arch.archimedean_closure_member(target, option)
         record: dict[str, Any] = {"answer": answer}
         if not answer:
@@ -89,9 +89,17 @@ def _cone_query(model: Model, query: dict, target: cones.DesirCone) -> dict:
             record["witness"] = _fmt_vector(witness.functional.coeffs)
         return record
     if kind == "lambda_o":
-        option = _query_vector(query, "option", model.space.dim)
+        option = _cone_option(model, query)
         return {"answer": format_rational(arch.lambda_o(target, option))}
     raise UsageError(f"kind {kind!r} does not apply to a cone")
+
+
+def _cone_option(model: Model, query: dict) -> Vector:
+    if "option" not in query and "option_set" in query:
+        raise UsageError(
+            "a cone target takes an 'option' (--option); 'option_set' (--option-set) is for k-models"
+        )
+    return _query_vector(query, "option", model.space.dim)
 
 
 def _k_query(model: Model, query: dict, target: choice.KModel) -> dict:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from typing import Callable, Optional, Sequence, Union
 
 from . import lp
@@ -46,7 +47,6 @@ from .numeric import (
     OptionSpace,
     Vector,
     nullspace_basis,
-    ones,
     rank_of,
     unit_vector,
     zero_vector,
@@ -65,8 +65,18 @@ def background_generators(space: OptionSpace) -> list[Vector]:
     return [unit_vector(space.dim, i) for i in range(space.dim)]
 
 
+class _Cone:
+    """What the three cone classes share: their option-free separation evidence."""
+
+    @cached_property
+    def separation(self) -> Union[LinearF, lp.Infeasible]:
+        """``separation_evidence(self)``: solved and checked on the first read,
+        then kept, since the cone is frozen."""
+        return _solve_separation(self, None)
+
+
 @dataclass(frozen=True)
-class PosiCone:
+class PosiCone(_Cone):
     """A posi-generated set of desirable options.
 
     Under pointwise dominance the semantic set is posi(generators plus unit
@@ -85,7 +95,7 @@ class PosiCone:
 
 
 @dataclass(frozen=True)
-class OpenDualCone:
+class OpenDualCone(_Cone):
     """The open cone {u : piece(u) > 0 for every piece}."""
 
     pieces: tuple[LinearF, ...]
@@ -100,7 +110,7 @@ class OpenDualCone:
 
 
 @dataclass(frozen=True)
-class LexCone:
+class LexCone(_Cone):
     """The cone {u : (level_1(u), ..., level_m(u)) lexicographically > 0}."""
 
     levels: tuple[LinearF, ...]
@@ -165,12 +175,11 @@ def _posi_combination(
         lp.Constraint(Vector(tuple(g[j] for g in generators)), lp.EQ, v[j])
         for j in range(dim)
     ]
-    for k in range(m):
-        rows.append(lp.Constraint(unit_vector(m, k), lp.GE, Fraction(0)))
+    rows += lp.nonneg_rows(m)
     if v.is_zero():
         # Any representation of a nonzero v already has a positive coefficient;
         # for v = 0 the "some lambda_k > 0" clause needs the explicit row.
-        rows.append(lp.Constraint(ones(m), lp.EQ, Fraction(1)))
+        rows.append(lp.sum_to_one_row(m))
     result = lp.solve(lp.LpProblem(m, tuple(rows)))
     if isinstance(result, lp.Feasible):
         return tuple(result.witness.entries)
@@ -198,10 +207,13 @@ def _strict_residual_combination(
             return ((), v)
         return None
     n = m + 1
-    strict = [unit_vector(n, m)] + [
-        Vector(tuple(-g[i] for g in generators) + (v[i],)) for i in range(v.dim)
+    rows = [lp.strict_unit_rows(n)[m]]  # x0 > 0
+    rows += [
+        lp.strict_row(Vector(tuple(-g[i] for g in generators) + (v[i],)))
+        for i in range(v.dim)
     ]
-    result = lp.strict_homogeneous_solve(strict, nonneg=[unit_vector(n, k) for k in range(m)])
+    rows += lp.nonneg_rows(n)[:m]
+    result = lp.strict_homogeneous_solve(rows)
     if isinstance(result, lp.Infeasible):
         return None
     x0 = result.witness[m]
@@ -280,17 +292,19 @@ def natural_extension(
     return cone, ConsistencyReport(consistent=True)
 
 
-def strict_background_rows(space: OptionSpace) -> tuple[list[Vector], list[Vector]]:
-    """Rows forcing a linear functional to be background-positive.
+def strict_background_rows(
+    space: OptionSpace,
+) -> tuple[tuple[lp.Constraint, ...], tuple[lp.Constraint, ...]]:
+    """Rows forcing a linear functional to be background-positive, shared by
+    every space of one dimension and background order.
 
     Returns (strict rows, nonneg rows): pointwise needs every unit strictly
     positive; strict dominance needs nonnegative units plus a strictly positive
     value somewhere in the open orthant (the all-ones option suffices).
     """
-    units = background_generators(space)
     if space.background is Background.POINTWISE:
-        return units, []
-    return [ones(space.dim)], units
+        return lp.strict_unit_rows(space.dim), ()
+    return (lp.strict_sum_row(space.dim),), lp.nonneg_rows(space.dim)
 
 
 def is_coherent(cone: DesirCone) -> bool:
@@ -319,18 +333,24 @@ def _separates(f: LinearF, cone: DesirCone, v: Optional[Vector]) -> bool:
     return is_positive(f, cone.space) and (v is None or f.eval(v) <= 0)
 
 
+def _nonpos_rows(v: Optional[Vector]) -> list[lp.Constraint]:
+    return [] if v is None else [lp.Constraint(v, lp.LE, Fraction(0))]
+
+
 def _separation_rows(
     cone: DesirCone, v: Optional[Vector]
-) -> tuple[list[Vector], list[Vector], list[Vector], Callable[[Vector], LinearF]]:
-    """Rows (strict, nonpos, nonneg) of the separation system plus the map
-    taking an LP witness back to a linear functional on the option space."""
+) -> tuple[list[lp.Constraint], Callable[[Vector], LinearF]]:
+    """The rows of the separation system -- strict rows, then the row of v,
+    then nonneg rows -- plus the map taking an LP witness back to a linear
+    functional on the option space."""
     space = cone.space
     strict_bg, nonneg_bg = strict_background_rows(space)
     if isinstance(cone, PosiCone):
-        strict = list(cone.generators) + strict_bg
-        nonneg = list(nonneg_bg)
-        nonpos = [v] if v is not None else []
-        return strict, nonpos, nonneg, LinearF
+        rows = [lp.strict_row(g) for g in cone.generators]
+        rows += strict_bg
+        rows += _nonpos_rows(v)
+        rows += nonneg_bg
+        return rows, LinearF
     if isinstance(cone, OpenDualCone):
         pieces = cone.pieces
 
@@ -338,11 +358,12 @@ def _separation_rows(
             return Vector(tuple(p.eval(u) for p in pieces))
 
         n = len(pieces)
-        strict = [ones(n)] + [weight_row(s) for s in strict_bg]
-        nonneg = [unit_vector(n, j) for j in range(n)] + [
-            weight_row(w) for w in nonneg_bg
-        ]
-        nonpos = [weight_row(v)] if v is not None else []
+        rows = [lp.strict_sum_row(n)]
+        rows += [lp.strict_row(weight_row(c.coeffs)) for c in strict_bg]
+        if v is not None:
+            rows.append(lp.Constraint(weight_row(v), lp.LE, Fraction(0)))
+        rows += lp.nonneg_rows(n)
+        rows += [lp.Constraint(weight_row(c.coeffs), lp.GE, Fraction(0)) for c in nonneg_bg]
 
         def to_functional(mu: Vector) -> LinearF:
             total = zero_vector(space.dim)
@@ -350,19 +371,18 @@ def _separation_rows(
                 total = total + piece.coeffs.scale(weight)
             return LinearF(total)
 
-        return strict, nonpos, nonneg, to_functional
+        return rows, to_functional
     # LexCone
     first = cone.levels[0].coeffs
-    strict = [first] + strict_bg
+    strict = [lp.strict_row(first), *strict_bg]
     nonneg = list(nonneg_bg)
     for k in nullspace_basis([first]):
         for ray in (k, -k):
             if member(cone, ray):
-                strict.append(ray)
+                strict.append(lp.strict_row(ray))
             else:
-                nonneg.append(ray)
-    nonpos = [v] if v is not None else []
-    return strict, nonpos, nonneg, LinearF
+                nonneg.append(lp.Constraint(ray, lp.GE, Fraction(0)))
+    return strict + _nonpos_rows(v) + nonneg, LinearF
 
 
 def separation_evidence(
@@ -373,10 +393,17 @@ def separation_evidence(
     Returns a background-positive linear functional strictly positive on the
     cone (and nonpositive at v when v is given), re-verified before it is
     returned, or the ``lp.Infeasible`` whose Farkas certificate shows that no
-    such functional exists.
+    such functional exists.  Without v the answer is solved once per cone
+    object and then returned as the same object.
     """
-    strict, nonpos, nonneg, to_functional = _separation_rows(cone, v)
-    result = lp.strict_homogeneous_solve(strict, nonpos, nonneg)
+    if v is None:
+        return cone.separation
+    return _solve_separation(cone, v)
+
+
+def _solve_separation(cone: DesirCone, v: Optional[Vector]) -> Union[LinearF, lp.Infeasible]:
+    rows, to_functional = _separation_rows(cone, v)
+    result = lp.strict_homogeneous_solve(rows)
     if isinstance(result, lp.Infeasible):
         return result
     functional = to_functional(result.witness)
@@ -498,9 +525,14 @@ def hull_lambda_o(cone: PosiCone, u: Vector) -> Fraction:
         lp.Constraint(Vector(tuple(g[i] for g in hull) + (u_o[i],)), lp.EQ, u[i])
         for i in range(space.dim)
     ]
-    rows += [lp.Constraint(unit_vector(n, k), lp.GE, Fraction(0)) for k in range(m)]
-    objective = lp.Objective("max", unit_vector(n, m))
-    result = lp.solve(lp.LpProblem(n, tuple(rows), objective))
+    rows += lp.nonneg_rows(n)[:m]
+    result = lp.solve(lp.LpProblem(n, tuple(rows), _maximize_last(n)))
     if not isinstance(result, lp.Optimal):
         raise ValueError("lambda_o undefined: cone is not pointed")
     return result.value
+
+
+@cache
+def _maximize_last(n: int) -> lp.Objective:
+    """The objective ``max x_n`` over n variables, built once per n."""
+    return lp.Objective("max", unit_vector(n, n - 1))

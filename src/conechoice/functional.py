@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from . import lp
-from .numeric import Background, OptionSpace, Vector, unit_vector
+from .numeric import Background, OptionSpace, Vector
 
 
 @dataclass(frozen=True)
@@ -124,11 +124,8 @@ def dominating_polytope(f: SuperlinF) -> list[LinearF]:
             rows.append(
                 lp.Constraint(Vector(tuple(q[j] for q in others)), lp.EQ, p[j])
             )
-        rows.append(
-            lp.Constraint(Vector((Fraction(1),) * m), lp.EQ, Fraction(1))
-        )
-        for r in range(m):
-            rows.append(lp.Constraint(unit_vector(m, r), lp.GE, Fraction(0)))
+        rows.append(lp.sum_to_one_row(m))
+        rows += lp.nonneg_rows(m)
         in_hull_of_others = isinstance(lp.solve(lp.LpProblem(m, tuple(rows))), lp.Feasible)
         if not in_hull_of_others:
             vertices.append(LinearF(p))

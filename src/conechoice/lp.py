@@ -12,9 +12,12 @@ arithmetic, yet makes the same choice as the rational tableau, so the pivot
 path and all evidence are those of a simplex over Fractions.  Fractions appear
 only where values enter (the constraint data and the objective costs) and
 where they leave (witnesses, optimal values, certificates and rays).  Each
-constraint is scaled to its integer row once (:attr:`Constraint.integer_row`,
-cached on the frozen constraint), and the tableau and the evidence checks
-share it.
+constraint is scaled to its integer row once, when it is built
+(:attr:`Constraint.integer_row`), and the tableau and the evidence checks
+share it.  Rows that depend only on a size -- the sign rows ``x_k >= 0``,
+``sum x = 1`` and the strict unit and sum rows -- are built once per size
+(:func:`nonneg_rows` and its neighbours) and shared by every problem that
+holds them, so a query builds only the rows that hold its own data.
 
 The tableau holds only what the problem needs.  A sign row, one that says
 ``x_j >= 0`` and nothing else, stays out of it and gives x_j one nonnegative
@@ -39,8 +42,9 @@ certificate weighs each integer row by its multiplier over the row's scale, all
 over one common denominator.
 
 Strict inequalities never appear in an ``LpProblem``.  Every strict system
-is decided by one solve of :func:`strict_homogeneous_solve`, which replaces
-each strict row ``row . x > 0`` by ``row . x >= 1`` (valid by homogeneity).
+is decided by one solve of :func:`strict_homogeneous_solve`, whose strict
+rows ``row . x > 0`` are built by :func:`strict_row` as ``row . x >= 1``
+(valid by homogeneity).
 A caller whose system has constants homogenises it first, as in Motzkin's
 transposition theorem: the constants move into a column of one scale variable
 ``x0`` with the strict row ``x0 > 0``, and a solution divided by its ``x0``
@@ -52,12 +56,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache
 from typing import Optional, Sequence, Union
 
-from .numeric import Vector, unit_vector, zero_vector
+from .numeric import Vector, ones, unit_vector, zero_vector
 
 LE = "<="
 EQ = "="
@@ -66,40 +70,46 @@ GE = ">="
 _RELATIONS = (LE, EQ, GE)
 _REVERSED = {LE: GE, EQ: EQ, GE: LE}
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 @dataclass(frozen=True)
 class Constraint:
+    """The row ``coeffs . x REL rhs``.
+
+    Two attributes are derived from it once, when it is built, and stay out
+    of eq, hash and repr:
+
+    * ``sign_row``: ``(j, |a|)`` when the row says only ``x_j >= 0``, else
+      None.  A sign row has one nonzero coefficient ``a`` and rhs 0, and reads
+      ``a x_j >= 0`` with ``a > 0`` or ``a x_j <= 0`` with ``a < 0``.
+    * ``integer_row``: ``(scale, row)``, the coefficients and then the rhs,
+      times ``scale``, the lcm of their denominators, as integers.
+    """
+
     coeffs: Vector
     relation: str
     rhs: Fraction
+    sign_row: Optional[tuple[int, Fraction]] = field(init=False, repr=False, compare=False)
+    integer_row: tuple[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.relation not in _RELATIONS:
             raise ValueError(f"unknown relation {self.relation!r}")
-
-    @cached_property
-    def sign_row(self) -> Optional[tuple[int, Fraction]]:
-        """``(j, |a|)`` when the row says only ``x_j >= 0``, else None.
-
-        A sign row has one nonzero coefficient ``a`` and rhs 0, and reads
-        ``a x_j >= 0`` with ``a > 0`` or ``a x_j <= 0`` with ``a < 0``.
-        """
-        if self.rhs or self.relation == EQ:
-            return None
-        nonzero = [j for j, a in enumerate(self.coeffs.entries) if a]
-        if len(nonzero) != 1:
-            return None
-        a = self.coeffs[nonzero[0]]
-        return (nonzero[0], abs(a)) if (a > 0) == (self.relation == GE) else None
-
-    @cached_property
-    def integer_row(self) -> tuple[int, tuple[int, ...]]:
-        """``(scale, row)``: the coefficients and then the rhs, times ``scale``,
-        the lcm of their denominators, as integers."""
         entries = (*self.coeffs.entries, self.rhs)
         dens = [x.denominator for x in entries]
         scale = math.lcm(*dens)
-        return scale, tuple(x.numerator * (scale // q) for x, q in zip(entries, dens))
+        row = tuple(x.numerator * (scale // q) for x, q in zip(entries, dens))
+        sign_row = None
+        if not self.rhs and self.relation != EQ:
+            nonzero = [j for j, a in enumerate(self.coeffs.entries) if a]
+            if len(nonzero) == 1:
+                a = self.coeffs[nonzero[0]]
+                if (a > 0) == (self.relation == GE):
+                    sign_row = (nonzero[0], abs(a))
+        object.__setattr__(self, "integer_row", (scale, row))
+        object.__setattr__(self, "sign_row", sign_row)
 
 
 @dataclass(frozen=True)
@@ -580,23 +590,46 @@ def solve(problem: LpProblem) -> LpResult:
     return _solve_normalized(problem.normalized())
 
 
-def strict_homogeneous_solve(
-    strict: Sequence[Vector],
-    nonpos: Sequence[Vector] = (),
-    nonneg: Sequence[Vector] = (),
-) -> LpResult:
-    """Decide the system Lambda.s > 0 (strict), Lambda.t <= 0, Lambda.w >= 0.
+def strict_row(s: Vector) -> Constraint:
+    """The strict row ``s . x > 0`` of a homogeneous system, as ``s . x >= 1``.
 
-    Each strict row is replaced by "... >= 1": the system is homogeneous in
-    Lambda and has finitely many rows, so any strict solution scales to a >= 1
-    solution and conversely.  The result is ``Feasible`` with a checked
-    solution or ``Infeasible`` with a checked Farkas certificate.
+    The system is homogeneous in x and has finitely many rows, so any strict
+    solution scales to one with every strict row at least 1, and conversely.
     """
-    dims = {v.dim for v in (*strict, *nonpos, *nonneg)}
-    if len(dims) != 1:
-        raise ValueError("all rows must share one dimension")
-    (dim,) = dims
-    rows = [Constraint(s, GE, Fraction(1)) for s in strict]
-    rows += [Constraint(t, LE, Fraction(0)) for t in nonpos]
-    rows += [Constraint(w, GE, Fraction(0)) for w in nonneg]
-    return solve(LpProblem(dim, tuple(rows)))
+    return Constraint(s, GE, _ONE)
+
+
+@cache
+def nonneg_rows(n: int) -> tuple[Constraint, ...]:
+    """The sign rows ``x_k >= 0`` over n variables, k = 0..n-1, built once per n."""
+    return tuple(Constraint(unit_vector(n, k), GE, _ZERO) for k in range(n))
+
+
+@cache
+def strict_unit_rows(n: int) -> tuple[Constraint, ...]:
+    """The strict rows ``x_k > 0`` over n variables, k = 0..n-1, built once per n."""
+    return tuple(strict_row(unit_vector(n, k)) for k in range(n))
+
+
+@cache
+def strict_sum_row(n: int) -> Constraint:
+    """The strict row ``x_1 + ... + x_n > 0``, built once per n."""
+    return strict_row(ones(n))
+
+
+@cache
+def sum_to_one_row(n: int) -> Constraint:
+    """The row ``x_1 + ... + x_n = 1``, built once per n."""
+    return Constraint(ones(n), EQ, _ONE)
+
+
+def strict_homogeneous_solve(rows: Sequence[Constraint]) -> LpResult:
+    """Decide a homogeneous system: rows ``a.x <= 0``, ``a.x >= 0``, ``a.x = 0``
+    and strict rows built by :func:`strict_row`.
+
+    The result is ``Feasible`` with a checked solution or ``Infeasible`` with
+    a checked Farkas certificate indexing ``rows``.
+    """
+    if not rows:
+        raise ValueError("a homogeneous system needs at least one row")
+    return solve(LpProblem(rows[0].coeffs.dim, tuple(rows)))

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from typing import Sequence, Union
 
 Rational = Fraction
@@ -105,8 +106,19 @@ class Vector:
         return Vector(tuple(factor * a for a in self.entries))
 
     def dot(self, other: "Vector") -> Fraction:
+        """The exact inner product, summed as one integer fraction num / den
+        over the nonzero products; one Fraction is built, at the end."""
         self._check_dim(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries) if a and b), Fraction(0))
+        num, den = 0, 1
+        for a, b in zip(self.entries, other.entries):
+            if a and b:
+                q = a.denominator * b.denominator
+                if q == den:
+                    num += a.numerator * b.numerator
+                else:
+                    num = num * q + a.numerator * b.numerator * den
+                    den *= q
+        return Fraction(num, den)
 
     def sup_norm(self) -> Fraction:
         return max(abs(a) for a in self.entries)
@@ -123,21 +135,25 @@ def vec(*values: RationalLike) -> Vector:
     return Vector(tuple(as_rational(v) for v in values))
 
 
-# Fractions are immutable, so the constant vectors share these two.
+# Vectors are frozen, so each constant vector is built once per argument and
+# shared by every caller.
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+@cache
 def zero_vector(dim: int) -> Vector:
     return Vector((_ZERO,) * dim)
 
 
+@cache
 def unit_vector(dim: int, i: int) -> Vector:
     entries = [_ZERO] * dim
     entries[i] = _ONE
     return Vector(tuple(entries))
 
 
+@cache
 def ones(dim: int) -> Vector:
     return Vector((_ONE,) * dim)
 

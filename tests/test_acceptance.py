@@ -130,10 +130,7 @@ def test_criterion_04_archimedeanity_split_of_the_lexicographic_model():
     assert not archimedean_consistent(lex_form)
     evidence = separation_evidence(lex_form)
     assert isinstance(evidence, lp.Infeasible)
-    strict, nonpos, nonneg, _ = _separation_rows(lex_form, None)
-    rows = [lp.Constraint(s, lp.GE, Fraction(1)) for s in strict]
-    rows += [lp.Constraint(t, lp.LE, Fraction(0)) for t in nonpos]
-    rows += [lp.Constraint(w, lp.GE, Fraction(0)) for w in nonneg]
+    rows, _ = _separation_rows(lex_form, None)
     system = lp.LpProblem(2, tuple(rows))
     assert lp.verify_infeasibility_certificate(system, evidence.certificate)
 

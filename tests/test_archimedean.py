@@ -17,7 +17,7 @@ from conechoice.archimedean import (
 )
 from conechoice.cone import LexCone, OpenDualCone, PosiCone, is_mixing, member, natural_extension
 from conechoice.functional import LinearF, is_positive
-from conechoice.numeric import Background, Vector, vec, zero_vector
+from conechoice.numeric import Background, OptionSpace, Vector, vec, zero_vector
 
 from conftest import expectation
 from oracles import grid_2d, separation_direction_2d
@@ -299,3 +299,57 @@ def test_one_separation_solve_decides_a_non_member(monkeypatch, d_sector, d_inte
     solves.clear()
     assert archimedean_closure_member(d_sector, vec(1, 0))
     assert len(solves) == 2  # the separation system, then consistency
+
+
+def _spy(monkeypatch, owner, name):
+    """Record the first argument of every call of owner.name."""
+    seen = []
+    original = getattr(owner, name)
+
+    def spy(first, *args):
+        seen.append(first)
+        return original(first, *args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return seen
+
+
+def test_consistency_evidence_is_solved_once_per_cone(monkeypatch, d_sector):
+    # CLI check asks a posi cone for mixing and then for Archimedean
+    # consistency; both read the one option-free separation solve.
+    solves = _spy(monkeypatch, lp, "solve")
+    assert is_mixing(d_sector).status is False
+    assert solves
+    solves.clear()
+    assert archimedean_consistent(d_sector)
+    assert solves == []
+    assert separation_evidence(d_sector) is separation_evidence(d_sector)
+
+
+@pytest.mark.parametrize("background", [Background.POINTWISE, Background.STRICT])
+def test_repeat_queries_build_only_the_rows_of_their_data(monkeypatch, background):
+    # Rows that depend only on a size (sign rows, background rows) are built
+    # once and shared, so a repeat query on a cone builds only the rows that
+    # hold its option or the cone's generators.
+    g1, g2 = vec("3/4", "-1/4"), vec("-1/4", "3/4")
+    cone = PosiCone((g1, g2), OptionSpace(2, background, vec(1, 1)))
+    v = vec(-1, 0)
+    if background is Background.POINTWISE:
+        # One LP over the generators plus the unit vectors.
+        columns = [(g1[j], g2[j], Fraction(j == 0), Fraction(j == 1)) for j in range(2)]
+        member_rows = [lp.Constraint(Vector(c), lp.EQ, v[j]) for j, c in enumerate(columns)]
+    else:
+        # The generators alone, then the homogenised strictly positive residual.
+        member_rows = [lp.Constraint(vec(g1[j], g2[j]), lp.EQ, v[j]) for j in range(2)]
+        member_rows += [
+            lp.Constraint(vec(-g1[i], -g2[i], v[i]), lp.GE, Fraction(1)) for i in range(2)
+        ]
+    separation_rows = [lp.Constraint(g, lp.GE, Fraction(1)) for g in (g1, g2)]
+    separation_rows.append(lp.Constraint(v, lp.LE, Fraction(0)))
+    assert not member(cone, vec(-2, 1)) and separate(cone, vec(-2, 1)) is not None
+    built = _spy(monkeypatch, lp.Constraint, "__post_init__")
+    assert not member(cone, v)
+    assert built == member_rows
+    built.clear()
+    assert separate(cone, v) is not None
+    assert built == separation_rows

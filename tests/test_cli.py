@@ -180,6 +180,17 @@ def test_usage_errors_exit_64(tmp_path, capsys):
         assert code == EXIT_USAGE, argv
         assert f"bad {field} entry" in err, err
 
+    # A cone target takes --option; the error says so, not that a field the
+    # user never passed is missing.
+    for argv in (
+        ("arch", COIN, "--target", "D_H", "--option-set", "1,-1"),
+        ("member", COIN, "--target", "D_I", "--option-set", "1,-1;0,1"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert "a cone target takes an 'option' (--option)" in err, err
+        assert "is for k-models" in err, err
+
     # The parser is built once per process; a usage error leaves it fit for the next call.
     code, records = run_json(capsys, "member", COIN, "--target", "D_I", "--option", "1,-1")
     assert code == EXIT_OK and records["member"]["answer"] is False

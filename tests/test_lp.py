@@ -25,6 +25,7 @@ from conechoice.lp import (
     Unbounded,
     solve,
     strict_homogeneous_solve,
+    strict_row,
     verify_infeasibility_certificate,
     verify_ray,
     verify_witness,
@@ -91,8 +92,15 @@ def test_equality_rows_and_free_variables():
     assert result.witness == vec(2, -1)
 
 
+def _homogeneous_rows(strict, nonpos=(), nonneg=()):
+    rows = [strict_row(s) for s in strict]
+    rows += [Constraint(t, LE, Fraction(0)) for t in nonpos]
+    rows += [Constraint(w, GE, Fraction(0)) for w in nonneg]
+    return rows
+
+
 def _strict_witness(strict, nonpos=(), nonneg=()):
-    result = strict_homogeneous_solve(strict, nonpos, nonneg)
+    result = strict_homogeneous_solve(_homogeneous_rows(strict, nonpos, nonneg))
     assert isinstance(result, Feasible)
     w = result.witness
     assert all(w.dot(s) > 0 for s in strict)
@@ -105,7 +113,7 @@ def test_strict_homogeneous_examples():
     _strict_witness(strict=[vec(1, 0), vec(0, 1)], nonpos=[vec(-1, -1)])
 
     strict = [vec(1, 0), vec(-1, 0)]
-    result = strict_homogeneous_solve(strict)
+    result = strict_homogeneous_solve(_homogeneous_rows(strict))
     assert isinstance(result, Infeasible)
     problem = LpProblem(2, tuple(Constraint(s, GE, Fraction(1)) for s in strict))
     assert verify_infeasibility_certificate(problem, result.certificate)
@@ -119,8 +127,43 @@ def test_strict_homogeneous_examples():
     assert w[1] >= 1
     # Is (-1, 1) minus a nonnegative multiple of (1, -1) strictly positive?
     # Every such residual has entries summing to 0, so no.
-    result = strict_homogeneous_solve([vec(0, 1), vec(-1, -1), vec(1, 1)], nonneg=[vec(1, 0)])
+    rows = _homogeneous_rows([vec(0, 1), vec(-1, -1), vec(1, 1)], nonneg=[vec(1, 0)])
+    result = strict_homogeneous_solve(rows)
     assert isinstance(result, Infeasible)
+
+
+def _sign_row_by_definition(c: Constraint):
+    if c.rhs or c.relation == EQ:
+        return None
+    nonzero = [j for j, a in enumerate(c.coeffs.entries) if a]
+    if len(nonzero) != 1:
+        return None
+    a = c.coeffs[nonzero[0]]
+    return (nonzero[0], abs(a)) if (a > 0) == (c.relation == GE) else None
+
+
+def _integer_row_by_definition(c: Constraint):
+    entries = (*c.coeffs.entries, c.rhs)
+    scale = math.lcm(*(x.denominator for x in entries))
+    return scale, tuple(int(x * scale) for x in entries)
+
+
+def test_constraint_rows_follow_their_definition_and_stay_out_of_eq_hash_repr():
+    rng = random.Random(8)
+    sign_rows = 0
+    for _ in range(400):
+        for problem in (_random_problem(rng), _random_signed_problem(rng)):
+            for c in problem.normalized().constraints:
+                assert c.sign_row == _sign_row_by_definition(c)
+                assert c.integer_row == _integer_row_by_definition(c)
+                sign_rows += c.sign_row is not None
+    assert sign_rows > 100
+    c = Constraint(vec(2, 0), GE, Fraction(0))
+    tampered = Constraint(vec(2, 0), GE, Fraction(0))
+    object.__setattr__(tampered, "sign_row", None)
+    object.__setattr__(tampered, "integer_row", (5, (1, 2, 3)))
+    assert c == tampered and hash(c) == hash(tampered) and repr(c) == repr(tampered)
+    assert "sign_row" not in repr(c) and "integer_row" not in repr(c)
 
 
 def _random_bound(rng: random.Random) -> Bound:
@@ -588,7 +631,7 @@ def test_certificate_check_survives_optimize_flag(patch, trigger, what):
 def test_strict_rows_reject_zero_functional():
     # The ">= 1" substitution must not accept the trivial Lambda = 0.
     assert not _strict_witness(strict=[vec(1, 1)]).is_zero()
-    result = strict_homogeneous_solve(strict=[vec(1, 1)], nonpos=[vec(1, 1)])
+    result = strict_homogeneous_solve(_homogeneous_rows(strict=[vec(1, 1)], nonpos=[vec(1, 1)]))
     assert isinstance(result, Infeasible)
 
 

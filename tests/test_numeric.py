@@ -65,6 +65,27 @@ def test_vector_dimension_mismatch():
 
 vectors_2d = st.tuples(rationals, rationals).map(lambda t: vec(*t))
 
+# Zero often, and denominators up to 10^6.
+dot_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+)
+dot_pairs = st.integers(1, 6).flatmap(
+    lambda d: st.tuples(*[st.tuples(dot_entries, dot_entries)] * d)
+)
+
+
+@given(dot_pairs)
+@settings(max_examples=300)
+def test_dot_is_the_exact_sum_of_products(pairs):
+    u = Vector(tuple(a for a, _ in pairs))
+    v = Vector(tuple(b for _, b in pairs))
+    value = u.dot(v)
+    assert isinstance(value, Fraction)
+    assert value == sum((a * b for a, b in pairs), Fraction(0))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        u.dot(Vector(v.entries + (Fraction(1),)))
+
 
 @given(vectors_2d, vectors_2d, rationals)
 @settings(max_examples=50)

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "conechoice"
@@ -15,4 +16,26 @@ def test_no_bare_assert_in_the_engine():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert not found, found
+
+
+def test_the_engine_imports_only_the_standard_library():
+    # The runtime is standard-library only: every import is relative or names
+    # a standard-library module.
+    modules = sorted(SOURCE.glob("*.py"))
+    assert modules
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
     assert not found, found
