@@ -62,7 +62,6 @@ from .choice import (
     km_check,
     maximal,
     reject,
-    to_binary_D,
 )
 from .lottery import DiffOption, HorseLottery, embed_pref, mixture_independence_check, to_vector
 

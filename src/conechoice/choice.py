@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from . import archimedean as arch
 from . import lp
@@ -216,20 +216,10 @@ def archimedean_member(model: AssessmentK, b: OptionSet) -> bool:
     return archimedean_member_evidence(model, b) is None
 
 
-def to_binary_D(model: KModel) -> Callable[[Vector], bool]:
-    """The binary cone extracted from the model: D_K(u) = member(K, {u})."""
-
-    def d_k(u: Vector) -> bool:
-        return member(model, option_set(u))
-
-    return d_k
-
-
 def is_binary(model: AssessmentK) -> bool:
     """Does every assessment set contain an option whose singleton is in the closure?"""
-    d_k = to_binary_D(model)
     return all(
-        any(d_k(u) for u in a.without_zero()) for a in model.assessment
+        any(member(model, option_set(u)) for u in a.without_zero()) for a in model.assessment
     )
 
 

@@ -2,7 +2,9 @@
 
 Exit codes: 0 all queries answered; 2 at least one query hit a precondition
 violation (e.g. an Archimedean query on an inconsistent model); 64 usage
-errors; 65 parse/schema errors in the model file.
+errors; 65 parse/schema errors in the model file.  A reader that closes
+stdout early (``conechoice report coin.json | head -3``) ends the output
+without a traceback, and the exit code is still the one the answers give.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Any, Optional, Sequence
@@ -94,19 +97,32 @@ def _cone_query(model: Model, query: dict, target: cones.DesirCone) -> dict:
     raise UsageError(f"kind {kind!r} does not apply to a cone")
 
 
-def _cone_option(model: Model, query: dict) -> Vector:
-    if "option" not in query and "option_set" in query:
+def _refuse_other_option_field(query: dict, key: str) -> None:
+    """Name the right field when a query gives only the other target kind's:
+    ``option`` is for cones and ``option_set`` for k-models."""
+    fields = {"option": ("cone", "--option"), "option_set": ("k-model", "--option-set")}
+    (other,) = fields.keys() - {key}
+    if key not in query and other in query:
+        (kind, flag), (other_kind, other_flag) = fields[key], fields[other]
         raise UsageError(
-            "a cone target takes an 'option' (--option); 'option_set' (--option-set) is for k-models"
+            f"a {kind} target takes an {key!r} ({flag}); {other!r} ({other_flag}) is for {other_kind}s"
         )
+
+
+def _cone_option(model: Model, query: dict) -> Vector:
+    _refuse_other_option_field(query, "option")
     return _query_vector(query, "option", model.space.dim)
+
+
+def _k_option_set(model: Model, query: dict) -> choice.OptionSet:
+    _refuse_other_option_field(query, "option_set")
+    return choice.OptionSet(tuple(_query_vectors(query, "option_set", model.space.dim)))
 
 
 def _k_query(model: Model, query: dict, target: choice.KModel) -> dict:
     kind = query["kind"]
     if kind == "member":
-        b = choice.OptionSet(tuple(_query_vectors(query, "option_set", model.space.dim)))
-        return {"answer": choice.member(target, b)}
+        return {"answer": choice.member(target, _k_option_set(model, query))}
     if kind == "consistent":
         if not isinstance(target, choice.AssessmentK):
             raise UsageError("consistency queries need an assessment model")
@@ -121,8 +137,7 @@ def _k_query(model: Model, query: dict, target: choice.KModel) -> dict:
     if kind == "arch_member":
         if not isinstance(target, choice.AssessmentK):
             raise UsageError("Archimedean membership queries need an assessment model")
-        b = choice.OptionSet(tuple(_query_vectors(query, "option_set", model.space.dim)))
-        envelope = choice.archimedean_member_evidence(target, b)
+        envelope = choice.archimedean_member_evidence(target, _k_option_set(model, query))
         if envelope is None:
             return {"answer": True}
         return {"answer": False, "witness": _fmt_functional(envelope)}
@@ -298,16 +313,16 @@ def _build_parser() -> _Parser:
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 
     common(sub.add_parser("check", help="coherence/consistency of every named object"))
-    p_member = sub.add_parser("member", help="cone or k-model membership")
-    common(p_member)
-    p_member.add_argument("--target", required=True)
-    p_member.add_argument("--option", help="vector, e.g. \"1,-1\"")
-    p_member.add_argument("--option-set", help="semicolon-separated vectors")
-    p_arch = sub.add_parser("arch", help="Archimedean consistency / closure membership")
-    common(p_arch)
-    p_arch.add_argument("--target", required=True)
-    p_arch.add_argument("--option")
-    p_arch.add_argument("--option-set")
+    for command, about in (
+        ("member", "cone or k-model membership"),
+        ("arch", "Archimedean consistency / closure membership"),
+    ):
+        p_option = sub.add_parser(command, help=about)
+        common(p_option)
+        p_option.add_argument("--target", required=True)
+        options = p_option.add_mutually_exclusive_group()
+        options.add_argument("--option", help="vector, e.g. \"1,-1\"")
+        options.add_argument("--option-set", help="semicolon-separated vectors")
     p_nml = sub.add_parser("nml", help="normalize a functional")
     common(p_nml)
     p_nml.add_argument("--functional", required=True)
@@ -372,7 +387,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    _render(records, getattr(args, "json", False), sys.stdout)
+    try:
+        _render(records, getattr(args, "json", False), sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull, so the
+        # interpreter's final flush of what is left stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return _exit_code(records)
 
 

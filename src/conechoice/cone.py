@@ -213,7 +213,7 @@ def _strict_residual_combination(
         for i in range(v.dim)
     ]
     rows += lp.nonneg_rows(n)[:m]
-    result = lp.strict_homogeneous_solve(rows)
+    result = lp.solve(lp.LpProblem(n, tuple(rows)))
     if isinstance(result, lp.Infeasible):
         return None
     x0 = result.witness[m]
@@ -403,7 +403,8 @@ def separation_evidence(
 
 def _solve_separation(cone: DesirCone, v: Optional[Vector]) -> Union[LinearF, lp.Infeasible]:
     rows, to_functional = _separation_rows(cone, v)
-    result = lp.strict_homogeneous_solve(rows)
+    # Every separation system opens with a strict row.
+    result = lp.solve(lp.LpProblem(rows[0].coeffs.dim, tuple(rows)))
     if isinstance(result, lp.Infeasible):
         return result
     functional = to_functional(result.witness)

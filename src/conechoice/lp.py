@@ -41,15 +41,17 @@ as ``a.X REL b.d`` on its integer row (a sign row as ``X_j >= 0``).  A
 certificate weighs each integer row by its multiplier over the row's scale, all
 over one common denominator.
 
+:func:`solve` is the one entry point, and every problem takes the same path
+through it, a problem without rows included.
+
 Strict inequalities never appear in an ``LpProblem``.  Every strict system
-is decided by one solve of :func:`strict_homogeneous_solve`, whose strict
-rows ``row . x > 0`` are built by :func:`strict_row` as ``row . x >= 1``
-(valid by homogeneity).
-A caller whose system has constants homogenises it first, as in Motzkin's
-transposition theorem: the constants move into a column of one scale variable
-``x0`` with the strict row ``x0 > 0``, and a solution divided by its ``x0``
-solves the original system.  So a strict system answers either with a checked
-solution or with a Farkas certificate.
+is homogeneous and is decided by one :func:`solve`: its strict rows
+``row . x > 0`` are built by :func:`strict_row` as ``row . x >= 1`` (valid
+by homogeneity).  A caller whose system has constants homogenises it first,
+as in Motzkin's transposition theorem: the constants move into a column of
+one scale variable ``x0`` with the strict row ``x0 > 0``, and a solution
+divided by its ``x0`` solves the original system.  So a strict system answers
+either with a checked solution or with a Farkas certificate.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional, Sequence, Union
 
-from .numeric import Vector, ones, unit_vector, zero_vector
+from .numeric import Vector, ones, unit_vector
 
 LE = "<="
 EQ = "="
@@ -294,8 +296,9 @@ class _Tableau:
     scalings are positive, so every sign, ratio and Bland tie-break is the one
     the rational tableau would see, and pivots never build a Fraction.
     Fractions appear only where costs enter, in :meth:`set_objective`, and
-    where values leave: :meth:`value` and the certificate read-out (the
-    basic solution and rays leave as integers over one denominator).
+    where evidence leaves: the optimal value and the certificate read-out,
+    one Fraction per entry (the basic solution and rays leave as integers
+    over one denominator).
     """
 
     def __init__(self, rows: list[list[int]], basis: list[int], n_cols: int):
@@ -328,9 +331,6 @@ class _Tableau:
         g = math.gcd(*obj, scale)
         self.obj = [o // g for o in obj]
         self.obj_scale = scale // g
-
-    def value(self) -> Fraction:
-        return Fraction(self.obj[self.n_cols], self.obj_scale)
 
     def _pivot(self, row_idx: int, col: int) -> None:
         pivot_row = self.rows[row_idx]
@@ -460,7 +460,7 @@ class _StandardForm:
         entering = t.run()
         if entering is not None:
             raise RuntimeError("internal error: phase 1, bounded above by 0, came out unbounded")
-        if t.value() < 0:
+        if t.obj[t.n_cols] < 0:  # the phase-1 optimum, as obj_scale > 0
             return self._certificate()
         # Drive any remaining artificial out of the basis, or drop its row.
         for i in range(len(t.basis) - 1, -1, -1):
@@ -488,22 +488,25 @@ class _StandardForm:
         The first sign row of a signed x_j, oriented as ``-|a| x_j <= 0``, takes
         the reduced cost of column j over ``|a|`` and so cancels it; further
         sign rows of x_j take 0.  Rhs sign flips are undone and ``>=`` rows are
-        oriented as ``<=``.
+        oriented as ``<=``.  Each multiplier is formed as an integer numerator
+        over ``obj_scale`` and leaves as one Fraction.
         """
         t = self.tableau
         certificate = []
         for r in range(len(self.problem.constraints)):
             if r in self.start:
                 col, flip = self.start[r]
-                y = Fraction(t.obj[col], t.obj_scale)
+                y = t.obj[col]
                 if col >= self.art_start:
-                    y -= 1
-                certificate.append(-y if flip else y)
+                    y -= t.obj_scale
+                certificate.append(Fraction(-y if flip else y, t.obj_scale))
             elif r in self.sign_rows:
                 j, a = self.sign_rows[r]
-                certificate.append(Fraction(t.obj[j], t.obj_scale) / a)
+                certificate.append(
+                    Fraction(t.obj[j] * a.denominator, t.obj_scale * a.numerator)
+                )
             else:
-                certificate.append(Fraction(0))
+                certificate.append(_ZERO)
         return tuple(certificate)
 
     def _original(self, values: dict[int, tuple[int, int]]) -> tuple[list[int], int]:
@@ -552,17 +555,9 @@ def _checked_witness(problem: LpProblem, form: _StandardForm) -> Vector:
     return _vector(X, d)
 
 
-def _solve_normalized(problem: LpProblem) -> LpResult:
-    if not problem.constraints:
-        # Nothing constrains x; the origin is feasible.
-        origin = zero_vector(problem.n_vars)
-        if problem.objective is None:
-            return Feasible(origin)
-        if all(c == 0 for c in problem.objective.coeffs):
-            return Optimal(origin, Fraction(0))
-        sign = Fraction(1) if problem.objective.direction == "max" else Fraction(-1)
-        ray = problem.objective.coeffs.scale(sign)
-        return Unbounded(ray=ray, witness=origin)
+def solve(problem: LpProblem) -> LpResult:
+    """Solve exactly; certificates refer to problem.normalized().constraints."""
+    problem = problem.normalized()
     form = _StandardForm(problem)
     certificate = form.phase_one()
     if certificate is not None:
@@ -571,23 +566,18 @@ def _solve_normalized(problem: LpProblem) -> LpResult:
     if problem.objective is None:
         return Feasible(_checked_witness(problem, form))
     cost = _max_cost(problem, form)
-    form.tableau.set_objective(cost)
-    entering = form.tableau.run()
+    t = form.tableau
+    t.set_objective(cost)
+    entering = t.run()
     witness = _checked_witness(problem, form)
     if entering is not None:
         ray = _vector(*form.ray(entering))
         verified(verify_ray(problem, ray), "improving ray")
         return Unbounded(ray=ray, witness=witness)
-    value = form.tableau.value()
-    if problem.objective.direction == "min":
-        value = -value
+    sign = 1 if problem.objective.direction == "max" else -1
+    value = Fraction(sign * t.obj[t.n_cols], t.obj_scale)
     verified(problem.objective.coeffs.dot(witness) == value, "optimal value")
     return Optimal(witness, value)
-
-
-def solve(problem: LpProblem) -> LpResult:
-    """Solve exactly; certificates refer to problem.normalized().constraints."""
-    return _solve_normalized(problem.normalized())
 
 
 def strict_row(s: Vector) -> Constraint:
@@ -595,6 +585,9 @@ def strict_row(s: Vector) -> Constraint:
 
     The system is homogeneous in x and has finitely many rows, so any strict
     solution scales to one with every strict row at least 1, and conversely.
+    The system's rows, ``a.x <= 0``, ``a.x >= 0``, ``a.x = 0`` and these, go
+    to :func:`solve` as one ``LpProblem``, which answers with a checked
+    solution or a checked Farkas certificate indexing them.
     """
     return Constraint(s, GE, _ONE)
 
@@ -621,15 +614,3 @@ def strict_sum_row(n: int) -> Constraint:
 def sum_to_one_row(n: int) -> Constraint:
     """The row ``x_1 + ... + x_n = 1``, built once per n."""
     return Constraint(ones(n), EQ, _ONE)
-
-
-def strict_homogeneous_solve(rows: Sequence[Constraint]) -> LpResult:
-    """Decide a homogeneous system: rows ``a.x <= 0``, ``a.x >= 0``, ``a.x = 0``
-    and strict rows built by :func:`strict_row`.
-
-    The result is ``Feasible`` with a checked solution or ``Infeasible`` with
-    a checked Farkas certificate indexing ``rows``.
-    """
-    if not rows:
-        raise ValueError("a homogeneous system needs at least one row")
-    return solve(LpProblem(rows[0].coeffs.dim, tuple(rows)))

@@ -25,7 +25,6 @@ from conechoice.choice import (
     option_set,
     reject,
     selections,
-    to_binary_D,
 )
 from conechoice.cone import OpenDualCone, PosiCone, is_mixing, member as cone_member, natural_extension, posi_member
 from conechoice.functional import LinearF, is_positive
@@ -130,9 +129,8 @@ def test_archimedean_membership_requires_consistency(pw2):
 
 def test_binary_extraction(k_hot, pw2, d_half):
     assert not is_binary(k_hot)
-    d_k = to_binary_D(BinaryK(d_half))
     for v in (vec(1, 1), vec(1, -1), vec(0, 1), vec(-1, -1)):
-        assert d_k(v) == cone_member(d_half, v)
+        assert member(BinaryK(d_half), option_set(v)) == cone_member(d_half, v)
     singleton = AssessmentK((option_set(vec(1, 1)),), pw2)
     assert is_binary(singleton)
 

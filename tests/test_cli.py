@@ -6,7 +6,17 @@ from pathlib import Path
 
 import pytest
 
-from conechoice.cli import EXIT_DATA, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, main
+from conechoice import lp
+from conechoice.cli import (
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_PRECONDITION,
+    EXIT_USAGE,
+    check_queries,
+    main,
+    run_query,
+)
+from conechoice.model_io import load_model
 
 COIN = str(Path(__file__).resolve().parents[1] / "models" / "coin.json")
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -191,6 +201,30 @@ def test_usage_errors_exit_64(tmp_path, capsys):
         assert "a cone target takes an 'option' (--option)" in err, err
         assert "is for k-models" in err, err
 
+    # A k-model target takes --option-set, from the flags or from a model file.
+    coin = json.loads(Path(COIN).read_text())
+    path = tmp_path / "k_option.json"
+    path.write_text(json.dumps(
+        {**coin, "queries": [{"name": "q", "kind": "member", "target": "K_hot", "option": ["1", "0"]}]}
+    ))
+    for argv in (
+        ("member", COIN, "--target", "K_hot", "--option", "1,0"),
+        ("arch", COIN, "--target", "K_hot", "--option", "1,0"),
+        ("report", str(path)),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert "a k-model target takes an 'option_set' (--option-set)" in err, err
+        assert "'option' (--option) is for cones" in err, err
+
+    # --option and --option-set together are refused, not half read.
+    for command in ("member", "arch"):
+        code, out, err = run(
+            capsys, command, COIN, "--target", "D_I", "--option", "1,0", "--option-set", "1,0"
+        )
+        assert code == EXIT_USAGE, command
+        assert "not allowed with argument" in err and not out, err
+
     # The parser is built once per process; a usage error leaves it fit for the next call.
     code, records = run_json(capsys, "member", COIN, "--target", "D_I", "--option", "1,-1")
     assert code == EXIT_OK and records["member"]["answer"] is False
@@ -221,7 +255,6 @@ def test_usage_errors_exit_64(tmp_path, capsys):
 
     # On the coin model these queries would be answered if a string were read
     # one character at a time, or would crash on an unhashable target.
-    coin = json.loads(Path(COIN).read_text())
     for query, field in (
         ({"kind": "choose", "rule": "eadm", "target": "K_cred", "menu": ["10", "01"]}, "menu"),
         ({"kind": "member", "target": "D_I", "option": "10"}, "option"),
@@ -253,6 +286,41 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout == (GOLDEN / "coin_check.json").read_text()
+
+
+def test_a_closed_stdout_ends_the_output_without_a_traceback():
+    # As in `conechoice report coin.json | head -3`, with the reader gone
+    # before the first write.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "conechoice", "report", COIN],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr, proc.stderr
+    assert proc.returncode == EXIT_OK
+
+
+def test_lp_solves_per_coin_query(monkeypatch):
+    # `check` and then `report` on one loaded model, as the CLI runs them.
+    calls = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda problem: calls.append(problem) or solve(problem))
+    model = load_model(COIN)
+    solves = {}
+    for query in check_queries(model) + model.queries:
+        before = len(calls)
+        run_query(model, query)
+        solves[query["name"]] = len(calls) - before
+    assert {name: solves[name] for name in (
+        "D_H.arch_consistent", "K_hot.is_binary", "hot_membership", "D_sector.mixing"
+    )} == {"D_H.arch_consistent": 1, "K_hot.is_binary": 14, "hot_membership": 10, "D_sector.mixing": 5}
 
 
 def test_data_errors_exit_65(tmp_path, capsys):

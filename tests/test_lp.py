@@ -24,7 +24,6 @@ from conechoice.lp import (
     Optimal,
     Unbounded,
     solve,
-    strict_homogeneous_solve,
     strict_row,
     verify_infeasibility_certificate,
     verify_ray,
@@ -92,15 +91,37 @@ def test_equality_rows_and_free_variables():
     assert result.witness == vec(2, -1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_problems_without_rows_take_the_generic_path(n):
+    # No rows: the origin is feasible, a zero objective is optimal at 0, and
+    # any other objective improves along a checked ray.
+    origin = Vector((Fraction(0),) * n)
+    empty = LpProblem(n, ())
+    result = solve(empty)
+    assert isinstance(result, Feasible) and result.witness == origin
+    assert verify_witness(empty, result.witness)
+    zero = LpProblem(n, (), Objective("max", origin))
+    result = solve(zero)
+    assert isinstance(result, Optimal) and result.value == 0
+    assert verify_witness(zero, result.witness)
+    coeffs = Vector(tuple(Fraction(k - 1, k + 1) for k in range(n)))  # -1, 0, 1/3
+    for direction in ("max", "min"):
+        problem = LpProblem(n, (), Objective(direction, coeffs))
+        result = solve(problem)
+        assert isinstance(result, Unbounded)
+        assert verify_ray(problem, result.ray)
+        assert verify_witness(problem, result.witness)
+
+
 def _homogeneous_rows(strict, nonpos=(), nonneg=()):
     rows = [strict_row(s) for s in strict]
     rows += [Constraint(t, LE, Fraction(0)) for t in nonpos]
     rows += [Constraint(w, GE, Fraction(0)) for w in nonneg]
-    return rows
+    return tuple(rows)
 
 
 def _strict_witness(strict, nonpos=(), nonneg=()):
-    result = strict_homogeneous_solve(_homogeneous_rows(strict, nonpos, nonneg))
+    result = solve(LpProblem(strict[0].dim, _homogeneous_rows(strict, nonpos, nonneg)))
     assert isinstance(result, Feasible)
     w = result.witness
     assert all(w.dot(s) > 0 for s in strict)
@@ -113,7 +134,7 @@ def test_strict_homogeneous_examples():
     _strict_witness(strict=[vec(1, 0), vec(0, 1)], nonpos=[vec(-1, -1)])
 
     strict = [vec(1, 0), vec(-1, 0)]
-    result = strict_homogeneous_solve(_homogeneous_rows(strict))
+    result = solve(LpProblem(2, _homogeneous_rows(strict)))
     assert isinstance(result, Infeasible)
     problem = LpProblem(2, tuple(Constraint(s, GE, Fraction(1)) for s in strict))
     assert verify_infeasibility_certificate(problem, result.certificate)
@@ -128,7 +149,7 @@ def test_strict_homogeneous_examples():
     # Is (-1, 1) minus a nonnegative multiple of (1, -1) strictly positive?
     # Every such residual has entries summing to 0, so no.
     rows = _homogeneous_rows([vec(0, 1), vec(-1, -1), vec(1, 1)], nonneg=[vec(1, 0)])
-    result = strict_homogeneous_solve(rows)
+    result = solve(LpProblem(2, rows))
     assert isinstance(result, Infeasible)
 
 
@@ -631,7 +652,7 @@ def test_certificate_check_survives_optimize_flag(patch, trigger, what):
 def test_strict_rows_reject_zero_functional():
     # The ">= 1" substitution must not accept the trivial Lambda = 0.
     assert not _strict_witness(strict=[vec(1, 1)]).is_zero()
-    result = strict_homogeneous_solve(_homogeneous_rows(strict=[vec(1, 1)], nonpos=[vec(1, 1)]))
+    result = solve(LpProblem(2, _homogeneous_rows(strict=[vec(1, 1)], nonpos=[vec(1, 1)])))
     assert isinstance(result, Infeasible)
 
 
