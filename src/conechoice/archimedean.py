@@ -3,9 +3,11 @@
 Separation always produces a *linear* witness (the superlinear and linear
 separation properties are equivalent; superlinear witnesses are assembled only
 in the choice module, where they are genuinely needed).  Every answer here
-rests on one solve of the separation system, whose rows per cone class are
-built in :mod:`conechoice.cone` (``separation_evidence``), where
-``is_mixing`` also reads it.
+rests on the separation system, whose rows per cone class are built in
+:mod:`conechoice.cone` (``separation_evidence``), where ``is_mixing`` also
+reads it.  Its option-free solve is kept on the cone, and decides every
+option where the kept functional is nonpositive; only the other options get a
+solve of their own.
 """
 
 from __future__ import annotations
@@ -50,20 +52,41 @@ def verify_separation_witness(
 def _excludes(f: LinearF, cone: DesirCone, v: Vector) -> bool:
     """Does f show by substitution, with no LP, that v is not a member?
 
-    For a PosiCone, a background-positive f that is strictly positive on every
-    generator is strictly positive on the whole cone, so ``f(v) <= 0`` puts v
-    outside.  The other classes decide membership by evaluation.
+    For a PosiCone, ``f(v) <= 0`` is the one dot product to check: f was
+    checked where it was made (``cone._separates``) to be background-positive
+    and strictly positive on every generator, hence on every member.  The
+    other classes decide membership by evaluation.
     """
     if isinstance(cone, PosiCone):
-        return _separates(f, cone, v) and all(f.eval(g) > 0 for g in cone.generators)
+        return f.eval(v) <= 0
     return not member(cone, v)
 
 
 def _separation_of(cone: DesirCone, v: Vector) -> Union[LinearF, lp.Infeasible]:
-    """``separation_evidence(cone, v)``, with a functional it finds checked to exclude v."""
+    """The one path to the evidence behind ``separate`` and
+    ``archimedean_closure_member``: a background-positive linear functional
+    strictly positive on the cone and nonpositive at v, or an ``lp.Infeasible``
+    when there is none.
+
+    The cone's kept functional f, ``separation_evidence(cone)``, is read first,
+    and the system for v is solved only when it does not decide v:
+
+    * If the cone has no functional, its ``lp.Infeasible`` is returned.  The
+      system for v is the option-free one plus the row of v, so it is
+      infeasible too.  The certificate's multipliers index the option-free
+      rows, not those of the system for v; no caller reads them.
+    * If ``f(v) <= 0``, f is returned: it is strictly positive on the cone
+      and nonpositive at v.
+    * Otherwise ``separation_evidence(cone, v)`` is solved.
+
+    A functional returned is checked to exclude v (``_excludes``).
+    """
     if v.dim != cone.space.dim:
         raise ValueError("dimension mismatch")
-    evidence = separation_evidence(cone, v)
+    kept = separation_evidence(cone)
+    if isinstance(kept, lp.Infeasible):
+        return kept
+    evidence = kept if kept.eval(v) <= 0 else separation_evidence(cone, v)
     if isinstance(evidence, LinearF):
         lp.verified(_excludes(evidence, cone, v), "member exclusion")
     return evidence
@@ -73,9 +96,11 @@ def separate(cone: DesirCone, v: Vector) -> Optional[SeparationWitness]:
     """A background-positive linear functional strictly positive on the cone
     and nonpositive at v, or None when v is in the Archimedean closure.
 
-    The separation LP is solved first.  A functional it finds also shows that
-    v is no member, so it is returned at once.  Only when there is none is
-    membership decided, to refuse a member with ``ValueError``.
+    The evidence comes from ``_separation_of``: the cone's kept functional
+    when it is nonpositive at v, else one separation solve for v.  A
+    functional also shows that v is no member, so it is returned at once.
+    Only when there is none is membership decided, to refuse a member with
+    ``ValueError``.
     """
     evidence = _separation_of(cone, v)
     if isinstance(evidence, lp.Infeasible):
@@ -99,10 +124,12 @@ def archimedean_consistent(cone: DesirCone) -> bool:
 def archimedean_closure_member(cone: DesirCone, v: Vector) -> bool:
     """Is v in the intersection of all open half-spaces containing the cone?
 
-    The separation LP is solved first, and a functional it finds means False.
-    Only when there is none does the consistency LP run, to tell a closure
-    member (True) from an Archimedean-inconsistent cone (``ValueError``).
-    No membership LP is solved.
+    A functional from ``_separation_of`` means False: the cone's kept
+    functional when it is nonpositive at v, else one separation solve for v.
+    Only when there is none is consistency read (the kept evidence, so no
+    further LP), to tell a closure member (True) from an
+    Archimedean-inconsistent cone (``ValueError``).  No membership LP is
+    solved.
     """
     if isinstance(_separation_of(cone, v), LinearF):
         return False

@@ -31,6 +31,14 @@ rows per class:
 Mixing reads the same solve for a PosiCone: a separating functional shows
 that a PosiCone of dimension 2 or more is not mixing, and one Lambda_o LP over
 its closed hull (``hull_lambda_o``) turns it into a witness pair.
+
+The option-free solve is kept on each cone object (``_Cone.separation``), and
+its functional f is checked strictly positive on the cone where it is made
+(``_separates``: background-positive, and for a PosiCone strictly positive on
+every generator).  So every option v with ``f(v) <= 0`` is a non-member that
+f separates, decided by one dot product: ``archimedean.separate`` and
+``archimedean_closure_member`` read f before they solve anything for v, and
+``member`` reads it for a PosiCone once some query has solved it.
 """
 
 from __future__ import annotations
@@ -73,6 +81,11 @@ class _Cone:
         """``separation_evidence(self)``: solved and checked on the first read,
         then kept, since the cone is frozen."""
         return _solve_separation(self, None)
+
+    def solved_separation(self) -> Union[LinearF, lp.Infeasible, None]:
+        """The kept ``separation`` if some query has solved it, else None.
+        Never solves."""
+        return self.__dict__.get("separation")
 
 
 @dataclass(frozen=True)
@@ -239,13 +252,21 @@ def lex_sign(values: Sequence[Fraction]) -> int:
 
 
 def member(cone: DesirCone, v: Vector) -> bool:
-    """Exact semantic membership per representation."""
+    """Exact semantic membership per representation.
+
+    A PosiCone first reads its kept separating functional f, if a query has
+    already solved it (member never solves it): ``f(v) <= 0`` answers False
+    with no LP, since f is strictly positive on every member (``_separates``).
+    """
     if v.dim != cone.space.dim:
         raise ValueError("dimension mismatch")
     if isinstance(cone, OpenDualCone):
         return all(p.eval(v) > 0 for p in cone.pieces)
     if isinstance(cone, LexCone):
         return lex_sign([level.eval(v) for level in cone.levels]) > 0
+    kept = cone.solved_separation()
+    if isinstance(kept, LinearF) and kept.eval(v) <= 0:
+        return False
     return _membership_combination(cone, v) is not None
 
 
@@ -330,7 +351,22 @@ def is_coherent(cone: DesirCone) -> bool:
 
 
 def _separates(f: LinearF, cone: DesirCone, v: Optional[Vector]) -> bool:
-    return is_positive(f, cone.space) and (v is None or f.eval(v) <= 0)
+    """Is f background-positive, strictly positive on every generator of a
+    PosiCone, and nonpositive at v when v is given?  Checked by substitution.
+
+    For a PosiCone this puts f strictly positive on every member, so that
+    ``f(v) <= 0`` alone excludes v.  Under pointwise dominance a member is a
+    nonzero nonnegative combination of generators and unit vectors, and
+    ``f(e_i) > 0``.  Under strict dominance it is a nonzero nonnegative
+    combination of generators, plus possibly a strictly positive option, or a
+    strictly positive option alone; f is nonnegative and nonzero, so it is
+    strictly positive on a strictly positive option.
+    """
+    if not is_positive(f, cone.space):
+        return False
+    if isinstance(cone, PosiCone) and not all(f.eval(g) > 0 for g in cone.generators):
+        return False
+    return v is None or f.eval(v) <= 0
 
 
 def _nonpos_rows(v: Optional[Vector]) -> list[lp.Constraint]:

@@ -238,17 +238,21 @@ def verify_infeasibility_certificate(
     certificate has nonnegative multipliers on inequality rows and combines the
     rows into the contradiction 0 <= negative, i.e. 0 >= positive.
 
-    The combination is formed in integers: multiplier ``y`` of a row with
-    integer form ``scale * (a, b)`` weighs that form by ``y / scale``, and all
-    weights are brought over one common denominator.  A sign row, oriented as
-    ``-|a| x_j <= 0``, adds ``-y |a|`` to entry j alone.
+    The combination is formed in integers: multiplier ``y = p / q`` of a row
+    with integer form ``scale * (a, b)`` weighs that form by the integer ``p``
+    over ``q * scale``, and all weights are brought over one common
+    denominator.  A sign row, oriented as ``-|a| x_j <= 0``, adds ``-y |a|``
+    to entry j alone.  The weights need not be in lowest terms: the test
+    reads only zeros and a sign, which a positive common factor keeps.
     """
     constraints = problem.normalized().constraints
     if len(certificate) != len(constraints):
         return False
     n = problem.n_vars
-    weighted: list[tuple[Fraction, Sequence[int]]] = []
-    signs: list[tuple[Fraction, int]] = []
+    # (numerator, denominator, row) of each weighted row.
+    weighted: list[tuple[int, int, Sequence[int]]] = []
+    # (numerator, denominator, j) of each sign row.
+    signs: list[tuple[int, int, int]] = []
     for mult, c in zip(certificate, constraints):
         if c.relation != EQ and mult < 0:
             return False
@@ -256,21 +260,21 @@ def verify_infeasibility_certificate(
             continue
         if c.sign_row is not None:
             j, a = c.sign_row
-            signs.append((mult * a, j))
+            signs.append((mult.numerator * a.numerator, mult.denominator * a.denominator, j))
             continue
         scale, row = c.integer_row
-        w = Fraction(mult, scale)
         # The multiplier of a ">=" row applies to the row negated into "<=".
-        weighted.append((-w if c.relation == GE else w, row))
-    d = math.lcm(*(w.denominator for w, _ in weighted), *(w.denominator for w, _ in signs))
+        p = -mult.numerator if c.relation == GE else mult.numerator
+        weighted.append((p, mult.denominator * scale, row))
+    d = math.lcm(*(q for _, q, _ in weighted), *(q for _, q, _ in signs))
     combo = [0] * (n + 1)
-    for w, row in weighted:
-        k = w.numerator * (d // w.denominator)
+    for p, q, row in weighted:
+        k = p * (d // q)
         for j, a in enumerate(row):
             if a:
                 combo[j] += k * a
-    for w, j in signs:
-        combo[j] -= w.numerator * (d // w.denominator)
+    for p, q, j in signs:
+        combo[j] -= p * (d // q)
     return not any(combo[:n]) and combo[n] < 0
 
 
