@@ -10,6 +10,19 @@ many selection extensions are exactly the minimal witnesses.)
 
 Selection enumeration is exponential in the number of assessment sets; beyond
 ``SELECTION_CAP`` (10**6) selections it raises ``ValueError``.
+
+Each selection's natural extension is kept on its model object, in one
+``_Extension`` record built on first need: the extension cone, made with no
+solve, and its consistency, solved through ``natural_extension`` only when a
+query needs it.  So ``member``, ``consistent``, ``is_binary`` and ``reject``
+solve each selection's consistency at most once per model object, and the
+Archimedean queries read the one cone per selection that keeps its separating
+functional (``cone._Cone.separation``).  What a query can decide before any
+LP it decides there: a selection that picks an option of B has an extension
+meeting B (the option is a generator, coefficient 1), and a
+background-positive option is a member of every extension
+(``cone.member``).  A selection known to be inconsistent is skipped by the
+Archimedean queries: no functional is strictly positive on a set holding 0.
 """
 
 from __future__ import annotations
@@ -17,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Optional, Sequence, Union
 
@@ -84,6 +98,39 @@ class AssessmentK:
                 if v.dim != self.space.dim:
                     raise ValueError("assessment option has wrong dimension")
 
+    @cached_property
+    def _extensions(self) -> list[_Extension]:
+        """The selections' records built so far, in ``selections`` order;
+        ``_extensions_of`` extends it.  Kept, since the model is frozen."""
+        return []
+
+
+@dataclass
+class _Extension:
+    """One selection's natural extension: its cone, made with no solve, and
+    its consistency once some query has needed it (None until then)."""
+
+    cone: PosiCone
+    consistent: Optional[bool] = None
+
+    def is_consistent(self) -> bool:
+        """Does the extension exclude 0?  Solved through ``natural_extension``
+        on the first call, then kept."""
+        if self.consistent is None:
+            _, report = natural_extension(list(self.cone.generators), self.cone.space)
+            self.consistent = report.consistent
+        return self.consistent
+
+
+def _extensions_of(model: AssessmentK) -> Iterator[_Extension]:
+    """The record of each selection, in ``selections`` order, each built on
+    first need and then kept on the model."""
+    kept = model._extensions
+    for i, selection in enumerate(selections(model)):
+        if i == len(kept):
+            kept.append(_Extension(PosiCone(selection, model.space)))
+        yield kept[i]
+
 
 @dataclass(frozen=True)
 class CredalK:
@@ -135,7 +182,14 @@ def selections(model: AssessmentK) -> Iterator[tuple[Vector, ...]]:
 
 
 def member(model: KModel, b: OptionSet) -> bool:
-    """Is B in the model's semantic set (for AssessmentK: in the closure)?"""
+    """Is B in the model's semantic set (for AssessmentK: in the closure)?
+
+    For an AssessmentK, a selection refutes B when its extension is
+    consistent and meets no option of B.  A selection that picks an option of
+    B meets it with no LP; otherwise its kept consistency is read (solved on
+    first need), then ``cone.member`` decides each option, answering a
+    background-positive one with no LP.
+    """
     options = b.without_zero()
     if not options:
         return False
@@ -143,26 +197,33 @@ def member(model: KModel, b: OptionSet) -> bool:
         return all(any(f.eval(u) > 0 for u in options) for f in model.functionals)
     if isinstance(model, BinaryK):
         return any(cone_member(model.cone, u) for u in options)
-    for selection in selections(model):
-        extension, report = natural_extension(list(selection), model.space)
-        if report.consistent and not any(cone_member(extension, u) for u in options):
+    for extension in _extensions_of(model):
+        cone = extension.cone
+        if any(u in cone.generators for u in options):
+            continue
+        if extension.is_consistent() and not any(cone_member(cone, u) for u in options):
             return False
     return True
 
 
 def consistent(model: AssessmentK) -> bool:
     """Does some selection have a consistent natural extension?"""
-    for selection in selections(model):
-        _, report = natural_extension(list(selection), model.space)
-        if report.consistent:
-            return True
-    return False
+    return any(extension.is_consistent() for extension in _extensions_of(model))
+
+
+def _archimedean_candidates(model: AssessmentK) -> Iterator[PosiCone]:
+    """Each selection's kept cone, skipping a selection known to be
+    inconsistent: no functional is strictly positive on a set holding 0.
+    No consistency is solved here."""
+    for extension in _extensions_of(model):
+        if extension.consistent is not False:
+            yield extension.cone
 
 
 def archimedean_consistency_witness(model: AssessmentK) -> Optional[LinearF]:
     """A background-positive functional strictly positive on some selection."""
-    for selection in selections(model):
-        witness = arch.archimedean_consistency_witness(PosiCone(selection, model.space))
+    for cone in _archimedean_candidates(model):
+        witness = arch.archimedean_consistency_witness(cone)
         if witness is not None:
             return witness
     return None
@@ -176,6 +237,10 @@ def archimedean_member_evidence(model: AssessmentK, b: OptionSet) -> Optional[Su
     """None when B is in the Archimedean closure; otherwise an excluding
     min-envelope, assembled from one per-option linear witness each strictly
     positive on a common selection, and re-verified before being returned.
+
+    Each per-option witness comes from ``archimedean._separation_of`` on the
+    selection's kept cone, which reads the cone's kept separating functional
+    before it solves a system for the option.
 
     Soundness: the envelope is background-positive, strictly positive on the
     picked option of every assessment set (hence the model lies inside its
@@ -192,11 +257,10 @@ def archimedean_member_evidence(model: AssessmentK, b: OptionSet) -> Optional[Su
         # Nothing desirable can be asserted through B; excluded by every
         # background-positive functional.
         return SuperlinF((witness,))
-    for selection in selections(model):
-        cone = PosiCone(selection, model.space)
+    for cone in _archimedean_candidates(model):
         per_option: list[LinearF] = []
         for v in options:
-            evidence = arch.separation_evidence(cone, v)
+            evidence = arch._separation_of(cone, v)
             if isinstance(evidence, lp.Infeasible):
                 break
             per_option.append(evidence)
@@ -204,7 +268,7 @@ def archimedean_member_evidence(model: AssessmentK, b: OptionSet) -> Optional[Su
             envelope = SuperlinF(tuple(per_option))
             lp.verified(
                 is_positive(envelope, model.space)
-                and all(envelope.eval(u) > 0 for u in selection)
+                and all(envelope.eval(u) > 0 for u in cone.generators)
                 and all(envelope.eval(v) <= 0 for v in options),
                 "excluding envelope",
             )

@@ -38,7 +38,9 @@ its functional f is checked strictly positive on the cone where it is made
 every generator).  So every option v with ``f(v) <= 0`` is a non-member that
 f separates, decided by one dot product: ``archimedean.separate`` and
 ``archimedean_closure_member`` read f before they solve anything for v, and
-``member`` reads it for a PosiCone once some query has solved it.
+``member`` reads it for a PosiCone once some query has solved it.  ``member``
+answers a background-positive option of a PosiCone with no LP at all: the
+semantic set holds the background cone by construction.
 """
 
 from __future__ import annotations
@@ -254,9 +256,17 @@ def lex_sign(values: Sequence[Fraction]) -> int:
 def member(cone: DesirCone, v: Vector) -> bool:
     """Exact semantic membership per representation.
 
-    A PosiCone first reads its kept separating functional f, if a query has
-    already solved it (member never solves it): ``f(v) <= 0`` answers False
-    with no LP, since f is strictly positive on every member (``_separates``).
+    A PosiCone answers two kinds of option with no LP:
+
+    * A background-positive v is a member.  Under pointwise dominance
+      ``v = sum_i v_i e_i`` with every ``v_i >= 0`` and some ``v_i > 0``, a
+      nonzero nonnegative combination of the unit vectors, which the
+      semantic set folds in.  Under strict dominance v lies in the open
+      orthant, which is part of the semantic set.  Neither needs the
+      generators, so this holds for an incoherent cone too.
+    * If a query has already solved the cone's kept separating functional f
+      (member never solves it), ``f(v) <= 0`` answers False, since f is
+      strictly positive on every member (``_separates``).
     """
     if v.dim != cone.space.dim:
         raise ValueError("dimension mismatch")
@@ -264,6 +274,8 @@ def member(cone: DesirCone, v: Vector) -> bool:
         return all(p.eval(v) > 0 for p in cone.pieces)
     if isinstance(cone, LexCone):
         return lex_sign([level.eval(v) for level in cone.levels]) > 0
+    if cone.space.background_strictly_positive(v):
+        return True
     kept = cone.solved_separation()
     if isinstance(kept, LinearF) and kept.eval(v) <= 0:
         return False

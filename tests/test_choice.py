@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -28,9 +29,9 @@ from conechoice.choice import (
 )
 from conechoice.cone import OpenDualCone, PosiCone, is_mixing, member as cone_member, natural_extension, posi_member
 from conechoice.functional import LinearF, is_positive
-from conechoice.numeric import vec, zero_vector
+from conechoice.numeric import Background, OptionSpace, vec, zero_vector
 
-from conftest import expectation, rand_vector
+from conftest import expectation, rand_positive_vector, rand_vector
 from oracles import cone2_member, separation_direction_2d, units_2d
 
 
@@ -275,6 +276,29 @@ def _k2_saturation_probes(assessment_sets, pool):
     return derived
 
 
+def _oracle_consistent_2d(selection) -> bool:
+    """Pointwise, in the plane: does the selection's extension exclude 0?
+
+    By Gordan's alternative, 0 is a nontrivial nonnegative combination of the
+    generators exactly when no direction is strictly positive on all of them.
+    (Pairwise Carathéodory does not apply to 0: three generators with no
+    antiparallel pair can still combine to 0.)
+    """
+    return separation_direction_2d(list(selection) + units_2d()) is not None
+
+
+def _oracle_member_2d(pruned, options) -> bool:
+    """Pointwise, in the plane: is the option set in the closure, by the
+    product of selections and the planar oracles?"""
+    if not options:
+        return False
+    for selection in product(*pruned):
+        gens = list(selection) + units_2d()
+        if _oracle_consistent_2d(selection) and not any(cone2_member(gens, v) for v in options):
+            return False
+    return True
+
+
 def test_selection_reduction_against_independent_oracle(pw2):
     rng = random.Random(91)
     units = units_2d()
@@ -293,34 +317,13 @@ def test_selection_reduction_against_independent_oracle(pw2):
             continue
         model = AssessmentK(sets, pw2)
         pruned = [a.without_zero() for a in sets]
-
-        # By Gordan's alternative, 0 is a nontrivial nonnegative combination
-        # of the generators exactly when no direction is strictly positive on
-        # all of them.  (Pairwise Carathéodory does not apply to 0: three
-        # generators with no antiparallel pair can still combine to 0.)
-        def selection_consistent(gens):
-            return separation_direction_2d(gens) is not None
-
-        def oracle_member(options):
-            for selection in product(*pruned):
-                gens = list(selection) + units
-                if not selection_consistent(gens):
-                    continue  # inconsistent selection
-                if not any(cone2_member(gens, v) for v in options):
-                    return False
-            return True
-
-        oracle_consistent = any(
-            selection_consistent(list(s) + units) for s in product(*pruned)
-        )
+        oracle_consistent = any(_oracle_consistent_2d(s) for s in product(*pruned))
         assert consistent(model) == oracle_consistent
         for _ in range(4):
             b = OptionSet(
                 tuple(vec(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(1, 3)))
             )
-            options = b.without_zero()
-            expected = bool(options) and oracle_member(options)
-            assert member(model, b) == expected
+            assert member(model, b) == _oracle_member_2d(pruned, b.without_zero())
         if oracle_consistent:
             pool = [v for a in pruned for v in a] + units
             probes = list(dict.fromkeys(_k2_saturation_probes(pruned, pool)))
@@ -371,3 +374,125 @@ def test_archimedean_membership_against_separation_oracle(pw2):
             assert archimedean_member(model, b) == (not excluded)
             checked += 1
     assert checked >= 40
+
+
+def _random_assessment(rng: random.Random) -> AssessmentK:
+    """A random assessment model on a random background in dimension 2 or 3.
+
+    Some sets are all zero (no selection at all), and some pick -g for an
+    option g of an earlier set, so that some selections are inconsistent.
+    """
+    d = rng.randint(2, 3)
+    space = OptionSpace(d, rng.choice(list(Background)), rand_positive_vector(rng, d, 2))
+    sets: list[OptionSet] = []
+    for _ in range(rng.randint(1, 3)):
+        options = [rand_vector(rng, d, 2) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.2:
+            options.append(zero_vector(d))
+        if sets and rng.random() < 0.3:
+            options.append(-rng.choice(sets[-1].without_zero() or (vec(*[1] * d),)))
+        sets.append(OptionSet(tuple(options)))
+    if rng.random() < 0.1:
+        sets.append(option_set(zero_vector(d)))
+    return AssessmentK(tuple(sets), space)
+
+
+def _ask(model: AssessmentK, query) -> object:
+    """One query's answer, with a ValueError read as its message."""
+    kind, arg = query
+    try:
+        if kind == "member":
+            return member(model, arg)
+        if kind == "consistent":
+            return consistent(model)
+        if kind == "is_binary":
+            return is_binary(model)
+        if kind == "reject":
+            return reject(model, arg)
+        if kind == "arch_witness":
+            return choice.archimedean_consistency_witness(model)
+        return archimedean_member_evidence(model, arg)
+    except ValueError as error:
+        return ("ValueError", str(error))
+
+
+def test_kept_extensions_answer_as_a_fresh_model(monkeypatch):
+    # One model object answers every query, in a shuffled order, as a fresh
+    # object does, errors included, and solves each selection's natural
+    # extension at most once; pointwise in the plane the answers match the
+    # product-of-selections oracle.
+    rng = random.Random(41)
+    extended = []
+    natural = choice.natural_extension
+
+    def spy(assessment, space):
+        extended.append(tuple(assessment))
+        return natural(assessment, space)
+
+    monkeypatch.setattr(choice, "natural_extension", spy)
+    for _ in range(70):
+        warm = _random_assessment(rng)
+        d = warm.space.dim
+
+        def option_set_of(size):
+            return OptionSet(tuple(rand_vector(rng, d, 2) for _ in range(size)))
+
+        queries = [("consistent", None), ("is_binary", None), ("arch_witness", None)]
+        queries += [("member", option_set_of(rng.randint(1, 3))) for _ in range(3)]
+        queries += [("member", OptionSet(warm.assessment[0].options[:1]))]
+        queries += [("reject", option_set_of(rng.randint(1, 3))) for _ in range(2)]
+        queries += [("arch_member", option_set_of(rng.randint(1, 2))) for _ in range(2)]
+        queries += [("arch_member", option_set(zero_vector(d)))]
+        rng.shuffle(queries)
+        extended.clear()
+        answers = {}
+        for query in queries:
+            answers[query] = _ask(warm, query)
+        assert max(Counter(extended).values(), default=0) <= 1, warm
+        for query in queries:
+            extended.clear()
+            assert _ask(AssessmentK(warm.assessment, warm.space), query) == answers[query], (
+                warm, query
+            )
+            assert max(Counter(extended).values(), default=0) <= 1, warm
+        witness = answers[("arch_witness", None)]
+        if witness is not None:
+            assert is_positive(witness, warm.space)
+            assert any(
+                all(witness.eval(u) > 0 for u in s) for s in selections(warm)
+            ), warm
+        if d != 2 or warm.space.background is not Background.POINTWISE:
+            continue
+        pruned = [a.without_zero() for a in warm.assessment]
+        oracle_consistent = any(_oracle_consistent_2d(s) for s in product(*pruned))
+        for query, answer in answers.items():
+            kind, arg = query
+            if kind == "member":
+                assert answer == _oracle_member_2d(pruned, arg.without_zero()), (warm, arg)
+            elif kind == "consistent":
+                assert answer == oracle_consistent, warm
+            elif kind == "is_binary":
+                assert answer == all(
+                    any(_oracle_member_2d(pruned, (u,)) for u in a) for a in pruned
+                ), warm
+            elif kind == "reject":
+                assert answer == OptionSet(
+                    tuple(
+                        u for u in arg
+                        if _oracle_member_2d(pruned, displaced(arg, u).without_zero())
+                    )
+                ), (warm, arg)
+            elif kind == "arch_witness":
+                assert (answer is not None) == oracle_consistent, warm
+            elif not oracle_consistent:
+                assert answer[0] == "ValueError", warm
+            else:
+                options = arg.without_zero()
+                excluded = not options or any(
+                    all(
+                        separation_direction_2d(list(s) + units_2d(), nonpos=[v]) is not None
+                        for v in options
+                    )
+                    for s in product(*pruned)
+                )
+                assert (answer is not None) == excluded, (warm, arg)

@@ -320,7 +320,7 @@ def test_lp_solves_per_coin_query(monkeypatch):
         solves[query["name"]] = len(calls) - before
     assert {name: solves[name] for name in (
         "D_H.arch_consistent", "K_hot.is_binary", "hot_membership", "D_sector.mixing"
-    )} == {"D_H.arch_consistent": 1, "K_hot.is_binary": 14, "hot_membership": 10, "D_sector.mixing": 4}
+    )} == {"D_H.arch_consistent": 1, "K_hot.is_binary": 4, "hot_membership": 0, "D_sector.mixing": 3}
 
 
 def test_data_errors_exit_65(tmp_path, capsys):

@@ -10,6 +10,7 @@ from conechoice.cone import (
     LexCone,
     OpenDualCone,
     PosiCone,
+    _membership_combination,
     background_generators,
     interior_member,
     is_coherent,
@@ -24,7 +25,7 @@ from conechoice.cone import (
 from conechoice.functional import LinearF, is_positive
 from conechoice.numeric import Background, OptionSpace, Vector, vec, zero_vector
 
-from conftest import expectation, rand_fraction, rand_vector
+from conftest import expectation, rand_fraction, rand_positive_vector, rand_vector
 from oracles import cone2_member, grid_2d, separation_direction_2d, units_2d
 
 
@@ -284,6 +285,53 @@ def test_grid_agreement_posi_strict(st2):
                 separation_direction_2d(strict=interior, nonpos=[v], nonneg=closed) is None
             )
             assert member(cone, v) == expected, (gens, v)
+
+
+def _background_positive(rng: random.Random, space: OptionSpace) -> Vector:
+    """A random option that is strictly positive in the space's background order."""
+    d = space.dim
+    if space.background is Background.STRICT:
+        return rand_positive_vector(rng, d, 3)
+    entries = [max(Fraction(0), rand_fraction(rng, 3)) for _ in range(d)]
+    entries[rng.randrange(d)] = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+    return Vector(tuple(entries))
+
+
+def test_background_positive_options_are_members_with_no_lp(monkeypatch):
+    # Every background-positive option is a member of every PosiCone, even an
+    # incoherent one, with no LP; the LP path reaches each such option too,
+    # by a combination that substitution confirms.
+    rng = random.Random(31)
+    solves = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda problem: solves.append(problem) or solve(problem))
+    for _ in range(120):
+        d = rng.randint(1, 4)
+        space = OptionSpace(d, rng.choice(list(Background)), rand_positive_vector(rng, d, 2))
+        generators = [rand_vector(rng, d, 2) for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.25:
+            generators.append(zero_vector(d))
+        if generators and rng.random() < 0.25:
+            generators.append(-rng.choice(generators))
+        cone = PosiCone(tuple(generators), space)
+        for v in [_background_positive(rng, space) for _ in range(4)] + [space.u_o]:
+            assert space.background_strictly_positive(v)
+            solves.clear()
+            assert member(cone, v), (cone, v)
+            assert solves == []
+            combination = _membership_combination(cone, v)
+            assert combination is not None, (cone, v)
+            total = zero_vector(d)
+            for vector, coeff in combination:
+                assert coeff > 0
+                reachable = vector in cone.generators or (
+                    vector in background_generators(space)
+                    if space.background is Background.POINTWISE
+                    else coeff == 1 and interior_member(space, vector)
+                )
+                assert reachable, (cone, v, vector)
+                total = total + vector.scale(coeff)
+            assert total == v, (cone, v)
 
 
 def test_closure_is_extensive_and_monotone(pw2):
