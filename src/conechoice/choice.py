@@ -21,8 +21,10 @@ functional (``cone._Cone.separation``).  What a query can decide before any
 LP it decides there: a selection that picks an option of B has an extension
 meeting B (the option is a generator, coefficient 1), and a
 background-positive option is a member of every extension
-(``cone.member``).  A selection known to be inconsistent is skipped by the
-Archimedean queries: no functional is strictly positive on a set holding 0.
+(``cone.member``), so ``member`` passes every selection for it without
+solving the selection's consistency.  A selection known to be inconsistent
+is skipped by the Archimedean queries: no functional is strictly positive on
+a set holding 0.
 """
 
 from __future__ import annotations
@@ -186,9 +188,9 @@ def member(model: KModel, b: OptionSet) -> bool:
 
     For an AssessmentK, a selection refutes B when its extension is
     consistent and meets no option of B.  A selection that picks an option of
-    B meets it with no LP; otherwise its kept consistency is read (solved on
-    first need), then ``cone.member`` decides each option, answering a
-    background-positive one with no LP.
+    B meets it with no LP, and so does every selection when an option of B is
+    background-positive; otherwise its kept consistency is read (solved on
+    first need), then ``cone.member`` decides each option.
     """
     options = b.without_zero()
     if not options:
@@ -197,9 +199,11 @@ def member(model: KModel, b: OptionSet) -> bool:
         return all(any(f.eval(u) > 0 for u in options) for f in model.functionals)
     if isinstance(model, BinaryK):
         return any(cone_member(model.cone, u) for u in options)
+    # A background-positive option is a member of every extension.
+    positive = any(model.space.background_strictly_positive(u) for u in options)
     for extension in _extensions_of(model):
         cone = extension.cone
-        if any(u in cone.generators for u in options):
+        if positive or any(u in cone.generators for u in options):
             continue
         if extension.is_consistent() and not any(cone_member(cone, u) for u in options):
             return False

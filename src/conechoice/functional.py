@@ -151,11 +151,19 @@ def nml(f: Functional, u_o: Vector) -> Functional:
     "a < piece(u)/piece(u_o) for every piece".  (Cross-validated in the test
     suite against a bisection oracle on the sup definition.)
     """
-    for piece in pieces_of(f):
-        if piece.eval(u_o) <= 0:
-            raise ValueError("normalisation undefined: a piece is nonpositive at u_o")
+    normalised = tuple(_normalised(piece, u_o) for piece in pieces_of(f))
     if isinstance(f, LinearF):
-        return LinearF(f.coeffs.scale(1 / f.eval(u_o)))
-    return SuperlinF(
-        tuple(LinearF(p.coeffs.scale(1 / p.eval(u_o))) for p in f.pieces)
-    )
+        return normalised[0]
+    return SuperlinF(normalised)
+
+
+def _normalised(piece: LinearF, u_o: Vector) -> LinearF:
+    """piece / piece(u_o), with piece(u_o) = p/q evaluated once and each
+    coefficient a/b built as one Fraction(a*q, b*p)."""
+    value = piece.eval(u_o)
+    if value <= 0:
+        raise ValueError("normalisation undefined: a piece is nonpositive at u_o")
+    p, q = value.numerator, value.denominator
+    return LinearF(Vector(tuple(
+        Fraction(c.numerator * q, c.denominator * p) for c in piece.coeffs.entries
+    )))

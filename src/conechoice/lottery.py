@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .numeric import Vector, as_rational
@@ -29,6 +30,13 @@ def _check_support(states: Sequence[str], rewards: Sequence[str], table: Table) 
         raise ValueError("table shape does not match the labels")
 
 
+def _row_sums(table: Table) -> tuple[list[int], int]:
+    """Each row's sum as an integer numerator over one common denominator of
+    the whole table, so that no Fraction is summed."""
+    den = lcm(*(v.denominator for row in table for v in row))
+    return [sum(v.numerator * (den // v.denominator) for v in row) for row in table], den
+
+
 @dataclass(frozen=True)
 class HorseLottery:
     states: tuple[str, ...]
@@ -37,10 +45,11 @@ class HorseLottery:
 
     def __post_init__(self) -> None:
         _check_support(self.states, self.rewards, self.table)
-        for row in self.table:
-            if any(p < 0 for p in row):
+        sums, den = _row_sums(self.table)
+        for row, row_sum in zip(self.table, sums):
+            if any(p.numerator < 0 for p in row):
                 raise ValueError("lottery masses must be nonnegative")
-            if sum(row) != 1:
+            if row_sum != den:
                 raise ValueError("each state's masses must sum to one")
 
     def mass(self, state: str, reward: str) -> Fraction:
@@ -55,9 +64,8 @@ class DiffOption:
 
     def __post_init__(self) -> None:
         _check_support(self.states, self.rewards, self.table)
-        for row in self.table:
-            if sum(row) != 0:
-                raise ValueError("difference tables must have zero row sums")
+        if any(_row_sums(self.table)[0]):
+            raise ValueError("difference tables must have zero row sums")
 
     def value(self, state: str, reward: str) -> Fraction:
         return self.table[self.states.index(state)][self.rewards.index(reward)]

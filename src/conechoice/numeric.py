@@ -12,7 +12,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
+from math import lcm
 from typing import Sequence, Union
 
 Rational = Fraction
@@ -22,8 +23,14 @@ RationalLike = Union[Fraction, int, str]
 _RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?$")
 
 
+@lru_cache(maxsize=1024)
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" into an exact rational.
+
+    A model file repeats few distinct literals many times, so the last 1024
+    distinct literals parsed are kept and their (immutable) Fractions shared.
+    A literal that fails to parse is not kept: it raises on every call, and a
+    non-string that cannot be hashed raises ``TypeError``.
 
     >>> parse_rational("2/4")
     Fraction(1, 2)
@@ -224,8 +231,36 @@ def row_reduce(rows: Sequence[Vector]) -> tuple[list[list[Fraction]], list[int]]
 
 
 def rank_of(rows: Sequence[Vector]) -> int:
-    reduced, _ = row_reduce(rows)
-    return len(reduced)
+    """The rank of the rows, by fraction-free (Bareiss) elimination.
+
+    Each nonzero row is scaled by the lcm of its denominators into integers.
+    Every entry after step k is then a (k+1)-minor of the integer matrix, so
+    dividing by the previous pivot is exact and no Fraction is built.
+    """
+    matrix = []
+    for row in rows:
+        if not row.is_zero():
+            scale = lcm(*(a.denominator for a in row.entries))
+            matrix.append([a.numerator * (scale // a.denominator) for a in row.entries])
+    if not matrix:
+        return 0
+    rank, previous = 0, 1
+    for col in range(len(matrix[0])):
+        pivot_row = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot_row is None:
+            continue
+        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
+        pivot_entries = matrix[rank]
+        pivot = pivot_entries[col]
+        for r in range(rank + 1, len(matrix)):
+            factor = matrix[r][col]
+            matrix[r] = [(pivot * x - factor * y) // previous
+                         for x, y in zip(matrix[r], pivot_entries)]
+        previous = pivot
+        rank += 1
+        if rank == len(matrix):
+            break
+    return rank
 
 
 def nullspace_basis(rows: Sequence[Vector]) -> list[Vector]:

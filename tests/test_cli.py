@@ -180,15 +180,22 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     assert code == EXIT_USAGE
 
     # Flag vectors take the model file's parse path: a bad or short entry in
-    # any set is a usage error that names the query field.
+    # any set is a usage error that names the query field.  So is a model
+    # file's option entry that is a list, which cannot be parsed (or hashed).
+    coin = json.loads(Path(COIN).read_text())
+    nested = tmp_path / "nested_entry.json"
+    nested.write_text(json.dumps(
+        {**coin, "queries": [{"name": "q", "kind": "member", "target": "D_I", "option": [["1"], "0"]}]}
+    ))
     for argv, field in (
-        (("member", COIN, "--target", "K_hot", "--option-set", "1,-1;1,oops"), "option_set"),
-        (("arch", COIN, "--target", "K_hot", "--option-set", "1,-1;1"), "option_set"),
-        (("choose", COIN, "--rule", "reject", "--target", "K_cred", "--menu", "1,0;0,1/0"), "menu"),
+        (("member", COIN, "--target", "K_hot", "--option-set", "1,-1;1,oops"), "option_set entry"),
+        (("arch", COIN, "--target", "K_hot", "--option-set", "1,-1;1"), "option_set entry"),
+        (("choose", COIN, "--rule", "reject", "--target", "K_cred", "--menu", "1,0;0,1/0"), "menu entry"),
+        (("report", str(nested)), "option"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE, argv
-        assert f"bad {field} entry" in err, err
+        assert f"bad {field}" in err, err
 
     # A cone target takes --option; the error says so, not that a field the
     # user never passed is missing.
@@ -202,7 +209,6 @@ def test_usage_errors_exit_64(tmp_path, capsys):
         assert "is for k-models" in err, err
 
     # A k-model target takes --option-set, from the flags or from a model file.
-    coin = json.loads(Path(COIN).read_text())
     path = tmp_path / "k_option.json"
     path.write_text(json.dumps(
         {**coin, "queries": [{"name": "q", "kind": "member", "target": "K_hot", "option": ["1", "0"]}]}
@@ -320,7 +326,7 @@ def test_lp_solves_per_coin_query(monkeypatch):
         solves[query["name"]] = len(calls) - before
     assert {name: solves[name] for name in (
         "D_H.arch_consistent", "K_hot.is_binary", "hot_membership", "D_sector.mixing"
-    )} == {"D_H.arch_consistent": 1, "K_hot.is_binary": 4, "hot_membership": 0, "D_sector.mixing": 3}
+    )} == {"D_H.arch_consistent": 1, "K_hot.is_binary": 2, "hot_membership": 0, "D_sector.mixing": 3}
 
 
 def test_data_errors_exit_65(tmp_path, capsys):

@@ -49,6 +49,15 @@ def test_lottery_validation():
         HorseLottery(COIN, BETS, ((Fraction(2), Fraction(-1)), (Fraction(0), Fraction(1))))
     with pytest.raises(ValueError):
         HorseLottery(("H", "H"), BETS, ((Fraction(1), Fraction(0)),) * 2)
+    # Rational rows over mixed denominators: one sums to one, one to 5/6, and
+    # one sums to one with a negative mass.
+    rewards = ("a", "b", "c")
+    good = (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))
+    assert HorseLottery(COIN, rewards, (good, good)).mass("T", "c") == Fraction(1, 2)
+    for row, error in (((Fraction(1, 3), Fraction(1, 6), Fraction(1, 3)), "sum to one"),
+                       ((Fraction(-1, 6), Fraction(2, 3), Fraction(1, 2)), "nonnegative")):
+        with pytest.raises(ValueError, match=error):
+            HorseLottery(COIN, rewards, (good, row))
 
 
 def test_diff_option_rows_sum_to_zero():
@@ -59,6 +68,10 @@ def test_diff_option_rows_sum_to_zero():
         DiffOption(COIN, BETS, ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))))
     zero = DiffOption(COIN, BETS, ((Fraction(0),) * 2,) * 2)
     assert zero.is_zero()
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    DiffOption(COIN, BETS, ((third, -third), (-sixth, sixth)))
+    with pytest.raises(ValueError):
+        DiffOption(COIN, BETS, ((third, -third), (sixth, -third)))
 
 
 def test_coin_embedding():

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,17 @@ def test_rejects_bad_rational(tmp_path):
     payload = dict(MINIMAL, functionals={"L": {"type": "linear", "coeffs": ["1/0", "1"]}})
     with pytest.raises(ModelError, match="denominator"):
         load_model(write(tmp_path, payload))
+    # A malformed literal is never kept as parsed: repeated across the file,
+    # and across loads, it fails at its first location every time.
+    payload = dict(
+        MINIMAL,
+        cones={"D": {"type": "posi", "generators": [["1", "1"], ["1/0", "1/0"]]}},
+        functionals={"L": {"type": "linear", "coeffs": ["1/0", "1/0"]}},
+    )
+    path = write(tmp_path, payload)
+    for _ in range(2):
+        with pytest.raises(ModelError, match=r"^cones\.D\.generators\[1\]: .*denominator"):
+            load_model(path)
 
 
 def test_rejects_non_interior_reference(tmp_path):
@@ -97,11 +109,10 @@ def test_rejects_unknown_cone_reference(tmp_path):
 
 
 def test_rejects_dependent_lex_levels(tmp_path):
-    payload = dict(
-        MINIMAL, cones={"D": {"type": "lex", "levels": [["1", "1"], ["2", "2"]]}}
-    )
-    with pytest.raises(ModelError, match="independent"):
-        load_model(write(tmp_path, payload))
+    for levels in ([["1", "1"], ["2", "2"]], [["1/2", "-1/3"], ["-3", "2"]]):
+        payload = dict(MINIMAL, cones={"D": {"type": "lex", "levels": levels}})
+        with pytest.raises(ModelError, match="independent"):
+            load_model(write(tmp_path, payload))
 
 
 def test_rejects_invalid_json(tmp_path):
@@ -136,3 +147,15 @@ def test_rejects_bad_lottery_masses(tmp_path):
     )
     with pytest.raises(ModelError, match="sum"):
         load_model(write(tmp_path, payload))
+    # Rational masses over mixed denominators: the row sum decides, and a
+    # negative mass is refused even when the row sums to one.
+    good = ["1/3", "1/6", "1/2"]
+    for row, error in ((good, None), (["1/3", "1/6", "1/3"], "sum"),
+                       (["-1/6", "2/3", "1/2"], "nonnegative")):
+        block = {"states": ["H", "T"], "rewards": ["a", "b", "c"], "h": [good, row], "g": [good, good]}
+        path = write(tmp_path, dict(MINIMAL, lotteries={"L": block}))
+        if error is None:
+            assert load_model(path).lotteries["L"].h.mass("T", "c") == Fraction(1, 2)
+        else:
+            with pytest.raises(ModelError, match=error):
+                load_model(path)

@@ -12,6 +12,7 @@ from conechoice.numeric import (
     nullspace_basis,
     parse_rational,
     rank_of,
+    row_reduce,
     unit_vector,
     vec,
     zero_vector,
@@ -121,6 +122,38 @@ def test_rank_and_nullspace():
     basis3 = nullspace_basis([vec(1, 1, 1)])
     assert len(basis3) == 2
     assert all(b.dot(vec(1, 1, 1)) == 0 for b in basis3)
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+# Zero often, so that pivots need row swaps and columns get skipped.
+rank_entries = st.one_of(st.just(Fraction(0)), small_rationals)
+
+
+@st.composite
+def matrices_with_planted_dependence(draw):
+    """1-5 rows of one dimension 1-6 with mixed denominators, where each row
+    after the first may be a zero row or a rational combination of the rows
+    drawn before it."""
+    dim = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("free", "zero", "combination")) if rows else st.just("free"))
+        if kind == "free":
+            row = Vector(tuple(draw(st.lists(rank_entries, min_size=dim, max_size=dim))))
+        elif kind == "zero":
+            row = zero_vector(dim)
+        else:
+            row = zero_vector(dim)
+            for earlier in rows:
+                row = row + earlier.scale(draw(rank_entries))
+        rows.append(row)
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_with_planted_dependence())
+def test_integer_rank_agrees_with_rational_row_reduction(rows):
+    assert rank_of(rows) == len(row_reduce(rows)[0])
 
 
 def test_unit_vectors():
