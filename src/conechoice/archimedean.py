@@ -6,15 +6,23 @@ in the choice module, where they are genuinely needed).  Every answer here
 rests on the separation system, whose rows per cone class are built in
 :mod:`conechoice.cone` (``separation_evidence``), where ``is_mixing`` also
 reads it.  Its option-free solve is kept on the cone, and decides every
-option where the kept functional is nonpositive; only the other options get a
-solve of their own.
+option where the kept functional f is nonpositive.  For any other option v,
+membership answers: a background-positive option or a member is separated by
+no functional, and a non-member of a PosiCone is separated by
+``f' = y + t f`` with ``t = -y(v) / f(v)``, where y is the Farkas functional
+of v's failed membership solve (``>= 0`` on every member, ``< 0`` at v; so
+``t > 0``, ``f' > 0`` on every member and ``f'(v) = 0``).  Both are kept in
+the cone's record of v (``cone.option_separation``), so the closure query and
+``separate`` on one option share them.  Only an option whose membership
+solve left no such y (an open-dual or lexicographic non-member, or a
+strict-dominance one with ``y(v) = 0``) gets a separation solve of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import lp
 from .cone import (
@@ -26,6 +34,7 @@ from .cone import (
     hull_lambda_o,
     is_coherent,
     member,
+    option_separation,
     separation_evidence,
 )
 from .functional import LinearF, SuperlinF, nml, pieces_of
@@ -62,22 +71,25 @@ def _excludes(f: LinearF, cone: DesirCone, v: Vector) -> bool:
     return not member(cone, v)
 
 
-def _separation_of(cone: DesirCone, v: Vector) -> Union[LinearF, lp.Infeasible]:
+def _separation_of(cone: DesirCone, v: Vector) -> Optional[LinearF]:
     """The one path to the evidence behind ``separate`` and
     ``archimedean_closure_member``: a background-positive linear functional
-    strictly positive on the cone and nonpositive at v, or an ``lp.Infeasible``
-    when there is none.
+    strictly positive on the cone and nonpositive at v, or None when there is
+    none.
 
-    The cone's kept functional f, ``separation_evidence(cone)``, is read first,
-    and the system for v is solved only when it does not decide v:
+    The cone's kept functional f, ``separation_evidence(cone)``, is read first:
 
-    * If the cone has no functional, its ``lp.Infeasible`` is returned.  The
-      system for v is the option-free one plus the row of v, so it is
-      infeasible too.  The certificate's multipliers index the option-free
-      rows, not those of the system for v; no caller reads them.
+    * If the cone has none, no functional separates v either.
     * If ``f(v) <= 0``, f is returned: it is strictly positive on the cone
       and nonpositive at v.
-    * Otherwise ``separation_evidence(cone, v)`` is solved.
+    * A background-positive v, or a member, has none: every
+      background-positive functional is positive at the one, and every
+      functional strictly positive on the cone at the other.  This needs no
+      LP for v: membership is an evaluation for an OpenDualCone or a
+      LexCone, and a PosiCone keeps its verdict in its record of v.
+    * Otherwise v is a non-member, and ``cone.option_separation`` builds the
+      functional from the Farkas functional of v's membership solve and f,
+      or solves the system for v where that solve left none.
 
     A functional returned is checked to exclude v (``_excludes``).
     """
@@ -85,10 +97,16 @@ def _separation_of(cone: DesirCone, v: Vector) -> Union[LinearF, lp.Infeasible]:
         raise ValueError("dimension mismatch")
     kept = separation_evidence(cone)
     if isinstance(kept, lp.Infeasible):
-        return kept
-    evidence = kept if kept.eval(v) <= 0 else separation_evidence(cone, v)
-    if isinstance(evidence, LinearF):
-        lp.verified(_excludes(evidence, cone, v), "member exclusion")
+        return None
+    if kept.eval(v) <= 0:
+        evidence = kept
+    elif cone.space.background_strictly_positive(v) or member(cone, v):
+        return None
+    else:
+        evidence = option_separation(cone, v, kept)
+        if isinstance(evidence, lp.Infeasible):
+            return None
+    lp.verified(_excludes(evidence, cone, v), "member exclusion")
     return evidence
 
 
@@ -96,14 +114,12 @@ def separate(cone: DesirCone, v: Vector) -> Optional[SeparationWitness]:
     """A background-positive linear functional strictly positive on the cone
     and nonpositive at v, or None when v is in the Archimedean closure.
 
-    The evidence comes from ``_separation_of``: the cone's kept functional
-    when it is nonpositive at v, else one separation solve for v.  A
-    functional also shows that v is no member, so it is returned at once.
-    Only when there is none is membership decided, to refuse a member with
-    ``ValueError``.
+    The evidence comes from ``_separation_of``.  When there is none,
+    membership (an evaluation, or the verdict already in a PosiCone's
+    record) refuses a member with ``ValueError``.
     """
     evidence = _separation_of(cone, v)
-    if isinstance(evidence, lp.Infeasible):
+    if evidence is None:
         if member(cone, v):
             raise ValueError("nothing to separate: option is a member of the cone")
         return None
@@ -124,14 +140,12 @@ def archimedean_consistent(cone: DesirCone) -> bool:
 def archimedean_closure_member(cone: DesirCone, v: Vector) -> bool:
     """Is v in the intersection of all open half-spaces containing the cone?
 
-    A functional from ``_separation_of`` means False: the cone's kept
-    functional when it is nonpositive at v, else one separation solve for v.
-    Only when there is none is consistency read (the kept evidence, so no
-    further LP), to tell a closure member (True) from an
-    Archimedean-inconsistent cone (``ValueError``).  No membership LP is
-    solved.
+    A functional from ``_separation_of`` means False.  Only when there is
+    none is consistency read (the kept evidence, so no further LP), to tell a
+    closure member (True) from an Archimedean-inconsistent cone
+    (``ValueError``).
     """
-    if isinstance(_separation_of(cone, v), LinearF):
+    if _separation_of(cone, v) is not None:
         return False
     if not archimedean_consistent(cone):
         raise ValueError("Archimedean-inconsistent cone: the closure is all of V")

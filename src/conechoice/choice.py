@@ -243,8 +243,10 @@ def archimedean_member_evidence(model: AssessmentK, b: OptionSet) -> Optional[Su
     positive on a common selection, and re-verified before being returned.
 
     Each per-option witness comes from ``archimedean._separation_of`` on the
-    selection's kept cone, which reads the cone's kept separating functional
-    before it solves a system for the option.
+    selection's kept cone, which reads the cone's kept separating functional,
+    then the option's membership: a non-member's witness is built from the
+    Farkas functional of its membership solve, and only where that solve
+    left none is a system solved for the option.
 
     Soundness: the envelope is background-positive, strictly positive on the
     picked option of every assessment set (hence the model lies inside its
@@ -265,7 +267,7 @@ def archimedean_member_evidence(model: AssessmentK, b: OptionSet) -> Optional[Su
         per_option: list[LinearF] = []
         for v in options:
             evidence = arch._separation_of(cone, v)
-            if isinstance(evidence, lp.Infeasible):
+            if evidence is None:
                 break
             per_option.append(evidence)
         else:

@@ -154,9 +154,12 @@ def _parse_query_vector(raw: Any, what: str, dim: int) -> Vector:
         raise UsageError(f"bad {what}: expected a list of rationals, got {raw!r}")
     if len(raw) != dim:
         raise UsageError(f"bad {what}: expected {dim} entries, got {len(raw)}")
+    for x in raw:
+        if not isinstance(x, str):
+            raise UsageError(f"bad {what}: rationals must be strings like \"p/q\", got {x!r}")
     try:
         return Vector(tuple(parse_rational(x) for x in raw))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad {what}: {exc}") from exc
 
 

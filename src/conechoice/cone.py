@@ -41,6 +41,26 @@ f separates, decided by one dot product: ``archimedean.separate`` and
 ``member`` reads it for a PosiCone once some query has solved it.  ``member``
 answers a background-positive option of a PosiCone with no LP at all: the
 semantic set holds the background cone by construction.
+
+Each cone object also keeps a record of the last option v it was asked about
+(``OptionRecord``).  For a PosiCone it holds v's membership verdict and, for a
+non-member, the Farkas functional y of the failed membership solve, kept only
+when it is checked nonnegative on every member and negative at v
+(``_excludes_by``).  Where ``f(v) > 0``, y and f give v's separating
+functional with no LP (``option_separation``):
+
+    f' = y + t f,  t = -y(v) / f(v).
+
+It separates: ``y >= 0`` and ``f > 0`` on every member, so ``f' > 0`` there
+(and on the background); ``y(v) < 0 < f(v)``, so ``t > 0``; and
+``f'(v) = y(v) + t f(v) = 0``.  A pointwise-dominance certificate always
+qualifies.  Under strict dominance a nonzero v tries the strictly positive
+residual first, whose certificate is nonnegative with ``y(v) <= 0``, and then
+the generators alone; only when neither certificate qualifies is the system
+for v solved.  The record keeps that functional too, so membership, the
+closure and separation of one option solve each system once, and since every
+entry is a function of the cone and v, no answer depends on what was asked
+before.
 """
 
 from __future__ import annotations
@@ -75,8 +95,27 @@ def background_generators(space: OptionSpace) -> list[Vector]:
     return [unit_vector(space.dim, i) for i in range(space.dim)]
 
 
+@dataclass
+class OptionRecord:
+    """What a cone object has learnt about one option.
+
+    ``member`` is the verdict of a membership solve (None until a PosiCone
+    solves one; the other classes decide membership by evaluation).
+    ``farkas`` is, for a PosiCone non-member, the checked functional y of a
+    failed membership solve: nonnegative on every member, negative at the
+    option.  ``separation`` is the option's separation evidence, once some
+    query has made it (``option_separation``).
+    """
+
+    option: Vector
+    member: Optional[bool] = None
+    farkas: Optional[LinearF] = None
+    separation: Union[LinearF, lp.Infeasible, None] = None
+
+
 class _Cone:
-    """What the three cone classes share: their option-free separation evidence."""
+    """What the three cone classes share: their option-free separation
+    evidence, and a record of the last option they were asked about."""
 
     @cached_property
     def separation(self) -> Union[LinearF, lp.Infeasible]:
@@ -88,6 +127,16 @@ class _Cone:
         """The kept ``separation`` if some query has solved it, else None.
         Never solves."""
         return self.__dict__.get("separation")
+
+    def record(self, v: Vector) -> OptionRecord:
+        """The record of v: the kept one if v was the last option asked
+        about, else a new empty one, which replaces it.  Every entry is a
+        function of the cone and v alone, so which record is kept changes
+        no answer."""
+        record = self.__dict__.get("_record")
+        if record is None or record.option != v:
+            record = self.__dict__["_record"] = OptionRecord(v)
+        return record
 
 
 @dataclass(frozen=True)
@@ -176,12 +225,16 @@ def verify_inconsistency_combination(
     return coeff_sum > 0 and total.is_zero()
 
 
-def _posi_combination(
-    generators: Sequence[Vector], v: Vector
-) -> Optional[tuple[Fraction, ...]]:
-    """Coefficients for v = sum lambda_k g_k, lambda >= 0, some lambda_k > 0; or None."""
-    if not generators:
-        return None
+Combination = tuple[tuple[Vector, Fraction], ...]
+
+
+def _posi_problem(generators: Sequence[Vector], v: Vector) -> lp.LpProblem:
+    """The rows of v = sum lambda_k g_k, lambda >= 0, some lambda_k > 0: one
+    equality row per coordinate, then the sign rows.
+
+    A Farkas certificate's first ``v.dim`` multipliers are a functional y with
+    ``y(g_k) >= 0`` for every k (the multiplier of sign row k) and ``y(v) < 0``.
+    """
     dim = generators[0].dim
     if v.dim != dim:
         raise ValueError("dimension mismatch")
@@ -195,7 +248,16 @@ def _posi_combination(
         # Any representation of a nonzero v already has a positive coefficient;
         # for v = 0 the "some lambda_k > 0" clause needs the explicit row.
         rows.append(lp.sum_to_one_row(m))
-    result = lp.solve(lp.LpProblem(m, tuple(rows)))
+    return lp.LpProblem(m, tuple(rows))
+
+
+def _posi_combination(
+    generators: Sequence[Vector], v: Vector
+) -> Optional[tuple[Fraction, ...]]:
+    """Coefficients for v = sum lambda_k g_k, lambda >= 0, some lambda_k > 0; or None."""
+    if not generators:
+        return None
+    result = lp.solve(_posi_problem(generators, v))
     if isinstance(result, lp.Feasible):
         return tuple(result.witness.entries)
     return None
@@ -206,21 +268,18 @@ def posi_member(generators: Sequence[Vector], v: Vector) -> bool:
     return _posi_combination(generators, v) is not None
 
 
-def _strict_residual_combination(
-    generators: Sequence[Vector], v: Vector
-) -> Optional[tuple[tuple[Fraction, ...], Vector]]:
-    """Find lambda >= 0 with v - sum lambda_k g_k strictly positive, or None.
+def _residual_problem(generators: Sequence[Vector], v: Vector) -> lp.LpProblem:
+    """The rows of lambda >= 0 with v - sum lambda_k g_k strictly positive.
 
-    Homogenised with a scale x0 (Motzkin): one strict homogeneous solve over
+    Homogenised with a scale x0 (Motzkin): one strict homogeneous system over
     (lambda, x0) with x0 > 0, x0 v_i - sum_k lambda_k g_k[i] > 0 for every i,
     and lambda >= 0.  A solution divided by its x0 (>= 1 by its own row) is
-    the lambda sought; no solution comes with a Farkas certificate.
+    the lambda sought (``_residual_terms``).  A Farkas certificate puts a
+    multiplier a >= 0 on the row of x0, then one y_i >= 0 on each row i: the
+    functional y is nonnegative, ``y(g_k) >= 0`` for every k, and
+    ``y(v) = -a <= 0``.
     """
     m = len(generators)
-    if m == 0:
-        if all(entry > 0 for entry in v.entries):
-            return ((), v)
-        return None
     n = m + 1
     rows = [lp.strict_unit_rows(n)[m]]  # x0 > 0
     rows += [
@@ -228,13 +287,19 @@ def _strict_residual_combination(
         for i in range(v.dim)
     ]
     rows += lp.nonneg_rows(n)[:m]
-    result = lp.solve(lp.LpProblem(n, tuple(rows)))
-    if isinstance(result, lp.Infeasible):
-        return None
-    x0 = result.witness[m]
-    lambdas = tuple(lam / x0 for lam in result.witness.entries[:m])
+    return lp.LpProblem(n, tuple(rows))
+
+
+def _posi_terms(generators: Sequence[Vector], v: Vector, witness: Vector) -> Combination:
+    return tuple((g, lam) for g, lam in zip(generators, witness.entries) if lam != 0)
+
+
+def _residual_terms(generators: Sequence[Vector], v: Vector, witness: Vector) -> Combination:
+    """The generators' terms plus the strictly positive residual, with coefficient 1."""
+    x0 = witness[len(generators)]
+    lambdas = tuple(lam / x0 for lam in witness.entries[:-1])
     residual = v - _combine(generators, lambdas)
-    return (lambdas, residual)
+    return _posi_terms(generators, v, Vector(lambdas)) + ((residual, Fraction(1)),)
 
 
 def _combine(generators: Sequence[Vector], lambdas: Sequence[Fraction]) -> Vector:
@@ -267,6 +332,10 @@ def member(cone: DesirCone, v: Vector) -> bool:
     * If a query has already solved the cone's kept separating functional f
       (member never solves it), ``f(v) <= 0`` answers False, since f is
       strictly positive on every member (``_separates``).
+
+    Any other option is decided by ``_membership``, and the verdict and the
+    Farkas functional of a non-member go into the cone's record of v, so a
+    repeat, or a separation query on v, solves nothing.
     """
     if v.dim != cone.space.dim:
         raise ValueError("dimension mismatch")
@@ -279,33 +348,65 @@ def member(cone: DesirCone, v: Vector) -> bool:
     kept = cone.solved_separation()
     if isinstance(kept, LinearF) and kept.eval(v) <= 0:
         return False
-    return _membership_combination(cone, v) is not None
+    record = cone.record(v)
+    if record.member is None:
+        combination, record.farkas = _membership(cone, v)
+        record.member = combination is not None
+    return record.member
 
 
-def _membership_combination(
+def _membership(
     cone: PosiCone, v: Vector
-) -> Optional[tuple[tuple[Vector, Fraction], ...]]:
-    """The nonzero (vector, coefficient) terms of a combination reaching v, or None.
+) -> tuple[Optional[Combination], Optional[LinearF]]:
+    """The nonzero (vector, coefficient) terms of a combination reaching v, or
+    None; and for a non-member, the Farkas functional of a failed solve when
+    it is nonnegative on every member and negative at v (``_excludes_by``).
 
-    Pointwise dominance combines the generators and the unit vectors.  Strict
-    dominance tries the generators alone, then the generators plus one
-    strictly positive residual, which enters with coefficient 1.
+    Pointwise dominance solves one system over the generators and the unit
+    vectors, and its certificate always qualifies.  Strict dominance has two
+    systems: the generators alone, and the generators plus one strictly
+    positive residual, which enters with coefficient 1.  A nonzero v tries
+    the residual system first and stops at a certificate that qualifies; its
+    certificate fails to qualify only when ``y(v) = 0``.  For v = 0 (the
+    consistency question) the generators alone come first.
     """
     pointwise = cone.space.background is Background.POINTWISE
     generators = list(cone.generators)
     if pointwise:
         generators += background_generators(cone.space)
-    lambdas = _posi_combination(generators, v)
-    if lambdas is not None:
-        return tuple((g, lam) for g, lam in zip(generators, lambdas) if lam != 0)
-    if pointwise:
-        return None
-    residual = _strict_residual_combination(generators, v)
-    if residual is None:
-        return None
-    lambdas, strict_part = residual
-    terms = tuple((g, lam) for g, lam in zip(generators, lambdas) if lam != 0)
-    return terms + ((strict_part, Fraction(1)),)
+    elif not generators:
+        # The semantic set is the open orthant.
+        terms = ((v, Fraction(1)),) if interior_member(cone.space, v) else None
+        return terms, None
+    posi = (_posi_problem, 0, _posi_terms)
+    residual = (_residual_problem, 1, _residual_terms)
+    systems = (posi,) if pointwise else (posi, residual) if v.is_zero() else (residual, posi)
+    for problem, first, terms in systems:
+        result = lp.solve(problem(generators, v))
+        if isinstance(result, lp.Feasible):
+            return terms(generators, v, result.witness), None
+        y = LinearF(Vector(result.certificate[first : first + v.dim]))
+        if _excludes_by(y, cone, v):
+            return None, y
+    return None, None
+
+
+def _membership_combination(cone: PosiCone, v: Vector) -> Optional[Combination]:
+    """The nonzero (vector, coefficient) terms of a combination reaching v, or None."""
+    return _membership(cone, v)[0]
+
+
+def _excludes_by(y: LinearF, cone: PosiCone, v: Vector) -> bool:
+    """Is y nonnegative on every member of the cone and negative at v?
+    Checked by substitution: every coefficient and ``y(g)`` for every
+    generator g are nonnegative, so y is nonnegative on the unit vectors, the
+    open orthant and the generators, hence on every nonnegative combination
+    of them."""
+    return (
+        y.eval(v) < 0
+        and all(c >= 0 for c in y.coeffs.entries)
+        and all(y.eval(g) >= 0 for g in cone.generators)
+    )
 
 
 def natural_extension(
@@ -433,20 +534,18 @@ def _separation_rows(
     return strict + _nonpos_rows(v) + nonneg, LinearF
 
 
-def separation_evidence(
-    cone: DesirCone, v: Optional[Vector] = None
-) -> Union[LinearF, lp.Infeasible]:
-    """The one solve of the separation system behind every Archimedean answer.
+def separation_evidence(cone: DesirCone) -> Union[LinearF, lp.Infeasible]:
+    """The option-free solve of the separation system behind every
+    Archimedean answer.
 
     Returns a background-positive linear functional strictly positive on the
-    cone (and nonpositive at v when v is given), re-verified before it is
-    returned, or the ``lp.Infeasible`` whose Farkas certificate shows that no
-    such functional exists.  Without v the answer is solved once per cone
-    object and then returned as the same object.
+    cone, re-verified before it is returned, or the ``lp.Infeasible`` whose
+    Farkas certificate shows that no such functional exists.  It is solved
+    once per cone object and then returned as the same object.  The system
+    for an option v adds the row ``f(v) <= 0`` and is solved only by
+    ``option_separation``, where v's membership solve left no functional.
     """
-    if v is None:
-        return cone.separation
-    return _solve_separation(cone, v)
+    return cone.separation
 
 
 def _solve_separation(cone: DesirCone, v: Optional[Vector]) -> Union[LinearF, lp.Infeasible]:
@@ -458,6 +557,33 @@ def _solve_separation(cone: DesirCone, v: Optional[Vector]) -> Union[LinearF, lp
     functional = to_functional(result.witness)
     lp.verified(_separates(functional, cone, v), "separation witness")
     return functional
+
+
+def option_separation(
+    cone: DesirCone, v: Vector, kept: LinearF
+) -> Union[LinearF, lp.Infeasible]:
+    """The separation evidence for a non-member v with ``kept(v) > 0``, where
+    kept is the cone's option-free functional; kept in the cone's record of v.
+
+    Membership must already be decided (``member(cone, v)`` is False), so a
+    PosiCone's record holds the Farkas functional y of the failed solve where
+    one qualified.  Then ``f = y + t * kept`` with ``t = -y(v) / kept(v)``
+    separates, with no LP: ``y >= 0`` and ``kept > 0`` on every member,
+    ``t > 0``, and ``f(v) = y(v) + t * kept(v) = 0``.  Otherwise (an
+    OpenDualCone, a LexCone, or a strict-dominance PosiCone whose
+    certificates had ``y(v) = 0``) the system for v is solved.
+    """
+    record = cone.record(v)
+    if record.separation is None:
+        y = record.farkas
+        if y is None:
+            record.separation = _solve_separation(cone, v)
+        else:
+            t = -y.eval(v) / kept.eval(v)
+            f = LinearF(y.coeffs + kept.coeffs.scale(t))
+            lp.verified(_separates(f, cone, v), "separation witness")
+            record.separation = f
+    return record.separation
 
 
 @dataclass(frozen=True)

@@ -391,10 +391,63 @@ def test_kept_functional_answers_agree_with_a_fresh_cone():
                     assert answers["archimedean_closure_member"] == (not separable)
 
 
+def test_posi_separation_does_not_depend_on_earlier_queries(monkeypatch):
+    # A PosiCone keeps a record of the last option it was asked about.  Its
+    # separate answer is the functional that a fresh cone object returns,
+    # after member and archimedean_closure_member on that option and on
+    # others; once the closure is answered, separate solves nothing.  Every
+    # functional is a checked witness, and in the plane every verdict agrees
+    # with the oracles.
+    rng = random.Random(15)
+    solves = _spy(monkeypatch, lp, "solve")
+    witnesses = 0
+    for _ in range(60):
+        d = rng.randint(2, 4)
+        for background in Background:
+            space = OptionSpace(d, background, rand_positive_vector(rng, d, 2))
+            generators = tuple(rand_vector(rng, d, 2) for _ in range(rng.randint(1, 3)))
+            cone = PosiCone(generators, space)
+            options = [rand_vector(rng, d, 2) for _ in range(5)]
+            options += [generators[0], -generators[0], zero_vector(d)]
+            members = [v for v in options if member(replace(cone), v)]
+            warm = replace(cone)
+            if d == 2:
+                strict, nonneg = _separation_system_2d(cone)
+                consistent = separation_direction_2d(strict, [], nonneg) is not None
+            for v in options:
+                fresh = _answer(separate, replace(cone), v)
+                other = rng.choice(options)
+                for query in (member, archimedean_closure_member):
+                    _answer(query, warm, other)
+                inside = member(warm, v)
+                closure = _answer(archimedean_closure_member, warm, v)
+                solves.clear()
+                answer = _answer(separate, warm, v)
+                assert solves == [], (cone, v)
+                if isinstance(fresh, SeparationWitness):
+                    assert isinstance(answer, SeparationWitness), (cone, v)
+                    assert answer.functional == fresh.functional, (cone, v)
+                    assert verify_separation_witness(cone, answer, members), (cone, v)
+                    assert closure is False, (cone, v)
+                    witnesses += 1
+                else:
+                    assert answer == fresh, (cone, v)
+                if d == 2:
+                    assert inside == _planar_member(cone, v), (cone, v)
+                    separable = separation_direction_2d(strict, [v], nonneg) is not None
+                    assert isinstance(fresh, SeparationWitness) == separable, (cone, v)
+                    if not consistent:
+                        assert closure[0] == "ValueError", (cone, v)
+                    else:
+                        assert closure == (not separable), (cone, v)
+    assert witnesses == 417  # of the 960 options asked
+
+
 def test_one_separation_solve_decides_a_non_member(monkeypatch, d_sector, d_interval):
     # The cone's kept functional answers separate with the one option-free
-    # LP, and then the closure query with none; an option it does not decide
-    # gets one solve of its own, and consistency reads the kept evidence.
+    # LP, and then the closure query with none; a background-positive option,
+    # which it does not decide, is a closure member with no LP, since
+    # consistency reads the kept evidence.
     solves = []
     solve = lp.solve
 
@@ -412,7 +465,7 @@ def test_one_separation_solve_decides_a_non_member(monkeypatch, d_sector, d_inte
         assert len(solves) == 0
     solves.clear()
     assert archimedean_closure_member(d_sector, vec(1, 0))
-    assert len(solves) == 1  # the separation system for (1, 0)
+    assert len(solves) == 0
 
 
 def _spy(monkeypatch, owner, name):
@@ -445,7 +498,8 @@ def test_repeat_queries_build_only_the_rows_of_their_data(monkeypatch, backgroun
     # Rows that depend only on a size (sign rows, background rows) are built
     # once and shared, so a repeat query on a cone builds only the rows that
     # hold its option or the cone's generators.  The option is one that the
-    # cone's kept functional does not exclude.
+    # cone's kept functional does not exclude; its separation is built from
+    # the Farkas functional of its membership solve, with no row at all.
     g1, g2 = vec("3/4", "-1/4"), vec("-1/4", "3/4")
     cone = PosiCone((g1, g2), OptionSpace(2, background, vec(1, 1)))
     v = vec(2, -1)
@@ -454,13 +508,11 @@ def test_repeat_queries_build_only_the_rows_of_their_data(monkeypatch, backgroun
         columns = [(g1[j], g2[j], Fraction(j == 0), Fraction(j == 1)) for j in range(2)]
         member_rows = [lp.Constraint(Vector(c), lp.EQ, v[j]) for j, c in enumerate(columns)]
     else:
-        # The generators alone, then the homogenised strictly positive residual.
-        member_rows = [lp.Constraint(vec(g1[j], g2[j]), lp.EQ, v[j]) for j in range(2)]
-        member_rows += [
+        # The homogenised strictly positive residual, whose certificate is
+        # negative at v, so the generators alone are not tried.
+        member_rows = [
             lp.Constraint(vec(-g1[i], -g2[i], v[i]), lp.GE, Fraction(1)) for i in range(2)
         ]
-    separation_rows = [lp.Constraint(g, lp.GE, Fraction(1)) for g in (g1, g2)]
-    separation_rows.append(lp.Constraint(v, lp.LE, Fraction(0)))
     assert not member(cone, vec(-2, 1)) and separate(cone, vec(-2, 1)) is not None
     assert separation_evidence(cone).eval(v) > 0
     built = _spy(monkeypatch, lp.Constraint, "__post_init__")
@@ -468,7 +520,7 @@ def test_repeat_queries_build_only_the_rows_of_their_data(monkeypatch, backgroun
     assert built == member_rows
     built.clear()
     assert separate(cone, v) is not None
-    assert built == separation_rows
+    assert built == []
     # An option that the kept functional excludes builds no row at all.
     built.clear()
     assert separation_evidence(cone).eval(vec(-1, 0)) <= 0

@@ -329,6 +329,42 @@ def test_lp_solves_per_coin_query(monkeypatch):
     )} == {"D_H.arch_consistent": 1, "K_hot.is_binary": 2, "hot_membership": 0, "D_sector.mixing": 3}
 
 
+def test_arch_member_solves_once_for_a_non_member(tmp_path, capsys, monkeypatch):
+    # The closure query solves the sector's option-free separation and the
+    # membership of (2, -1); the witness for the record is built from those
+    # two solves, so separate, asked next by the CLI, solves nothing.
+    space = {"dim": 2, "background": "pointwise", "u_o": ["1", "1"]}
+    sector = {"type": "posi", "generators": [["3/4", "-1/4"], ["-1/4", "3/4"]]}
+    query = {"name": "q", "kind": "arch_member", "target": "D", "option": ["2", "-1"]}
+    path = tmp_path / "sector.json"
+    path.write_text(json.dumps({"space": space, "cones": {"D": sector}, "queries": [query]}))
+    calls = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda problem: calls.append(problem) or solve(problem))
+    code, records = run_json(capsys, "report", str(path))
+    assert code == EXIT_OK
+    assert records["q"]["answer"] is False and "witness" in records["q"]
+    assert len(calls) == 2
+
+
+def test_query_vector_entries_must_be_strings(tmp_path, capsys):
+    # A model file's query vector takes the wording of its data: an entry
+    # that is not a string is refused before it is parsed.
+    coin = json.loads(Path(COIN).read_text())
+    path = tmp_path / "entries.json"
+    for option in ([["1"], "0"], [1, "0"]):
+        query = {"name": "q", "kind": "member", "target": "D_I", "option": option}
+        path.write_text(json.dumps({**coin, "queries": [query]}))
+        code, _, err = run(capsys, "report", str(path))
+        assert code == EXIT_USAGE, option
+        assert 'bad option: rationals must be strings like "p/q"' in err, err
+    # Flag vectors are strings, and still parse.
+    code, records = run_json(capsys, "member", COIN, "--target", "D_I", "--option", "1/2,1")
+    assert code == EXIT_OK and records["member"]["answer"] is True
+    code, records = run_json(capsys, "member", COIN, "--target", "K_hot", "--option-set", "1,-1;-1,1")
+    assert code == EXIT_OK and "answer" in records["member"]
+
+
 def test_data_errors_exit_65(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"space": {"dim": 2, "background": "pointwise", "u_o": ["1", "0"]}}')
