@@ -5,17 +5,10 @@ separation properties are equivalent; superlinear witnesses are assembled only
 in the choice module, where they are genuinely needed).  Every answer here
 rests on the separation system, whose rows per cone class are built in
 :mod:`conechoice.cone` (``separation_evidence``), where ``is_mixing`` also
-reads it.  Its option-free solve is kept on the cone, and decides every
-option where the kept functional f is nonpositive.  For any other option v,
-membership answers: a background-positive option or a member is separated by
-no functional, and a non-member of a PosiCone is separated by
-``f' = y + t f`` with ``t = -y(v) / f(v)``, where y is the Farkas functional
-of v's failed membership solve (``>= 0`` on every member, ``< 0`` at v; so
-``t > 0``, ``f' > 0`` on every member and ``f'(v) = 0``).  Both are kept in
-the cone's record of v (``cone.option_separation``), so the closure query and
-``separate`` on one option share them.  Only an option whose membership
-solve left no such y (an open-dual or lexicographic non-member, or a
-strict-dominance one with ``y(v) = 0``) gets a separation solve of its own.
+reads it.  The answers for one option, ``separate`` and
+``archimedean_closure_member``, come from ``cone.option_separation``,
+which reads the cone's kept functional and the option's membership before it
+solves anything, and whose docstring holds the proof behind it.
 """
 
 from __future__ import annotations
@@ -58,67 +51,15 @@ def verify_separation_witness(
     )
 
 
-def _excludes(f: LinearF, cone: DesirCone, v: Vector) -> bool:
-    """Does f show by substitution, with no LP, that v is not a member?
-
-    For a PosiCone, ``f(v) <= 0`` is the one dot product to check: f was
-    checked where it was made (``cone._separates``) to be background-positive
-    and strictly positive on every generator, hence on every member.  The
-    other classes decide membership by evaluation.
-    """
-    if isinstance(cone, PosiCone):
-        return f.eval(v) <= 0
-    return not member(cone, v)
-
-
-def _separation_of(cone: DesirCone, v: Vector) -> Optional[LinearF]:
-    """The one path to the evidence behind ``separate`` and
-    ``archimedean_closure_member``: a background-positive linear functional
-    strictly positive on the cone and nonpositive at v, or None when there is
-    none.
-
-    The cone's kept functional f, ``separation_evidence(cone)``, is read first:
-
-    * If the cone has none, no functional separates v either.
-    * If ``f(v) <= 0``, f is returned: it is strictly positive on the cone
-      and nonpositive at v.
-    * A background-positive v, or a member, has none: every
-      background-positive functional is positive at the one, and every
-      functional strictly positive on the cone at the other.  This needs no
-      LP for v: membership is an evaluation for an OpenDualCone or a
-      LexCone, and a PosiCone keeps its verdict in its record of v.
-    * Otherwise v is a non-member, and ``cone.option_separation`` builds the
-      functional from the Farkas functional of v's membership solve and f,
-      or solves the system for v where that solve left none.
-
-    A functional returned is checked to exclude v (``_excludes``).
-    """
-    if v.dim != cone.space.dim:
-        raise ValueError("dimension mismatch")
-    kept = separation_evidence(cone)
-    if isinstance(kept, lp.Infeasible):
-        return None
-    if kept.eval(v) <= 0:
-        evidence = kept
-    elif cone.space.background_strictly_positive(v) or member(cone, v):
-        return None
-    else:
-        evidence = option_separation(cone, v, kept)
-        if isinstance(evidence, lp.Infeasible):
-            return None
-    lp.verified(_excludes(evidence, cone, v), "member exclusion")
-    return evidence
-
-
 def separate(cone: DesirCone, v: Vector) -> Optional[SeparationWitness]:
     """A background-positive linear functional strictly positive on the cone
     and nonpositive at v, or None when v is in the Archimedean closure.
 
-    The evidence comes from ``_separation_of``.  When there is none,
+    The evidence comes from ``cone.option_separation``.  When there is none,
     membership (an evaluation, or the verdict already in a PosiCone's
     record) refuses a member with ``ValueError``.
     """
-    evidence = _separation_of(cone, v)
+    evidence = option_separation(cone, v)
     if evidence is None:
         if member(cone, v):
             raise ValueError("nothing to separate: option is a member of the cone")
@@ -140,12 +81,12 @@ def archimedean_consistent(cone: DesirCone) -> bool:
 def archimedean_closure_member(cone: DesirCone, v: Vector) -> bool:
     """Is v in the intersection of all open half-spaces containing the cone?
 
-    A functional from ``_separation_of`` means False.  Only when there is
-    none is consistency read (the kept evidence, so no further LP), to tell a
-    closure member (True) from an Archimedean-inconsistent cone
+    A functional from ``cone.option_separation`` means False.  Only when
+    there is none is consistency read (the kept evidence, so no further LP),
+    to tell a closure member (True) from an Archimedean-inconsistent cone
     (``ValueError``).
     """
-    if _separation_of(cone, v) is not None:
+    if option_separation(cone, v) is not None:
         return False
     if not archimedean_consistent(cone):
         raise ValueError("Archimedean-inconsistent cone: the closure is all of V")
@@ -161,9 +102,12 @@ def is_essentially_archimedean(cone: DesirCone) -> bool:
         # include boundary points of the first level's kernel.
         return len(cone.levels) == 1 and is_coherent(cone)
     # A posi-generated cone contains its generator rays, so it is open only in
-    # the corner case where it collapses to the open orthant itself.
-    if cone.space.background is Background.STRICT and all(
-        all(entry > 0 for entry in g.entries) for g in cone.generators
+    # the corner case where it collapses to the open orthant itself.  In one
+    # dimension that is every coherent cone, {x > 0}, under either background
+    # order.
+    if cone.space.dim == 1 or (
+        cone.space.background is Background.STRICT
+        and all(all(entry > 0 for entry in g.entries) for g in cone.generators)
     ):
         return is_coherent(cone)
     return False

@@ -11,20 +11,19 @@ many selection extensions are exactly the minimal witnesses.)
 Selection enumeration is exponential in the number of assessment sets; beyond
 ``SELECTION_CAP`` (10**6) selections it raises ``ValueError``.
 
-Each selection's natural extension is kept on its model object, in one
-``_Extension`` record built on first need: the extension cone, made with no
-solve, and its consistency, solved through ``natural_extension`` only when a
-query needs it.  So ``member``, ``consistent``, ``is_binary`` and ``reject``
-solve each selection's consistency at most once per model object, and the
-Archimedean queries read the one cone per selection that keeps its separating
-functional (``cone._Cone.separation``).  What a query can decide before any
-LP it decides there: a selection that picks an option of B has an extension
-meeting B (the option is a generator, coefficient 1), and a
-background-positive option is a member of every extension
-(``cone.member``), so ``member`` passes every selection for it without
-solving the selection's consistency.  A selection known to be inconsistent
-is skipped by the Archimedean queries: no functional is strictly positive on
-a set holding 0.
+Each selection's natural extension is kept on its model object as one
+``PosiCone``, built on first need with no solve.  The cone keeps what it
+learns (``cone._Cone.kept``): its consistency, solved through
+``natural_extension`` only when a query needs it, and its separating
+functional.  So ``member``, ``consistent``, ``is_binary`` and ``reject``
+solve each selection's consistency at most once per model object.  What a
+query can decide before any LP it decides there: a selection that picks an
+option of B has an extension meeting B (the option is a generator,
+coefficient 1), and a background-positive option is a member of every
+extension (``cone.member``), so ``member`` passes every selection for it
+without solving the selection's consistency.  A selection known to be
+inconsistent is skipped by the Archimedean queries: no functional is
+strictly positive on a set holding 0.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from .cone import (
     PosiCone,
     member as cone_member,
     natural_extension,
+    option_separation,
     posi_member,
 )
 from .functional import LinearF, SuperlinF, is_positive, nml
@@ -101,37 +101,27 @@ class AssessmentK:
                     raise ValueError("assessment option has wrong dimension")
 
     @cached_property
-    def _extensions(self) -> list[_Extension]:
-        """The selections' records built so far, in ``selections`` order;
-        ``_extensions_of`` extends it.  Kept, since the model is frozen."""
+    def _extensions(self) -> list[PosiCone]:
+        """The selections' extension cones built so far, in ``selections``
+        order; ``_extensions_of`` extends it.  Kept, since the model is frozen."""
         return []
 
 
-@dataclass
-class _Extension:
-    """One selection's natural extension: its cone, made with no solve, and
-    its consistency once some query has needed it (None until then)."""
-
-    cone: PosiCone
-    consistent: Optional[bool] = None
-
-    def is_consistent(self) -> bool:
-        """Does the extension exclude 0?  Solved through ``natural_extension``
-        on the first call, then kept."""
-        if self.consistent is None:
-            _, report = natural_extension(list(self.cone.generators), self.cone.space)
-            self.consistent = report.consistent
-        return self.consistent
-
-
-def _extensions_of(model: AssessmentK) -> Iterator[_Extension]:
-    """The record of each selection, in ``selections`` order, each built on
-    first need and then kept on the model."""
+def _extensions_of(model: AssessmentK) -> Iterator[PosiCone]:
+    """The extension cone of each selection, in ``selections`` order, each
+    built on first need and then kept on the model."""
     kept = model._extensions
     for i, selection in enumerate(selections(model)):
         if i == len(kept):
-            kept.append(_Extension(PosiCone(selection, model.space)))
+            kept.append(PosiCone(selection, model.space))
         yield kept[i]
+
+
+def _consistency(extension: PosiCone) -> bool:
+    """Does a selection's extension exclude 0?  Solved through
+    ``natural_extension``, and kept on the cone by its callers."""
+    _, report = natural_extension(list(extension.generators), extension.space)
+    return report.consistent
 
 
 @dataclass(frozen=True)
@@ -201,27 +191,28 @@ def member(model: KModel, b: OptionSet) -> bool:
         return any(cone_member(model.cone, u) for u in options)
     # A background-positive option is a member of every extension.
     positive = any(model.space.background_strictly_positive(u) for u in options)
-    for extension in _extensions_of(model):
-        cone = extension.cone
+    for cone in _extensions_of(model):
         if positive or any(u in cone.generators for u in options):
             continue
-        if extension.is_consistent() and not any(cone_member(cone, u) for u in options):
+        if cone.kept("consistent", _consistency) and not any(
+            cone_member(cone, u) for u in options
+        ):
             return False
     return True
 
 
 def consistent(model: AssessmentK) -> bool:
     """Does some selection have a consistent natural extension?"""
-    return any(extension.is_consistent() for extension in _extensions_of(model))
+    return any(cone.kept("consistent", _consistency) for cone in _extensions_of(model))
 
 
 def _archimedean_candidates(model: AssessmentK) -> Iterator[PosiCone]:
     """Each selection's kept cone, skipping a selection known to be
     inconsistent: no functional is strictly positive on a set holding 0.
     No consistency is solved here."""
-    for extension in _extensions_of(model):
-        if extension.consistent is not False:
-            yield extension.cone
+    for cone in _extensions_of(model):
+        if cone.kept("consistent") is not False:
+            yield cone
 
 
 def archimedean_consistency_witness(model: AssessmentK) -> Optional[LinearF]:
@@ -242,11 +233,9 @@ def archimedean_member_evidence(model: AssessmentK, b: OptionSet) -> Optional[Su
     min-envelope, assembled from one per-option linear witness each strictly
     positive on a common selection, and re-verified before being returned.
 
-    Each per-option witness comes from ``archimedean._separation_of`` on the
-    selection's kept cone, which reads the cone's kept separating functional,
-    then the option's membership: a non-member's witness is built from the
-    Farkas functional of its membership solve, and only where that solve
-    left none is a system solved for the option.
+    Each per-option witness comes from ``cone.option_separation`` on the
+    selection's kept cone, which solves for the option only what the cone
+    has not already learnt.
 
     Soundness: the envelope is background-positive, strictly positive on the
     picked option of every assessment set (hence the model lies inside its
@@ -266,7 +255,7 @@ def archimedean_member_evidence(model: AssessmentK, b: OptionSet) -> Optional[Su
     for cone in _archimedean_candidates(model):
         per_option: list[LinearF] = []
         for v in options:
-            evidence = arch._separation_of(cone, v)
+            evidence = option_separation(cone, v)
             if evidence is None:
                 break
             per_option.append(evidence)

@@ -32,43 +32,28 @@ Mixing reads the same solve for a PosiCone: a separating functional shows
 that a PosiCone of dimension 2 or more is not mixing, and one Lambda_o LP over
 its closed hull (``hull_lambda_o``) turns it into a witness pair.
 
-The option-free solve is kept on each cone object (``_Cone.separation``), and
-its functional f is checked strictly positive on the cone where it is made
-(``_separates``: background-positive, and for a PosiCone strictly positive on
-every generator).  So every option v with ``f(v) <= 0`` is a non-member that
-f separates, decided by one dot product: ``archimedean.separate`` and
-``archimedean_closure_member`` read f before they solve anything for v, and
-``member`` reads it for a PosiCone once some query has solved it.  ``member``
-answers a background-positive option of a PosiCone with no LP at all: the
-semantic set holds the background cone by construction.
+A cone object keeps what it learns, since it is frozen, in one store
+(``_Cone.kept``): its option-free separation evidence (``separation_evidence``),
+whose functional f is checked where it is made to be strictly positive on
+the cone (``_separates``), and, for a selection's extension in
+:mod:`conechoice.choice`, its consistency.  Beside the store sits a record of
+the last option v the object was asked about (``OptionRecord``): v's
+membership verdict, a PosiCone's Farkas functional y of v's failed
+membership solve, and v's separation evidence.  Every entry is a function of
+the cone and v alone, so no answer depends on what was asked before.
 
-Each cone object also keeps a record of the last option v it was asked about
-(``OptionRecord``).  For a PosiCone it holds v's membership verdict and, for a
-non-member, the Farkas functional y of the failed membership solve, kept only
-when it is checked nonnegative on every member and negative at v
-(``_excludes_by``).  Where ``f(v) > 0``, y and f give v's separating
-functional with no LP (``option_separation``):
-
-    f' = y + t f,  t = -y(v) / f(v).
-
-It separates: ``y >= 0`` and ``f > 0`` on every member, so ``f' > 0`` there
-(and on the background); ``y(v) < 0 < f(v)``, so ``t > 0``; and
-``f'(v) = y(v) + t f(v) = 0``.  A pointwise-dominance certificate always
-qualifies.  Under strict dominance a nonzero v tries the strictly positive
-residual first, whose certificate is nonnegative with ``y(v) <= 0``, and then
-the generators alone; only when neither certificate qualifies is the system
-for v solved.  The record keeps that functional too, so membership, the
-closure and separation of one option solve each system once, and since every
-entry is a function of the cone and v, no answer depends on what was asked
-before.
+Every Archimedean answer for an option -- separation, closure membership,
+and an assessment's Archimedean membership -- comes from one routine,
+``option_separation``, whose docstring states how f, membership and y decide
+it, and why ``y + t f`` separates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
-from typing import Callable, Optional, Sequence, Union
+from functools import cache
+from typing import Any, Callable, Optional, Sequence, Union
 
 from . import lp
 from .functional import LinearF, is_positive
@@ -114,19 +99,18 @@ class OptionRecord:
 
 
 class _Cone:
-    """What the three cone classes share: their option-free separation
-    evidence, and a record of the last option they were asked about."""
+    """What the three cone classes share: one store for what the object has
+    learnt, and a record of the last option it was asked about."""
 
-    @cached_property
-    def separation(self) -> Union[LinearF, lp.Infeasible]:
-        """``separation_evidence(self)``: solved and checked on the first read,
-        then kept, since the cone is frozen."""
-        return _solve_separation(self, None)
-
-    def solved_separation(self) -> Union[LinearF, lp.Infeasible, None]:
-        """The kept ``separation`` if some query has solved it, else None.
-        Never solves."""
-        return self.__dict__.get("separation")
+    def kept(self, key: str, solve: Optional[Callable[[Any], Any]] = None) -> Any:
+        """The answer kept under key.  Without one, ``solve(self)`` is kept
+        from then on, since the cone is frozen; with no solve, None."""
+        answers = self.__dict__
+        if key not in answers:
+            if solve is None:
+                return None
+            answers[key] = solve(self)
+        return answers[key]
 
     def record(self, v: Vector) -> OptionRecord:
         """The record of v: the kept one if v was the last option asked
@@ -345,8 +329,8 @@ def member(cone: DesirCone, v: Vector) -> bool:
         return lex_sign([level.eval(v) for level in cone.levels]) > 0
     if cone.space.background_strictly_positive(v):
         return True
-    kept = cone.solved_separation()
-    if isinstance(kept, LinearF) and kept.eval(v) <= 0:
+    f = cone.kept("separation")
+    if isinstance(f, LinearF) and f.eval(v) <= 0:
         return False
     record = cone.record(v)
     if record.member is None:
@@ -541,14 +525,16 @@ def separation_evidence(cone: DesirCone) -> Union[LinearF, lp.Infeasible]:
     Returns a background-positive linear functional strictly positive on the
     cone, re-verified before it is returned, or the ``lp.Infeasible`` whose
     Farkas certificate shows that no such functional exists.  It is solved
-    once per cone object and then returned as the same object.  The system
-    for an option v adds the row ``f(v) <= 0`` and is solved only by
+    once per cone object and then kept (``_Cone.kept``).  The system for an
+    option v adds the row ``f(v) <= 0`` and is solved only by
     ``option_separation``, where v's membership solve left no functional.
     """
-    return cone.separation
+    return cone.kept("separation", _solve_separation)
 
 
-def _solve_separation(cone: DesirCone, v: Optional[Vector]) -> Union[LinearF, lp.Infeasible]:
+def _solve_separation(
+    cone: DesirCone, v: Optional[Vector] = None
+) -> Union[LinearF, lp.Infeasible]:
     rows, to_functional = _separation_rows(cone, v)
     # Every separation system opens with a strict row.
     result = lp.solve(lp.LpProblem(rows[0].coeffs.dim, tuple(rows)))
@@ -559,31 +545,82 @@ def _solve_separation(cone: DesirCone, v: Optional[Vector]) -> Union[LinearF, lp
     return functional
 
 
-def option_separation(
-    cone: DesirCone, v: Vector, kept: LinearF
-) -> Union[LinearF, lp.Infeasible]:
-    """The separation evidence for a non-member v with ``kept(v) > 0``, where
-    kept is the cone's option-free functional; kept in the cone's record of v.
+def option_separation(cone: DesirCone, v: Vector) -> Optional[LinearF]:
+    """A background-positive linear functional strictly positive on the cone
+    and nonpositive at v, or None when there is none: the one routine behind
+    ``archimedean.separate``, ``archimedean.archimedean_closure_member`` and
+    ``choice.archimedean_member_evidence``.
 
-    Membership must already be decided (``member(cone, v)`` is False), so a
-    PosiCone's record holds the Farkas functional y of the failed solve where
-    one qualified.  Then ``f = y + t * kept`` with ``t = -y(v) / kept(v)``
-    separates, with no LP: ``y >= 0`` and ``kept > 0`` on every member,
-    ``t > 0``, and ``f(v) = y(v) + t * kept(v) = 0``.  Otherwise (an
-    OpenDualCone, a LexCone, or a strict-dominance PosiCone whose
-    certificates had ``y(v) = 0``) the system for v is solved.
+    The cone's kept functional f, ``separation_evidence(cone)``, is read
+    first; it is checked where it is made (``_separates``) to be
+    background-positive and strictly positive on every member.
+
+    * If the cone has none, no functional separates v either: the system for
+      v only adds a row to the option-free one.
+    * If ``f(v) <= 0``, f separates v, decided by one dot product.
+    * A background-positive v, or a member, has none: every
+      background-positive functional is positive at the one, and every
+      functional strictly positive on the cone at the other.  This needs no
+      LP for v: membership is an evaluation for an OpenDualCone or a
+      LexCone, and a PosiCone keeps its verdict in its record of v.
+    * Otherwise v is a non-member.  Where the record holds the Farkas
+      functional y of v's failed membership solve, checked nonnegative on
+      every member and negative at v (``_excludes_by``),
+
+          f' = y + t f,  t = -y(v) / f(v)
+
+      separates v with no LP: ``y >= 0`` and ``f > 0`` on every member and
+      on the background, so ``f' > 0`` there; ``y(v) < 0 < f(v)``, so
+      ``t > 0``; and ``f'(v) = y(v) + t f(v) = 0``.  A pointwise-dominance
+      certificate always qualifies.  Under strict dominance a nonzero v
+      tries the strictly positive residual first, whose certificate is
+      nonnegative with ``y(v) <= 0``, then the generators alone
+      (``_membership``).  Only where no certificate qualified (an open-dual
+      or lexicographic non-member, or a strict-dominance one with
+      ``y(v) = 0``) is the system for v solved.
+
+    A functional made here is checked where it is made and kept in the
+    record of v, so membership, the closure and separation of one option
+    solve each system once.  A functional returned is checked to exclude v
+    (``_excludes``).
     """
-    record = cone.record(v)
-    if record.separation is None:
-        y = record.farkas
-        if y is None:
-            record.separation = _solve_separation(cone, v)
-        else:
-            t = -y.eval(v) / kept.eval(v)
-            f = LinearF(y.coeffs + kept.coeffs.scale(t))
-            lp.verified(_separates(f, cone, v), "separation witness")
-            record.separation = f
-    return record.separation
+    if v.dim != cone.space.dim:
+        raise ValueError("dimension mismatch")
+    f = separation_evidence(cone)
+    if isinstance(f, lp.Infeasible):
+        return None
+    if f.eval(v) <= 0:
+        evidence = f
+    elif cone.space.background_strictly_positive(v) or member(cone, v):
+        return None
+    else:
+        record = cone.record(v)
+        if record.separation is None:
+            y = record.farkas
+            if y is None:
+                record.separation = _solve_separation(cone, v)
+            else:
+                t = -y.eval(v) / f.eval(v)
+                made = LinearF(y.coeffs + f.coeffs.scale(t))
+                lp.verified(_separates(made, cone, v), "separation witness")
+                record.separation = made
+        evidence = record.separation
+        if isinstance(evidence, lp.Infeasible):
+            return None
+    lp.verified(_excludes(evidence, cone, v), "member exclusion")
+    return evidence
+
+
+def _excludes(f: LinearF, cone: DesirCone, v: Vector) -> bool:
+    """Does f show by substitution, with no LP, that v is not a member?
+
+    For a PosiCone, ``f(v) <= 0`` is the one dot product to check: f was
+    checked where it was made (``_separates``) to be strictly positive on
+    every member.  The other classes decide membership by evaluation.
+    """
+    if isinstance(cone, PosiCone):
+        return f.eval(v) <= 0
+    return not member(cone, v)
 
 
 @dataclass(frozen=True)

@@ -214,12 +214,16 @@ def _named_section(raw: Any, section: str) -> dict[str, Any]:
 
 def load_model(path: str) -> Model:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             raw = json.load(handle, parse_float=_reject_float)
     except OSError as exc:
         raise ModelError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except (ValueError, RecursionError) as exc:
+        # Text that is not UTF-8, an integer past the int-string digit limit,
+        # or arrays and objects nested past the recursion limit.
+        raise ModelError(f"{path}: unreadable JSON: {exc}") from exc
     if not isinstance(raw, dict) or "space" not in raw:
         raise ModelError("model file must be an object with a \"space\" field")
     model = Model(space=_space(raw["space"]))

@@ -94,6 +94,20 @@ def test_essential_archimedeanity_examples(st2, d_interval, d_lex, d_sector):
     assert is_essentially_archimedean(LexCone((LinearF(vec(1, 1)),), st2))
 
 
+def test_one_dimensional_cones_are_open_under_both_backgrounds():
+    # In one dimension the two background orders coincide: every coherent
+    # PosiCone is the open ray {x > 0}, and generator (-1) with the background
+    # reaches 0, so that cone is incoherent under both.
+    for generators, coherent in (((), True), ((vec(2),), True), ((vec(-1),), False)):
+        answers = {
+            background: is_essentially_archimedean(
+                PosiCone(generators, OptionSpace(1, background, vec(1)))
+            )
+            for background in Background
+        }
+        assert set(answers.values()) == {coherent}, (generators, answers)
+
+
 def test_open_dual_cones_are_their_own_closures(d_interval, d_half):
     for cone in (d_interval, d_half):
         for v in grid_2d(Fraction(1), Fraction(1, 5)):
@@ -368,7 +382,7 @@ def test_kept_functional_answers_agree_with_a_fresh_cone():
                 fresh_cone = replace(warm)
                 fresh = _answer(query, fresh_cone, v)
                 if query is member:  # member reads the kept evidence, never solves it
-                    assert fresh_cone.solved_separation() is None
+                    assert fresh_cone.kept("separation") is None
                 if isinstance(answer, SeparationWitness):
                     assert isinstance(fresh, SeparationWitness), (warm, v)
                     for witness in (answer, fresh):

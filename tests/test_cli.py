@@ -392,6 +392,19 @@ def test_data_errors_exit_65(tmp_path, capsys):
         assert code == EXIT_DATA, (states, rewards)
         assert "model error" in err and "lotteries.L" in err, err
 
+    # Malformed files the JSON reader itself rejects: nesting past the
+    # recursion limit, an integer past the int-string digit limit, and bytes
+    # that are not UTF-8.
+    for content in (
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"space": {"dim": 2, "background": "pointwise", "u_o": [' + b"1" * 5000 + b', "1"]}}',
+        b'{"space": {"dim": 2, "background": "pointwise", "u_o": ["\xff", "1"]}}',
+    ):
+        bad.write_bytes(content)
+        code, _, err = run(capsys, "check", str(bad))
+        assert code == EXIT_DATA, content[:40]
+        assert "model error" in err, err
+
 
 @pytest.mark.parametrize("command", ["report", "check"])
 def test_coin_json_output_matches_golden(capsys, command):

@@ -607,7 +607,7 @@ def test_broken_invariants_raise_runtime_errors(monkeypatch):
             id="excluding_envelope",
         ),
         pytest.param(
-            "archimedean._excludes = lambda f, cone, v: False",
+            "cone._excludes = lambda f, cone, v: False",
             "archimedean.separate(cone.PosiCone((vec(1, -1),), space), vec(-1, 3))",
             "member exclusion",
             id="separation_excludes_member",

@@ -39,3 +39,29 @@ def test_the_engine_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert not found, found
+
+
+def test_no_engine_module_reaches_into_another_ones_private_names():
+    # A module reaches another engine module only through its public names:
+    # no `module._name` on a module bound by `from . import module [as alias]`.
+    modules = sorted(SOURCE.glob("*.py"))
+    assert modules
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        aliases = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for alias in node.names
+        }
+        found += [
+            f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ]
+    assert not found, found
