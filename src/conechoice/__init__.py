@@ -24,7 +24,6 @@ from .cone import (
     MixingResult,
     OpenDualCone,
     PosiCone,
-    interior_member,
     is_coherent,
     is_mixing,
     member,

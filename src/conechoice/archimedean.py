@@ -23,11 +23,11 @@ from .cone import (
     LexCone,
     OpenDualCone,
     PosiCone,
-    _separates,
     hull_lambda_o,
     is_coherent,
     member,
     option_separation,
+    separates,
     separation_evidence,
 )
 from .functional import LinearF, SuperlinF, nml, pieces_of
@@ -46,7 +46,7 @@ def verify_separation_witness(
     """Re-check a witness by substitution: background-positive, nonpositive at
     the separated option, strictly positive on any supplied members."""
     f = witness.functional
-    return _separates(f, cone, witness.separated_option) and all(
+    return separates(f, cone, (witness.separated_option,)) and all(
         f.eval(u) > 0 for u in members
     )
 
@@ -94,23 +94,25 @@ def archimedean_closure_member(cone: DesirCone, v: Vector) -> bool:
 
 
 def is_essentially_archimedean(cone: DesirCone) -> bool:
-    """Is the cone coherent and topologically open?"""
+    """Is the cone coherent and topologically open?
+
+    A PosiCone contains its generator rays, so it is open only as the open
+    orthant itself (under strict dominance, or {x > 0} in one dimension):
+    every generator background-positive.  That condition is exactly "open and
+    coherent", so no LP is solved: no positive combination of
+    background-positive generators is 0, and in one dimension a generator
+    x <= 0 puts 0 in the cone.
+    """
     if isinstance(cone, OpenDualCone):
         return is_coherent(cone)
     if isinstance(cone, LexCone):
         # One (independent) level is an open half-space; two or more levels
         # include boundary points of the first level's kernel.
         return len(cone.levels) == 1 and is_coherent(cone)
-    # A posi-generated cone contains its generator rays, so it is open only in
-    # the corner case where it collapses to the open orthant itself.  In one
-    # dimension that is every coherent cone, {x > 0}, under either background
-    # order.
-    if cone.space.dim == 1 or (
-        cone.space.background is Background.STRICT
-        and all(all(entry > 0 for entry in g.entries) for g in cone.generators)
-    ):
-        return is_coherent(cone)
-    return False
+    space = cone.space
+    return (space.dim == 1 or space.background is Background.STRICT) and all(
+        space.background_strictly_positive(g) for g in cone.generators
+    )
 
 
 def lambda_o(cone: DesirCone, u: Vector) -> Fraction:

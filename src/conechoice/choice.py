@@ -44,6 +44,7 @@ from .cone import (
     natural_extension,
     option_separation,
     posi_member,
+    separates,
 )
 from .functional import LinearF, SuperlinF, is_positive, nml
 from .numeric import OptionSpace, Vector
@@ -261,12 +262,7 @@ def archimedean_member_evidence(model: AssessmentK, b: OptionSet) -> Optional[Su
             per_option.append(evidence)
         else:
             envelope = SuperlinF(tuple(per_option))
-            lp.verified(
-                is_positive(envelope, model.space)
-                and all(envelope.eval(u) > 0 for u in cone.generators)
-                and all(envelope.eval(v) <= 0 for v in options),
-                "excluding envelope",
-            )
+            lp.verified(separates(envelope, cone, options), "excluding envelope")
             return envelope
     return None
 

@@ -28,6 +28,9 @@ rows per class:
   (forcing it onto the ray of level_1) and strictly positive on the generators
   that are themselves members -- which is exactly where multi-level cones fail.
 
+Every separating functional, and every min-envelope of them in
+:mod:`conechoice.choice`, is checked by one routine, ``separates``.
+
 Mixing reads the same solve for a PosiCone: a separating functional shows
 that a PosiCone of dimension 2 or more is not mixing, and one Lambda_o LP over
 its closed hull (``hull_lambda_o``) turns it into a witness pair.
@@ -35,7 +38,7 @@ its closed hull (``hull_lambda_o``) turns it into a witness pair.
 A cone object keeps what it learns, since it is frozen, in one store
 (``_Cone.kept``): its option-free separation evidence (``separation_evidence``),
 whose functional f is checked where it is made to be strictly positive on
-the cone (``_separates``), and, for a selection's extension in
+the cone (``separates``), and, for a selection's extension in
 :mod:`conechoice.choice`, its consistency.  Beside the store sits a record of
 the last option v the object was asked about (``OptionRecord``): v's
 membership verdict, a PosiCone's Farkas functional y of v's failed
@@ -56,7 +59,7 @@ from functools import cache
 from typing import Any, Callable, Optional, Sequence, Union
 
 from . import lp
-from .functional import LinearF, is_positive
+from .functional import Functional, LinearF, is_positive
 from .numeric import (
     Background,
     OptionSpace,
@@ -66,13 +69,6 @@ from .numeric import (
     unit_vector,
     zero_vector,
 )
-
-
-def interior_member(space: OptionSpace, u: Vector) -> bool:
-    """Is u in the interior of the background cone (all entries strictly positive)?"""
-    if u.dim != space.dim:
-        raise ValueError("dimension mismatch")
-    return all(entry > 0 for entry in u.entries)
 
 
 def background_generators(space: OptionSpace) -> list[Vector]:
@@ -315,7 +311,7 @@ def member(cone: DesirCone, v: Vector) -> bool:
       generators, so this holds for an incoherent cone too.
     * If a query has already solved the cone's kept separating functional f
       (member never solves it), ``f(v) <= 0`` answers False, since f is
-      strictly positive on every member (``_separates``).
+      strictly positive on every member (``separates``).
 
     Any other option is decided by ``_membership``, and the verdict and the
     Farkas functional of a non-member go into the cone's record of v, so a
@@ -360,7 +356,7 @@ def _membership(
         generators += background_generators(cone.space)
     elif not generators:
         # The semantic set is the open orthant.
-        terms = ((v, Fraction(1)),) if interior_member(cone.space, v) else None
+        terms = ((v, Fraction(1)),) if cone.space.background_strictly_positive(v) else None
         return terms, None
     posi = (_posi_problem, 0, _posi_terms)
     residual = (_residual_problem, 1, _residual_terms)
@@ -447,23 +443,25 @@ def is_coherent(cone: DesirCone) -> bool:
     return is_positive(cone.levels[0], space)
 
 
-def _separates(f: LinearF, cone: DesirCone, v: Optional[Vector]) -> bool:
+def separates(f: Functional, cone: DesirCone, options: Sequence[Vector] = ()) -> bool:
     """Is f background-positive, strictly positive on every generator of a
-    PosiCone, and nonpositive at v when v is given?  Checked by substitution.
+    PosiCone, and nonpositive at every option given?  The one separation
+    check, by substitution, for a linear f or a min-envelope of linear pieces.
 
     For a PosiCone this puts f strictly positive on every member, so that
-    ``f(v) <= 0`` alone excludes v.  Under pointwise dominance a member is a
-    nonzero nonnegative combination of generators and unit vectors, and
-    ``f(e_i) > 0``.  Under strict dominance it is a nonzero nonnegative
-    combination of generators, plus possibly a strictly positive option, or a
-    strictly positive option alone; f is nonnegative and nonzero, so it is
-    strictly positive on a strictly positive option.
+    ``f(v) <= 0`` alone excludes v.  A member is a nonzero nonnegative
+    combination of generators and background-positive options (the unit
+    vectors under pointwise dominance, a strictly positive option under
+    strict dominance), f is strictly positive on each of them, and f is
+    superadditive and positively homogeneous.  For the other classes the
+    rows of the separation system make f positive on the cone; that part is
+    not checked here.
     """
     if not is_positive(f, cone.space):
         return False
     if isinstance(cone, PosiCone) and not all(f.eval(g) > 0 for g in cone.generators):
         return False
-    return v is None or f.eval(v) <= 0
+    return all(f.eval(v) <= 0 for v in options)
 
 
 def _nonpos_rows(v: Optional[Vector]) -> list[lp.Constraint]:
@@ -541,7 +539,8 @@ def _solve_separation(
     if isinstance(result, lp.Infeasible):
         return result
     functional = to_functional(result.witness)
-    lp.verified(_separates(functional, cone, v), "separation witness")
+    options = () if v is None else (v,)
+    lp.verified(separates(functional, cone, options), "separation witness")
     return functional
 
 
@@ -552,7 +551,7 @@ def option_separation(cone: DesirCone, v: Vector) -> Optional[LinearF]:
     ``choice.archimedean_member_evidence``.
 
     The cone's kept functional f, ``separation_evidence(cone)``, is read
-    first; it is checked where it is made (``_separates``) to be
+    first; it is checked where it is made (``separates``) to be
     background-positive and strictly positive on every member.
 
     * If the cone has none, no functional separates v either: the system for
@@ -579,10 +578,10 @@ def option_separation(cone: DesirCone, v: Vector) -> Optional[LinearF]:
       or lexicographic non-member, or a strict-dominance one with
       ``y(v) = 0``) is the system for v solved.
 
-    A functional made here is checked where it is made and kept in the
-    record of v, so membership, the closure and separation of one option
-    solve each system once.  A functional returned is checked to exclude v
-    (``_excludes``).
+    A functional made here is checked where it is made (``separates``) and
+    kept in the record of v, so membership, the closure and separation of
+    one option solve each system once.  A functional returned is checked to
+    exclude v (``_excludes``).
     """
     if v.dim != cone.space.dim:
         raise ValueError("dimension mismatch")
@@ -602,7 +601,7 @@ def option_separation(cone: DesirCone, v: Vector) -> Optional[LinearF]:
             else:
                 t = -y.eval(v) / f.eval(v)
                 made = LinearF(y.coeffs + f.coeffs.scale(t))
-                lp.verified(_separates(made, cone, v), "separation witness")
+                lp.verified(separates(made, cone, (v,)), "separation witness")
                 record.separation = made
         evidence = record.separation
         if isinstance(evidence, lp.Infeasible):
@@ -615,7 +614,7 @@ def _excludes(f: LinearF, cone: DesirCone, v: Vector) -> bool:
     """Does f show by substitution, with no LP, that v is not a member?
 
     For a PosiCone, ``f(v) <= 0`` is the one dot product to check: f was
-    checked where it was made (``_separates``) to be strictly positive on
+    checked where it was made (``separates``) to be strictly positive on
     every member.  The other classes decide membership by evaluation.
     """
     if isinstance(cone, PosiCone):

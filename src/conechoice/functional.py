@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from . import lp
-from .numeric import Background, OptionSpace, Vector
+from .numeric import OptionSpace, Vector
 
 
 @dataclass(frozen=True)
@@ -75,19 +75,10 @@ def pieces_of(f: Functional) -> tuple[LinearF, ...]:
 def is_positive(f: Functional, space: OptionSpace) -> bool:
     """Is f strictly positive on every background-positive option?
 
-    Pointwise dominance: piece(e_i) > 0 for every piece and coordinate, which
-    suffices by superadditivity.  Strict dominance: every piece nonnegative
-    coordinatewise and nonzero, so strictly positive vectors get positive value.
+    f is the min of its pieces, so it is iff every piece is, by the space's
+    rule for linear functionals (``OptionSpace.positive_functional``).
     """
-    for piece in pieces_of(f):
-        entries = piece.coeffs.entries
-        if space.background is Background.POINTWISE:
-            if not all(c > 0 for c in entries):
-                return False
-        else:
-            if not all(c >= 0 for c in entries) or all(c == 0 for c in entries):
-                return False
-    return True
+    return all(space.positive_functional(piece.coeffs) for piece in pieces_of(f))
 
 
 def operator_norm(f: LinearF) -> Fraction:

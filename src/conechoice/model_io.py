@@ -16,7 +16,11 @@ from .choice import AssessmentK, BinaryK, CredalK, KModel, OptionSet
 from .cone import DesirCone, LexCone, OpenDualCone, PosiCone
 from .functional import Functional, LinearF, SuperlinF
 from .lottery import HorseLottery
-from .numeric import Background, OptionSpace, Vector, parse_rational
+from .numeric import Background, OptionSpace, Vector, ones, parse_rational
+
+# The largest space.dim a model file may declare: far above any dimension
+# the exact LP can serve, and refused before anything of its size is built.
+MAX_DIM = 10_000
 
 
 class ModelError(Exception):
@@ -75,16 +79,15 @@ def _space(raw: Any) -> OptionSpace:
     except KeyError as exc:
         raise ModelError(f"space: missing field {exc}") from exc
     # bool is a subclass of int: "dim": true is not a dimension.
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
-        raise ModelError("space.dim: expected a positive integer")
+    if not isinstance(dim, int) or isinstance(dim, bool) or not 0 < dim <= MAX_DIM:
+        raise ModelError(f"space.dim: expected a positive integer at most {MAX_DIM}")
     try:
         bg = Background(background)
     except ValueError as exc:
         raise ModelError(
             f"space.background: expected \"pointwise\" or \"strict\", got {background!r}"
         ) from exc
-    u_o_raw = raw.get("u_o", ["1"] * dim)
-    u_o = _vector(u_o_raw, "space.u_o", dim)
+    u_o = _vector(raw["u_o"], "space.u_o", dim) if "u_o" in raw else ones(dim)
     try:
         return OptionSpace(dim=dim, background=bg, u_o=u_o)
     except ValueError as exc:
@@ -149,11 +152,9 @@ def _k_model(name: str, raw: Any, space: OptionSpace, cones: dict[str, DesirCone
             return CredalK(tuple(LinearF(p) for p in pieces), space)
         if kind == "binary":
             cone_name = raw.get("cone")
-            if cone_name not in cones:
+            if not isinstance(cone_name, str) or cone_name not in cones:
                 raise ModelError(f"{where}.cone: unknown cone {cone_name!r}")
             return BinaryK(cones[cone_name])
-    except ModelError:
-        raise
     except ValueError as exc:
         raise ModelError(f"{where}: {exc}") from exc
     raise ModelError(f"{where}: unknown k-model type {kind!r}")

@@ -201,6 +201,17 @@ class OptionSpace:
             return all(a >= 0 for a in u.entries) and any(a > 0 for a in u.entries)
         return all(a > 0 for a in u.entries)
 
+    def positive_functional(self, coeffs: Vector) -> bool:
+        """Is u -> coeffs . u strictly positive on every background-positive u?
+
+        The two orders are dual: pointwise dominance holds every unit vector
+        positive, so each coefficient must be > 0; strict dominance holds the
+        open orthant positive, so coefficients >= 0, not all 0, suffice.
+        """
+        if self.background is Background.POINTWISE:
+            return all(c > 0 for c in coeffs.entries)
+        return all(c >= 0 for c in coeffs.entries) and any(c > 0 for c in coeffs.entries)
+
 
 def row_reduce(rows: Sequence[Vector]) -> tuple[list[list[Fraction]], list[int]]:
     """Gaussian elimination; returns the reduced rows and pivot column indices."""

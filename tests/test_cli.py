@@ -381,6 +381,25 @@ def test_data_errors_exit_65(tmp_path, capsys):
     assert code == EXIT_DATA
     assert "space.dim" in err
 
+    # A dimension past the loader's bound is refused before anything of that
+    # size is built, whether or not u_o is given.
+    for space in ({"dim": 10**15, "background": "pointwise"},
+                  {"dim": 10**15, "background": "pointwise", "u_o": ["1"]}):
+        bad.write_text(json.dumps({"space": space}))
+        code, _, err = run(capsys, "check", str(bad))
+        assert code == EXIT_DATA, space
+        assert "model error" in err and "space.dim" in err, err
+
+    # A binary k-model's cone reference must be a cone's name.
+    bad.write_text(json.dumps({
+        "space": {"dim": 2, "background": "pointwise"},
+        "cones": {"D": {"type": "posi", "generators": []}},
+        "k_models": {"K": {"type": "binary", "cone": ["D"]}},
+    }))
+    code, _, err = run(capsys, "check", str(bad))
+    assert code == EXIT_DATA
+    assert "model error" in err and "k_models.K.cone" in err, err
+
     # A lottery block embeds into one coordinate per state and non-reference
     # reward, so it needs a state and two rewards.
     space = {"dim": 2, "background": "pointwise", "u_o": ["1", "1"]}

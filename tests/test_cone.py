@@ -5,14 +5,13 @@ from itertools import product
 import pytest
 
 from conechoice import lp
-from conechoice.archimedean import archimedean_consistency_witness
+from conechoice.archimedean import archimedean_consistency_witness, is_essentially_archimedean
 from conechoice.cone import (
     LexCone,
     OpenDualCone,
     PosiCone,
     _membership_combination,
     background_generators,
-    interior_member,
     is_coherent,
     is_mixing,
     lex_sign,
@@ -20,10 +19,19 @@ from conechoice.cone import (
     natural_extension,
     posi_member,
     separation_evidence,
+    strict_background_rows,
     verify_inconsistency_combination,
 )
 from conechoice.functional import LinearF, is_positive
-from conechoice.numeric import Background, OptionSpace, Vector, vec, zero_vector
+from conechoice.numeric import (
+    Background,
+    OptionSpace,
+    Vector,
+    ones,
+    unit_vector,
+    vec,
+    zero_vector,
+)
 
 from conftest import expectation, rand_fraction, rand_positive_vector, rand_vector
 from oracles import cone2_member, grid_2d, separation_direction_2d, units_2d
@@ -56,10 +64,11 @@ def test_sector_cone_contains_boundary_rays(d_sector):
     assert not member(d_sector, vec(1, -1))
 
 
-def test_interior_member(pw2):
-    assert interior_member(pw2, vec(1, 1))
-    assert not interior_member(pw2, vec(1, 0))
-    assert interior_member(pw2, vec(2, "1/10"))
+def test_interior_member(st2):
+    # The interior of the background cone is the strict-dominance positive set.
+    assert st2.background_strictly_positive(vec(1, 1))
+    assert not st2.background_strictly_positive(vec(1, 0))
+    assert st2.background_strictly_positive(vec(2, "1/10"))
 
 
 def test_lex_sign():
@@ -327,11 +336,66 @@ def test_background_positive_options_are_members_with_no_lp(monkeypatch):
                 reachable = vector in cone.generators or (
                     vector in background_generators(space)
                     if space.background is Background.POINTWISE
-                    else coeff == 1 and interior_member(space, vector)
+                    else coeff == 1 and space.background_strictly_positive(vector)
                 )
                 assert reachable, (cone, v, vector)
                 total = total + vector.scale(coeff)
             assert total == v, (cone, v)
+
+
+def _sparse_vector(rng: random.Random, d: int) -> Vector:
+    """A random rational vector with about half its entries zero."""
+    return Vector(tuple(
+        Fraction(0) if rng.random() < 0.5 else rand_fraction(rng, 3) for _ in range(d)
+    ))
+
+
+def test_positivity_rules_agree_with_each_other_and_with_the_lp_rows():
+    # (a) a positive functional is positive at every background-positive
+    # option; (b) a functional that is not has a background-positive option
+    # where it is <= 0; (c) the predicate is the LP's background rows read
+    # homogeneously; (d) on PosiCones, is_essentially_archimedean agrees with
+    # its former formula, which asked is_coherent for an LP.
+    rng = random.Random(47)
+    decided = {True: 0, False: 0}
+    for _ in range(1500):
+        d = rng.randint(1, 4)
+        space = OptionSpace(d, rng.choice(list(Background)), rand_positive_vector(rng, d, 2))
+        c = _sparse_vector(rng, d)
+        positive = space.positive_functional(c)
+        for u in (_sparse_vector(rng, d), _background_positive(rng, space)):
+            if positive and space.background_strictly_positive(u):
+                assert c.dot(u) > 0, (space, c, u)
+        if not positive:
+            if space.background is Background.POINTWISE:
+                k = next(k for k in range(d) if c[k] <= 0)
+                u = unit_vector(d, k)
+            elif c.is_zero():
+                u = ones(d)
+            else:
+                k = next(k for k in range(d) if c[k] < 0)
+                u = ones(d) + unit_vector(d, k).scale(sum(map(abs, c)) / -c[k])
+            assert space.background_strictly_positive(u) and c.dot(u) <= 0, (space, c, u)
+        strict_rows, nonneg_rows = strict_background_rows(space)
+        assert positive == (
+            all(row.coeffs.dot(c) > 0 for row in strict_rows)
+            and all(row.coeffs.dot(c) >= 0 for row in nonneg_rows)
+        ), (space, c)
+        generators = [
+            rand_positive_vector(rng, d, 2) if rng.random() < 0.5 else _sparse_vector(rng, d)
+            for _ in range(rng.randint(0, 3))
+        ]
+        cone = PosiCone(tuple(generators), space)
+        former = (
+            d == 1
+            or (
+                space.background is Background.STRICT
+                and all(all(entry > 0 for entry in g.entries) for g in generators)
+            )
+        ) and is_coherent(cone)
+        assert is_essentially_archimedean(cone) == former, cone
+        decided[former] += 1
+    assert min(decided.values()) >= 150, decided
 
 
 def test_closure_is_extensive_and_monotone(pw2):

@@ -588,7 +588,7 @@ def test_broken_invariants_raise_runtime_errors(monkeypatch):
             id="farkas_certificate",
         ),
         pytest.param(
-            "cone._separates = lambda f, cone, v: False",
+            "cone.separates = lambda f, cone, options=(): False",
             "archimedean.separation_evidence(cone.PosiCone((vec(1, -1),), space))",
             "separation witness",
             id="separation_witness",
@@ -600,7 +600,7 @@ def test_broken_invariants_raise_runtime_errors(monkeypatch):
             id="inconsistency_combination",
         ),
         pytest.param(
-            "choice.is_positive = lambda f, space: False",
+            "choice.separates = lambda f, cone, options=(): False",
             "choice.archimedean_member_evidence(choice.AssessmentK((choice.option_set(vec(1, -1)),),"
             " space), choice.option_set(vec(-1, 1)))",
             "excluding envelope",

@@ -103,9 +103,12 @@ def test_rejects_duplicate_names(tmp_path):
 
 
 def test_rejects_unknown_cone_reference(tmp_path):
-    payload = dict(MINIMAL, k_models={"K": {"type": "binary", "cone": "nope"}})
-    with pytest.raises(ModelError, match="unknown cone"):
-        load_model(write(tmp_path, payload))
+    # A reference that is not a string cannot name a cone (nor be hashed).
+    cones = {"D": {"type": "posi", "generators": []}}
+    for reference in ("nope", ["D"], {}):
+        payload = dict(MINIMAL, cones=cones, k_models={"K": {"type": "binary", "cone": reference}})
+        with pytest.raises(ModelError, match=r"k_models\.K\.cone: unknown cone"):
+            load_model(write(tmp_path, payload))
 
 
 def test_rejects_dependent_lex_levels(tmp_path):

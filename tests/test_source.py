@@ -43,7 +43,8 @@ def test_the_engine_imports_only_the_standard_library():
 
 def test_no_engine_module_reaches_into_another_ones_private_names():
     # A module reaches another engine module only through its public names:
-    # no `module._name` on a module bound by `from . import module [as alias]`.
+    # no `module._name` on a module bound by `from . import module [as alias]`,
+    # and no `from .module import _name`.
     modules = sorted(SOURCE.glob("*.py"))
     assert modules
     found = []
@@ -63,5 +64,12 @@ def test_no_engine_module_reaches_into_another_ones_private_names():
             and node.value.id in aliases
             and node.attr.startswith("_")
             and not node.attr.startswith("__")
+        ]
+        found += [
+            f"{path.name}:{node.lineno}: {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is not None
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")
         ]
     assert not found, found
