@@ -27,6 +27,7 @@ from .cone import (
     is_coherent,
     member,
     option_separation,
+    posi_member,
     separates,
     separation_evidence,
 )
@@ -43,9 +44,13 @@ class SeparationWitness:
 def verify_separation_witness(
     cone: DesirCone, witness: SeparationWitness, members: Sequence[Vector] = ()
 ) -> bool:
-    """Re-check a witness by substitution: background-positive, nonpositive at
-    the separated option, strictly positive on any supplied members."""
+    """Re-check a witness: ``cone.separates`` at the separated option, strictly
+    positive on any supplied members and, for an OpenDualCone, in the posi
+    hull of its pieces (one LP), which makes it strictly positive on the cone."""
     f = witness.functional
+    if isinstance(cone, OpenDualCone):
+        if not posi_member([p.coeffs for p in cone.pieces], f.coeffs):
+            return False
     return separates(f, cone, (witness.separated_option,)) and all(
         f.eval(u) > 0 for u in members
     )

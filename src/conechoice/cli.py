@@ -18,13 +18,12 @@ from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from . import archimedean as arch
-from . import choice
+from . import choice, lp
 from . import cone as cones
-from .functional import Functional, LinearF, SuperlinF
+from .functional import LinearF, SuperlinF
 from .lottery import embed_pref, to_vector
-from .lp import verified
-from .model_io import Model, ModelError, load_model
-from .numeric import Vector, format_rational, parse_rational
+from .model_io import Model, ModelError, load_model, read_vector
+from .numeric import Vector, format_rational
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -41,59 +40,73 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt_vector(v: Vector) -> list[str]:
-    return [format_rational(x) for x in v.entries]
+def _json(value: Any) -> Any:
+    """The JSON form of an answer: rationals as strings like "p/q", vectors and
+    option sets as lists of them, a functional as its type and coefficients."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, Vector):
+        return [format_rational(x) for x in value.entries]
+    if isinstance(value, choice.OptionSet):
+        return [_json(u) for u in value]
+    if isinstance(value, LinearF):
+        return {"type": "linear", "coeffs": _json(value.coeffs)}
+    if isinstance(value, SuperlinF):
+        return {"type": "superlinear", "pieces": [_json(p.coeffs) for p in value.pieces]}
+    return value
 
 
-def _fmt_functional(f: Functional) -> dict:
-    if isinstance(f, LinearF):
-        return {"type": "linear", "coeffs": _fmt_vector(f.coeffs)}
-    return {"type": "superlinear", "pieces": [_fmt_vector(p.coeffs) for p in f.pieces]}
-
-
-def _mixing_record(cone: cones.DesirCone) -> dict:
-    result = cones.is_mixing(cone)
-    if result.status is None:
-        return {"answer": "unknown"}
-    record: dict[str, Any] = {"answer": result.status}
-    if result.witness is not None:
-        u, v = result.witness
-        record["witness"] = {"u": _fmt_vector(u), "v": _fmt_vector(v)}
-    return record
-
-
-def _arch_consistency_record(target: cones.DesirCone) -> dict:
-    evidence = arch.separation_evidence(target)
+def _record(answer: Any, evidence: Any = None) -> dict:
+    """The record of an answer and its evidence, the one place that gives each
+    kind of evidence its JSON form.  A witness is a linear functional's
+    coefficients, a min-envelope's typed pieces or a mixing pair ``u``, ``v``;
+    a certificate is an ``lp.Infeasible``'s multipliers or an inconsistency
+    combination's vectors and coefficients.  Undecided mixing is "unknown"."""
+    if isinstance(answer, cones.MixingResult):
+        record: dict[str, Any] = {"answer": "unknown" if answer.status is None else answer.status}
+        if answer.witness is not None:
+            u, v = answer.witness
+            record["witness"] = {"u": _json(u), "v": _json(v)}
+        return record
+    if isinstance(answer, cones.ConsistencyReport):
+        if answer.combination is not None:
+            return {"answer": False, "certificate": [
+                {"vector": _json(v), "coeff": _json(c)} for v, c in answer.combination
+            ]}
+        answer = answer.consistent
+    record = {"answer": _json(answer)}
     if isinstance(evidence, LinearF):
-        return {"answer": True, "witness": _fmt_vector(evidence.coeffs)}
-    return {"answer": False, "certificate": [format_rational(c) for c in evidence.certificate]}
+        record["witness"] = _json(evidence.coeffs)
+    elif isinstance(evidence, SuperlinF):
+        record["witness"] = _json(evidence)
+    elif isinstance(evidence, lp.Infeasible):
+        record["certificate"] = [_json(c) for c in evidence.certificate]
+    return record
 
 
 def _cone_query(model: Model, query: dict, target: cones.DesirCone) -> dict:
     kind = query["kind"]
     if kind == "coherent":
-        return {"answer": cones.is_coherent(target)}
+        return _record(cones.is_coherent(target))
     if kind == "mixing":
-        return _mixing_record(target)
+        return _record(cones.is_mixing(target))
     if kind == "essentially_archimedean":
-        return {"answer": arch.is_essentially_archimedean(target)}
+        return _record(arch.is_essentially_archimedean(target))
     if kind == "arch_consistent":
-        return _arch_consistency_record(target)
+        evidence = arch.separation_evidence(target)
+        return _record(isinstance(evidence, LinearF), evidence)
     if kind == "member":
-        option = _cone_option(model, query)
-        return {"answer": cones.member(target, option)}
+        return _record(cones.member(target, _cone_option(model, query)))
     if kind == "arch_member":
         option = _cone_option(model, query)
-        answer = arch.archimedean_closure_member(target, option)
-        record: dict[str, Any] = {"answer": answer}
-        if not answer:
-            witness = arch.separate(target, option)
-            verified(witness is not None, "separation witness")
-            record["witness"] = _fmt_vector(witness.functional.coeffs)
-        return record
+        if arch.archimedean_closure_member(target, option):
+            return _record(True)
+        # Two calls: traced models runs expect archimedean_closure_member and separate bindings.
+        witness = arch.separate(target, option)
+        lp.verified(witness is not None, "separation witness")
+        return _record(False, witness.functional)
     if kind == "lambda_o":
-        option = _cone_option(model, query)
-        return {"answer": format_rational(arch.lambda_o(target, option))}
+        return _record(arch.lambda_o(target, _cone_option(model, query)))
     raise UsageError(f"kind {kind!r} does not apply to a cone")
 
 
@@ -111,7 +124,10 @@ def _refuse_other_option_field(query: dict, key: str) -> None:
 
 def _cone_option(model: Model, query: dict) -> Vector:
     _refuse_other_option_field(query, "option")
-    return _query_vector(query, "option", model.space.dim)
+    raw = query.get("option")
+    if raw is None:
+        raise UsageError("query needs an 'option' field")
+    return _query_vector(raw, "option", model.space.dim)
 
 
 def _k_option_set(model: Model, query: dict) -> choice.OptionSet:
@@ -119,70 +135,50 @@ def _k_option_set(model: Model, query: dict) -> choice.OptionSet:
     return choice.OptionSet(tuple(_query_vectors(query, "option_set", model.space.dim)))
 
 
+# The k-model kinds that need an assessment model, by what their message calls them.
+_ASSESSMENT_ONLY = {"consistent": "consistency", "arch_consistent": "Archimedean consistency",
+                    "arch_member": "Archimedean membership", "is_binary": "binarity"}
+
+
 def _k_query(model: Model, query: dict, target: choice.KModel) -> dict:
     kind = query["kind"]
+    if kind in _ASSESSMENT_ONLY and not isinstance(target, choice.AssessmentK):
+        raise UsageError(f"{_ASSESSMENT_ONLY[kind]} queries need an assessment model")
     if kind == "member":
-        return {"answer": choice.member(target, _k_option_set(model, query))}
+        return _record(choice.member(target, _k_option_set(model, query)))
     if kind == "consistent":
-        if not isinstance(target, choice.AssessmentK):
-            raise UsageError("consistency queries need an assessment model")
-        return {"answer": choice.consistent(target)}
+        return _record(choice.consistent(target))
     if kind == "arch_consistent":
-        if not isinstance(target, choice.AssessmentK):
-            raise UsageError("Archimedean consistency queries need an assessment model")
         witness = choice.archimedean_consistency_witness(target)
-        if witness is None:
-            return {"answer": False}
-        return {"answer": True, "witness": _fmt_vector(witness.coeffs)}
+        return _record(witness is not None, witness)
     if kind == "arch_member":
-        if not isinstance(target, choice.AssessmentK):
-            raise UsageError("Archimedean membership queries need an assessment model")
         envelope = choice.archimedean_member_evidence(target, _k_option_set(model, query))
-        if envelope is None:
-            return {"answer": True}
-        return {"answer": False, "witness": _fmt_functional(envelope)}
+        return _record(envelope is None, envelope)
     if kind == "is_binary":
-        if not isinstance(target, choice.AssessmentK):
-            raise UsageError("binarity queries need an assessment model")
-        return {"answer": choice.is_binary(target)}
+        return _record(choice.is_binary(target))
     raise UsageError(f"kind {kind!r} does not apply to a k-model")
 
 
-def _parse_query_vector(raw: Any, what: str, dim: int) -> Vector:
-    # A string is iterable too: "10" must not be read as the vector (1, 0).
-    if not isinstance(raw, list):
-        raise UsageError(f"bad {what}: expected a list of rationals, got {raw!r}")
-    if len(raw) != dim:
-        raise UsageError(f"bad {what}: expected {dim} entries, got {len(raw)}")
-    for x in raw:
-        if not isinstance(x, str):
-            raise UsageError(f"bad {what}: rationals must be strings like \"p/q\", got {x!r}")
+def _query_vector(raw: Any, what: str, dim: int) -> Vector:
+    """A query's vector, read as a model file's (``model_io.read_vector``)."""
     try:
-        return Vector(tuple(parse_rational(x) for x in raw))
+        return read_vector(raw, dim)
     except ValueError as exc:
         raise UsageError(f"bad {what}: {exc}") from exc
-
-
-def _query_vector(query: dict, key: str, dim: int) -> Vector:
-    raw = query.get(key)
-    if raw is None:
-        raise UsageError(f"query needs an {key!r} field")
-    return _parse_query_vector(raw, key, dim)
 
 
 def _query_vectors(query: dict, key: str, dim: int) -> list[Vector]:
     raw = query.get(key)
     if not isinstance(raw, list):
         raise UsageError(f"query needs a {key!r} list of vectors")
-    return [_parse_query_vector(entry, f"{key} entry", dim) for entry in raw]
+    return [_query_vector(entry, f"{key} entry", dim) for entry in raw]
 
 
 def _choose_record(model: Model, rule: str, target_name: str, menu: choice.OptionSet) -> dict:
     if rule == "maximality":
         if target_name not in model.cones:
             raise UsageError(f"maximality needs a cone target, {target_name!r} is not one")
-        chosen = choice.maximal(model.cones[target_name], menu)
-        return {"answer": [_fmt_vector(u) for u in chosen]}
+        return _record(choice.maximal(model.cones[target_name], menu))
     if target_name not in model.k_models:
         raise UsageError(f"rule {rule!r} needs a k-model target, {target_name!r} is not one")
     target = model.k_models[target_name]
@@ -190,14 +186,13 @@ def _choose_record(model: Model, rule: str, target_name: str, menu: choice.Optio
         if not isinstance(target, choice.CredalK):
             raise UsageError("eadm needs a credal k-model")
         chosen = choice.e_admissible(target.functionals, menu)
-        verified(
+        lp.verified(
             chosen.options == choice.choose(target, menu).options,
             "E-admissibility/choice agreement",
         )
-        return {"answer": [_fmt_vector(u) for u in chosen]}
+        return _record(chosen)
     if rule == "reject":
-        rejected = choice.reject(target, menu)
-        return {"answer": [_fmt_vector(u) for u in rejected]}
+        return _record(choice.reject(target, menu))
     raise UsageError(f"unknown rule {rule!r}")
 
 
@@ -224,17 +219,8 @@ def _dispatch_query(model: Model, query: dict) -> dict:
     if kind == "natural_extension":
         assessment = _query_vectors(query, "assessment", model.space.dim)
         extension, report = cones.natural_extension(assessment, model.space)
-        record: dict[str, Any] = {"answer": report.consistent}
-        if report.combination is not None:
-            record["certificate"] = [
-                {"vector": _fmt_vector(v), "coeff": format_rational(c)}
-                for v, c in report.combination
-            ]
-        else:
-            witness = arch.archimedean_consistency_witness(extension)
-            if witness is not None:
-                record["witness"] = _fmt_vector(witness.coeffs)
-        return record
+        witness = arch.archimedean_consistency_witness(extension) if report.consistent else None
+        return _record(report, witness)
     if kind == "choose":
         rule = query.get("rule")
         if rule is None:
@@ -246,16 +232,16 @@ def _dispatch_query(model: Model, query: dict) -> dict:
     if kind == "nml":
         if target_name not in model.functionals:
             raise UsageError(f"unknown functional {target_name!r}")
+        # Read at the call, so traced models runs see the functional.nml binding they expect.
         from .functional import nml
 
-        normalized = nml(model.functionals[target_name], model.space.u_o)
-        return {"answer": _fmt_functional(normalized)}
+        return _record(nml(model.functionals[target_name], model.space.u_o))
     if kind == "embed":
         if target_name not in model.lotteries:
             raise UsageError(f"unknown lottery block {target_name!r}")
         block = model.lotteries[target_name]
         diff = embed_pref(block.h, block.g, block.alpha)
-        return {"answer": _fmt_vector(to_vector(diff, block.reference_reward))}
+        return _record(to_vector(diff, block.reference_reward))
     if target_name in model.cones:
         return _cone_query(model, query, model.cones[target_name])
     if target_name in model.k_models:
@@ -291,17 +277,10 @@ def _render(records: list[dict], as_json: bool, out) -> None:
             line += f" -> error: {record['error']}"
         else:
             line += f" -> {json.dumps(record['answer'])}"
-            if "witness" in record:
-                line += f" witness={json.dumps(record['witness'])}"
-            if "certificate" in record:
-                line += f" certificate={json.dumps(record['certificate'])}"
+            for key in ("witness", "certificate"):
+                if key in record:
+                    line += f" {key}={json.dumps(record[key])}"
         out.write(line + "\n")
-
-
-def _exit_code(records: list[dict]) -> int:
-    if any("error" in record for record in records):
-        return EXIT_PRECONDITION
-    return EXIT_OK
 
 
 # Built once per process: setting up argparse costs more than a small query, and
@@ -334,9 +313,7 @@ def _build_parser() -> _Parser:
     p_choose.add_argument("--rule", required=True, choices=["eadm", "maximality", "reject"])
     p_choose.add_argument("--target", required=True)
     p_choose.add_argument("--menu", required=True, help="semicolon-separated vectors")
-    p_report = sub.add_parser("report", help="run the model file's query list")
-    common(p_report)
-    p_report.add_argument("--text", action="store_true", help="text output (default)")
+    common(sub.add_parser("report", help="run the model file's query list"))
     return parser
 
 
@@ -397,7 +374,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # The reader closed stdout early.  Point stdout at devnull, so the
         # interpreter's final flush of what is left stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return _exit_code(records)
+    return EXIT_PRECONDITION if any("error" in record for record in records) else EXIT_OK
 
 
 if __name__ == "__main__":

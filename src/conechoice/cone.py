@@ -59,7 +59,7 @@ from functools import cache
 from typing import Any, Callable, Optional, Sequence, Union
 
 from . import lp
-from .functional import Functional, LinearF, is_positive
+from .functional import Functional, LinearF, is_positive, pieces_of
 from .numeric import (
     Background,
     OptionSpace,
@@ -453,13 +453,22 @@ def separates(f: Functional, cone: DesirCone, options: Sequence[Vector] = ()) ->
     combination of generators and background-positive options (the unit
     vectors under pointwise dominance, a strictly positive option under
     strict dominance), f is strictly positive on each of them, and f is
-    superadditive and positively homogeneous.  For the other classes the
-    rows of the separation system make f positive on the cone; that part is
-    not checked here.
+    superadditive and positively homogeneous.  A LexCone passes only with one
+    level and each piece of f a positive multiple of it: with more levels,
+    some member lies on the first level's kernel, where such an f is zero.  For
+    an OpenDualCone, f is positive on the cone when each piece is a
+    nonnegative combination of the cone's pieces; the separation system's
+    functional is one by its LP rows, and ``archimedean.verify_separation_witness``
+    tests one from elsewhere with an LP.
     """
     if not is_positive(f, cone.space):
         return False
     if isinstance(cone, PosiCone) and not all(f.eval(g) > 0 for g in cone.generators):
+        return False
+    if isinstance(cone, LexCone) and not (
+        len(cone.levels) == 1
+        and all(_positively_proportional(cone.levels[0].coeffs, p.coeffs) for p in pieces_of(f))
+    ):
         return False
     return all(f.eval(v) <= 0 for v in options)
 

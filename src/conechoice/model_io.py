@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any
 
 from .choice import AssessmentK, BinaryK, CredalK, KModel, OptionSet
 from .cone import DesirCone, LexCone, OpenDualCone, PosiCone
@@ -46,22 +46,35 @@ class Model:
     queries: list[dict] = field(default_factory=list)
 
 
-def _rational(raw: Any, where: str) -> Fraction:
+def _read_rational(raw: Any) -> Fraction:
     if not isinstance(raw, str):
-        raise ModelError(f"{where}: rationals must be strings like \"p/q\", got {raw!r}")
+        raise ValueError(f"rationals must be strings like \"p/q\", got {raw!r}")
+    return parse_rational(raw)
+
+
+def read_vector(raw: Any, dim: int) -> Vector:
+    """A list of ``dim`` rational strings, as model files and CLI queries write
+    a vector; a ``ValueError`` says what is wrong with anything else."""
+    # A string is iterable too: "10" must not be read as the vector (1, 0).
+    if not isinstance(raw, list):
+        raise ValueError(f"expected a list of rational strings, got {raw!r}")
+    if len(raw) != dim:
+        raise ValueError(f"expected {dim} entries (dimension {dim}), got {len(raw)}")
+    return Vector(tuple(_read_rational(x) for x in raw))
+
+
+def _rational(raw: Any, where: str) -> Fraction:
     try:
-        return parse_rational(raw)
+        return _read_rational(raw)
     except ValueError as exc:
         raise ModelError(f"{where}: {exc}") from exc
 
 
-def _vector(raw: Any, where: str, dim: Optional[int] = None) -> Vector:
-    if not isinstance(raw, list) or not raw:
-        raise ModelError(f"{where}: expected a nonempty list of rational strings")
-    v = Vector(tuple(_rational(x, where) for x in raw))
-    if dim is not None and v.dim != dim:
-        raise ModelError(f"{where}: expected dimension {dim}, got {v.dim}")
-    return v
+def _vector(raw: Any, where: str, dim: int) -> Vector:
+    try:
+        return read_vector(raw, dim)
+    except ValueError as exc:
+        raise ModelError(f"{where}: {exc}") from exc
 
 
 def _vector_list(raw: Any, where: str, dim: int) -> list[Vector]:
@@ -163,12 +176,7 @@ def _k_model(name: str, raw: Any, space: OptionSpace, cones: dict[str, DesirCone
 def _lottery_table(raw: Any, where: str, n_states: int, n_rewards: int):
     if not isinstance(raw, list) or len(raw) != n_states:
         raise ModelError(f"{where}: expected one row per state")
-    rows = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != n_rewards:
-            raise ModelError(f"{where}[{i}]: expected one entry per reward")
-        rows.append(tuple(_rational(x, f"{where}[{i}]") for x in row))
-    return tuple(rows)
+    return tuple(_vector(row, f"{where}[{i}]", n_rewards).entries for i, row in enumerate(raw))
 
 
 def _lottery_block(name: str, raw: Any) -> LotteryBlock:

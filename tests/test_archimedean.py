@@ -188,6 +188,57 @@ def test_witnesses_are_positive_on_members(pw2):
         assert all(witness.functional.eval(m) > 0 for m in members)
 
 
+def test_a_witness_negative_or_zero_on_a_member_is_refused(pw2, st2, d_lex):
+    # Each functional is background-positive and nonpositive at (-1, 0), and
+    # at the member it is -4, -4, 0 and 0.  The last is a positive multiple
+    # of the first level of a two-level cone.
+    for cone, f, inside in (
+        (OpenDualCone((LinearF(vec(1, 0)),), pw2), vec(1, 5), vec(1, -1)),
+        (LexCone((LinearF(vec(1, 0)),), pw2), vec(1, 5), vec(1, -1)),
+        (d_lex, vec(1, 1), vec(1, -1)),
+        (replace(d_lex, space=st2), vec(2, 0), vec(0, 1)),
+    ):
+        assert member(cone, inside) and f.dot(inside) <= 0
+        witness = SeparationWitness(LinearF(f), vec(-1, 0))
+        assert not verify_separation_witness(cone, witness), cone
+
+
+def test_an_accepted_witness_is_positive_on_every_member():
+    # Random planar one-level lexicographic and open-dual cones, and random
+    # functionals, half of them nonnegative combinations of the cone's rows
+    # plus, at times, a small change: whenever the check accepts f against
+    # an option, f is strictly positive at every member on the grid, by the
+    # planar oracle.
+    rng = random.Random(18)
+    grid = grid_2d(Fraction(2), Fraction(1, 2))
+    accepted = refused = 0
+    while accepted < 150:
+        space = OptionSpace(2, rng.choice(list(Background)), rand_positive_vector(rng, 2, 2))
+        lex = rng.random() < 0.5
+        rows = [rand_vector(rng, 2, 2) for _ in range(1 if lex else rng.randint(1, 3))]
+        if any(row.is_zero() for row in rows):
+            continue
+        cone = LexCone((LinearF(rows[0]),), space) if lex else OpenDualCone(
+            tuple(LinearF(row) for row in rows), space
+        )
+        if rng.random() < 0.5:
+            f = rand_vector(rng, 2, 2)
+        else:
+            f = zero_vector(2)
+            for row in rows:
+                f = f + row.scale(rng.randint(0, 2))
+            if rng.random() < 0.5:
+                f = f + rand_vector(rng, 2, 1).scale(Fraction(1, 4))
+        members = [u for u in grid if _planar_member(cone, u)]
+        for v in rng.sample([u for u in grid if f.dot(u) <= 0], 3):
+            if verify_separation_witness(cone, SeparationWitness(LinearF(f), v)):
+                assert all(f.dot(u) > 0 for u in members), (cone, f)
+                accepted += 1
+            else:
+                refused += 1
+    assert refused > accepted
+
+
 def test_mixing_equivalence_on_mixing_fixtures(d_half, d_lex):
     # For mixing cones: Archimedean-consistent, Archimedean (self-closure) and
     # essentially Archimedean stand or fall together.

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,8 @@ from conechoice.cli import (
 )
 from conechoice.model_io import load_model
 
-COIN = str(Path(__file__).resolve().parents[1] / "models" / "coin.json")
+ROOT = Path(__file__).resolve().parents[1]
+COIN = str(ROOT / "models" / "coin.json")
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -98,12 +100,75 @@ def test_arch_flags(capsys):
     assert records["arch"]["answer"] is True
     assert records["arch"]["witness"]
 
+    # The forms of a separating functional and of an excluding envelope,
+    # which the golden files do not show.
     code, records = run_json(
         capsys, "arch", COIN, "--target", "D_sector", "--option", "1,-1"
     )
     assert code == EXIT_OK
     assert records["arch"]["answer"] is False
-    assert records["arch"]["witness"]
+    assert records["arch"]["witness"] == ["2", "2"]
+
+    code, records = run_json(capsys, "arch", COIN, "--target", "K_hot", "--option-set=0,-1;-1,0")
+    assert code == EXIT_OK
+    assert records["arch"]["answer"] is False
+    assert records["arch"]["witness"] == {"type": "superlinear", "pieces": [["1", "2"], ["1", "2"]]}
+
+
+# Each flag subcommand of the README, and two more, with the model-file query it stands for.
+FLAG_QUERIES = (
+    (("member", "--target", "D_I", "--option", "1,-1"),
+     {"kind": "member", "target": "D_I", "option": ["1", "-1"]}),
+    (("member", "--target", "K_hot", "--option-set", "1,-1;-1,1"),
+     {"kind": "member", "target": "K_hot", "option_set": [["1", "-1"], ["-1", "1"]]}),
+    (("arch", "--target", "D_sector", "--option", "1,-1"),
+     {"kind": "arch_member", "target": "D_sector", "option": ["1", "-1"]}),
+    (("arch", "--target", "K_hot", "--option-set=0,-1;-1,0"),
+     {"kind": "arch_member", "target": "K_hot", "option_set": [["0", "-1"], ["-1", "0"]]}),
+    (("arch", "--target", "D_I"), {"kind": "arch_consistent", "target": "D_I"}),
+    (("nml", "--functional", "L_half"), {"kind": "nml", "target": "L_half"}),
+    (("choose", "--rule", "eadm", "--target", "K_cred", "--menu", "1,0;0,1;1/2,1/2"),
+     {"kind": "choose", "rule": "eadm", "target": "K_cred",
+      "menu": [["1", "0"], ["0", "1"], ["1/2", "1/2"]]}),
+)
+
+
+def test_flag_subcommands_answer_as_their_file_queries(capsys):
+    model = load_model(COIN)
+    for (command, *flags), query in FLAG_QUERIES:
+        code, out, _ = run(capsys, command, COIN, *flags, "--json")
+        assert code == EXIT_OK, flags
+        (record,) = json.loads(out)["queries"]
+        expected = run_query(model, query)
+        del record["name"], expected["name"]
+        assert record == expected, flags
+
+
+def test_an_undecided_mixing_answer_carries_no_witness(tmp_path, capsys):
+    # No functional separates a cone that holds a line, so its mixing is unknown.
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({
+        "space": {"dim": 2, "background": "pointwise"},
+        "cones": {"L": {"type": "posi", "generators": [["1", "-1"], ["-1", "1"]]}},
+        "queries": [{"name": "q", "kind": "mixing", "target": "L"}],
+    }))
+    code, records = run_json(capsys, "report", str(path))
+    assert code == EXIT_OK
+    assert records["q"] == {"name": "q", "kind": "mixing", "target": "L", "answer": "unknown"}
+
+
+def test_readme_cli_examples_exit_0(capsys, monkeypatch):
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line, comments=True) for line in block.splitlines()
+        if line.startswith("conechoice ")
+    ]
+    assert len(commands) == 8
+    monkeypatch.chdir(ROOT)
+    for argv in commands:
+        code, out, err = run(capsys, *argv[1:])
+        assert code == EXIT_OK and out and not err, (argv, err)
 
 
 def test_arch_closure_on_inconsistent_cone_exits_2(capsys):
@@ -178,6 +243,11 @@ def test_usage_errors_exit_64(tmp_path, capsys):
 
     code, _, err = run(capsys, "member", COIN, "--target", "D_I", "--option", "1,oops")
     assert code == EXIT_USAGE
+
+    # report has no --text flag: text is what it prints without --json.
+    code, out, err = run(capsys, "report", COIN, "--text")
+    assert code == EXIT_USAGE and not out
+    assert "unrecognized arguments: --text" in err, err
 
     # Flag vectors take the model file's parse path: a bad or short entry in
     # any set is a usage error that names the query field.  So is a model
@@ -427,9 +497,11 @@ def test_data_errors_exit_65(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["report", "check"])
 def test_coin_json_output_matches_golden(capsys, command):
-    # The golden files pin every witness and certificate, so a change to the
-    # pivot rule or the certificate read-out shows as a diff, not only as
-    # evidence that still verifies.
-    code, out, _ = run(capsys, command, COIN, "--json")
-    assert code == EXIT_OK
-    assert out == (GOLDEN / f"coin_{command}.json").read_text()
+    # The golden files pin every witness and certificate, in the JSON and in
+    # the text output, so a change to the pivot rule, the certificate
+    # read-out or a record's form shows as a diff, not only as evidence that
+    # still verifies.
+    for flags, suffix in ((("--json",), "json"), ((), "txt")):
+        code, out, _ = run(capsys, command, COIN, *flags)
+        assert code == EXIT_OK
+        assert out == (GOLDEN / f"coin_{command}.{suffix}").read_text()

@@ -154,7 +154,8 @@ def test_rejects_bad_lottery_masses(tmp_path):
     # negative mass is refused even when the row sums to one.
     good = ["1/3", "1/6", "1/2"]
     for row, error in ((good, None), (["1/3", "1/6", "1/3"], "sum"),
-                       (["-1/6", "2/3", "1/2"], "nonnegative")):
+                       (["-1/6", "2/3", "1/2"], "nonnegative"),
+                       (["1/2", "1/2"], r"^lotteries\.L\.h\[1\]: expected 3 entries")):
         block = {"states": ["H", "T"], "rewards": ["a", "b", "c"], "h": [good, row], "g": [good, good]}
         path = write(tmp_path, dict(MINIMAL, lotteries={"L": block}))
         if error is None:
