@@ -328,9 +328,9 @@ def _flag_query(args) -> dict:
     if args.command in ("member", "arch"):
         kind = "member" if args.command == "member" else "arch_member"
         query: dict[str, Any] = {"name": args.command, "kind": kind, "target": args.target}
-        if args.option:
+        if args.option is not None:
             query["option"] = args.option.split(",")
-        elif args.option_set:
+        elif args.option_set is not None:
             query["option_set"] = _flag_vectors(args.option_set)
         elif args.command == "arch":
             query["kind"] = "arch_consistent"

@@ -64,8 +64,8 @@ from .numeric import (
     Background,
     OptionSpace,
     Vector,
-    nullspace_basis,
     rank_of,
+    row_kernel,
     unit_vector,
     zero_vector,
 )
@@ -231,21 +231,9 @@ def _posi_problem(generators: Sequence[Vector], v: Vector) -> lp.LpProblem:
     return lp.LpProblem(m, tuple(rows))
 
 
-def _posi_combination(
-    generators: Sequence[Vector], v: Vector
-) -> Optional[tuple[Fraction, ...]]:
-    """Coefficients for v = sum lambda_k g_k, lambda >= 0, some lambda_k > 0; or None."""
-    if not generators:
-        return None
-    result = lp.solve(_posi_problem(generators, v))
-    if isinstance(result, lp.Feasible):
-        return tuple(result.witness.entries)
-    return None
-
-
 def posi_member(generators: Sequence[Vector], v: Vector) -> bool:
     """Is v a positive linear combination of the generators?"""
-    return _posi_combination(generators, v) is not None
+    return bool(generators) and isinstance(lp.solve(_posi_problem(generators, v)), lp.Feasible)
 
 
 def _residual_problem(generators: Sequence[Vector], v: Vector) -> lp.LpProblem:
@@ -473,56 +461,44 @@ def separates(f: Functional, cone: DesirCone, options: Sequence[Vector] = ()) ->
     return all(f.eval(v) <= 0 for v in options)
 
 
-def _nonpos_rows(v: Optional[Vector]) -> list[lp.Constraint]:
-    return [] if v is None else [lp.Constraint(v, lp.LE, Fraction(0))]
-
-
 def _separation_rows(
-    cone: DesirCone, v: Optional[Vector]
+    cone: DesirCone, options: Sequence[Vector] = ()
 ) -> tuple[list[lp.Constraint], Callable[[Vector], LinearF]]:
-    """The rows of the separation system -- strict rows, then the row of v,
-    then nonneg rows -- plus the map taking an LP witness back to a linear
-    functional on the option space."""
-    space = cone.space
-    strict_bg, nonneg_bg = strict_background_rows(space)
-    if isinstance(cone, PosiCone):
-        rows = [lp.strict_row(g) for g in cone.generators]
-        rows += strict_bg
-        rows += _nonpos_rows(v)
-        rows += nonneg_bg
-        return rows, LinearF
+    """The rows of the separation system -- strict rows, then the row
+    ``f(v) <= 0`` of each option v, then nonneg rows -- plus the map taking an
+    LP witness back to a linear functional on the option space."""
+    strict_bg, nonneg_bg = strict_background_rows(cone.space)
     if isinstance(cone, OpenDualCone):
-        pieces = cone.pieces
-
-        def weight_row(u: Vector) -> Vector:
-            return Vector(tuple(p.eval(u) for p in pieces))
-
+        # The LP runs over the weights mu of f = sum_j mu_j piece_j, so the
+        # row of f(u) is the pieces' values at u.
+        pieces = [p.coeffs for p in cone.pieces]
         n = len(pieces)
-        rows = [lp.strict_sum_row(n)]
-        rows += [lp.strict_row(weight_row(c.coeffs)) for c in strict_bg]
-        if v is not None:
-            rows.append(lp.Constraint(weight_row(v), lp.LE, Fraction(0)))
-        rows += lp.nonneg_rows(n)
-        rows += [lp.Constraint(weight_row(c.coeffs), lp.GE, Fraction(0)) for c in nonneg_bg]
+
+        def row(u: Vector) -> Vector:
+            return Vector(tuple(p.dot(u) for p in pieces))
 
         def to_functional(mu: Vector) -> LinearF:
-            total = zero_vector(space.dim)
-            for weight, piece in zip(mu.entries, pieces):
-                total = total + piece.coeffs.scale(weight)
-            return LinearF(total)
+            return LinearF(_combine(pieces, mu.entries))
 
-        return rows, to_functional
-    # LexCone
-    first = cone.levels[0].coeffs
-    strict = [lp.strict_row(first), *strict_bg]
-    nonneg = list(nonneg_bg)
-    for k in nullspace_basis([first]):
-        for ray in (k, -k):
-            if member(cone, ray):
-                strict.append(lp.strict_row(ray))
-            else:
-                nonneg.append(lp.Constraint(ray, lp.GE, Fraction(0)))
-    return strict + _nonpos_rows(v) + nonneg, LinearF
+        strict = [lp.strict_sum_row(n)] + [lp.strict_row(row(c.coeffs)) for c in strict_bg]
+        nonneg = [*lp.nonneg_rows(n)]
+        nonneg += [lp.Constraint(row(c.coeffs), lp.GE, Fraction(0)) for c in nonneg_bg]
+    else:
+        row, to_functional = (lambda u: u), LinearF
+        nonneg = [*nonneg_bg]
+        if isinstance(cone, PosiCone):
+            strict = [lp.strict_row(g) for g in cone.generators] + [*strict_bg]
+        else:  # LexCone
+            first = cone.levels[0].coeffs
+            strict = [lp.strict_row(first), *strict_bg]
+            for k in row_kernel(first):
+                for ray in (k, -k):
+                    if member(cone, ray):
+                        strict.append(lp.strict_row(ray))
+                    else:
+                        nonneg.append(lp.Constraint(ray, lp.GE, Fraction(0)))
+    option_rows = [lp.Constraint(row(v), lp.LE, Fraction(0)) for v in options]
+    return strict + option_rows + nonneg, to_functional
 
 
 def separation_evidence(cone: DesirCone) -> Union[LinearF, lp.Infeasible]:
@@ -540,15 +516,14 @@ def separation_evidence(cone: DesirCone) -> Union[LinearF, lp.Infeasible]:
 
 
 def _solve_separation(
-    cone: DesirCone, v: Optional[Vector] = None
+    cone: DesirCone, options: Sequence[Vector] = ()
 ) -> Union[LinearF, lp.Infeasible]:
-    rows, to_functional = _separation_rows(cone, v)
+    rows, to_functional = _separation_rows(cone, options)
     # Every separation system opens with a strict row.
     result = lp.solve(lp.LpProblem(rows[0].coeffs.dim, tuple(rows)))
     if isinstance(result, lp.Infeasible):
         return result
     functional = to_functional(result.witness)
-    options = () if v is None else (v,)
     lp.verified(separates(functional, cone, options), "separation witness")
     return functional
 
@@ -606,7 +581,7 @@ def option_separation(cone: DesirCone, v: Vector) -> Optional[LinearF]:
         if record.separation is None:
             y = record.farkas
             if y is None:
-                record.separation = _solve_separation(cone, v)
+                record.separation = _solve_separation(cone, (v,))
             else:
                 t = -y.eval(v) / f.eval(v)
                 made = LinearF(y.coeffs + f.coeffs.scale(t))

@@ -22,12 +22,22 @@ from .numeric import Vector, as_rational
 
 Table = tuple[tuple[Fraction, ...], ...]
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 def _check_support(states: Sequence[str], rewards: Sequence[str], table: Table) -> None:
     if len(set(states)) != len(states) or len(set(rewards)) != len(rewards):
         raise ValueError("state and reward labels must be unique")
     if len(table) != len(states) or any(len(row) != len(rewards) for row in table):
         raise ValueError("table shape does not match the labels")
+
+
+def _combine(a: Fraction, ta: Table, b: Fraction, tb: Table) -> Table:
+    """The table a * ta + b * tb, entry by entry."""
+    return tuple(
+        tuple(a * x + b * y for x, y in zip(row_a, row_b)) for row_a, row_b in zip(ta, tb)
+    )
 
 
 def _row_sums(table: Table) -> tuple[list[int], int]:
@@ -71,23 +81,13 @@ class DiffOption:
         return self.table[self.states.index(state)][self.rewards.index(reward)]
 
     def scale(self, factor: Fraction) -> "DiffOption":
-        factor = as_rational(factor)
-        return DiffOption(
-            self.states,
-            self.rewards,
-            tuple(tuple(factor * v for v in row) for row in self.table),
-        )
+        table = _combine(as_rational(factor), self.table, _ZERO, self.table)
+        return DiffOption(self.states, self.rewards, table)
 
     def __add__(self, other: "DiffOption") -> "DiffOption":
         _check_same_support(self, other)
-        return DiffOption(
-            self.states,
-            self.rewards,
-            tuple(
-                tuple(a + b for a, b in zip(row_a, row_b))
-                for row_a, row_b in zip(self.table, other.table)
-            ),
-        )
+        table = _combine(_ONE, self.table, _ONE, other.table)
+        return DiffOption(self.states, self.rewards, table)
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.table for v in row)
@@ -104,14 +104,7 @@ def embed_pref(h: HorseLottery, g: HorseLottery, alpha: Fraction) -> DiffOption:
     if alpha <= 0:
         raise ValueError("the embedding scale must be positive")
     _check_same_support(h, g)
-    return DiffOption(
-        h.states,
-        h.rewards,
-        tuple(
-            tuple(alpha * (a - b) for a, b in zip(row_h, row_g))
-            for row_h, row_g in zip(h.table, g.table)
-        ),
-    )
+    return DiffOption(h.states, h.rewards, _combine(alpha, h.table, -alpha, g.table))
 
 
 def mix(h: HorseLottery, z: HorseLottery, alpha: Fraction) -> HorseLottery:
@@ -120,14 +113,13 @@ def mix(h: HorseLottery, z: HorseLottery, alpha: Fraction) -> HorseLottery:
     if not 0 <= alpha <= 1:
         raise ValueError("mixture coefficient must lie in [0, 1]")
     _check_same_support(h, z)
-    return HorseLottery(
-        h.states,
-        h.rewards,
-        tuple(
-            tuple(alpha * a + (1 - alpha) * b for a, b in zip(row_h, row_z))
-            for row_h, row_z in zip(h.table, z.table)
-        ),
-    )
+    return HorseLottery(h.states, h.rewards, _combine(alpha, h.table, 1 - alpha, z.table))
+
+
+def _reference_column(rewards: Sequence[str], reference_reward: str) -> int:
+    if reference_reward not in rewards:
+        raise ValueError(f"unknown reward label {reference_reward!r}")
+    return list(rewards).index(reference_reward)
 
 
 def to_vector(d: DiffOption, reference_reward: str) -> Vector:
@@ -137,14 +129,8 @@ def to_vector(d: DiffOption, reference_reward: str) -> Vector:
     dropped; the zero-row-sum invariant makes this a bijection onto the
     difference space, dimension |states| * (|rewards| - 1).
     """
-    if reference_reward not in d.rewards:
-        raise ValueError(f"unknown reward label {reference_reward!r}")
-    entries = []
-    for row in d.table:
-        for reward, value in zip(d.rewards, row):
-            if reward != reference_reward:
-                entries.append(value)
-    return Vector(tuple(entries))
+    r = _reference_column(d.rewards, reference_reward)
+    return Vector(tuple(v for row in d.table for v in row[:r] + row[r + 1 :]))
 
 
 def from_vector(
@@ -153,25 +139,16 @@ def from_vector(
     rewards: Sequence[str],
     reference_reward: str,
 ) -> DiffOption:
-    if reference_reward not in rewards:
-        raise ValueError(f"unknown reward label {reference_reward!r}")
+    """The difference option with coordinates v (:func:`to_vector`): each
+    state's reference entry is minus the sum of its other entries."""
+    r = _reference_column(rewards, reference_reward)
     per_state = len(rewards) - 1
     if v.dim != len(states) * per_state:
         raise ValueError("vector dimension does not match the support")
     table = []
-    idx = 0
-    for _ in states:
-        row = []
-        row_sum = Fraction(0)
-        for reward in rewards:
-            if reward == reference_reward:
-                row.append(None)  # placeholder, fixed below
-            else:
-                row.append(v[idx])
-                row_sum += v[idx]
-                idx += 1
-        row[list(rewards).index(reference_reward)] = -row_sum
-        table.append(tuple(row))
+    for start in range(0, v.dim, per_state):
+        rest = v.entries[start : start + per_state]
+        table.append(rest[:r] + (-sum(rest, _ZERO),) + rest[r:])
     return DiffOption(tuple(states), tuple(rewards), tuple(table))
 
 

@@ -291,7 +291,20 @@ def verify_ray(problem: LpProblem, ray: Vector) -> bool:
 
 
 class _Tableau:
-    """A dense simplex tableau with integer rows (maximization form).
+    """The dense simplex tableau of a normalized problem, in maximization
+    form, with integer rows.
+
+    Sign rows (see :attr:`Constraint.sign_row`) stay out of the tableau: a
+    variable with one gets a single nonnegative column, and every other
+    variable is split as x = p - q.  Each kept row is its integer row
+    (:attr:`Constraint.integer_row`), the constraint times ``scale``, the lcm
+    of its denominators; the rational problem and so every pivot are
+    unchanged.  The row is oriented so that its rhs is nonnegative, a
+    ``>= 0`` row becoming ``<= 0``.  An inequality gets a slack with
+    coefficient ``+-scale``; where that coefficient is positive the slack
+    starts basic.  Only ``=`` rows, and rows that read ``>=`` with a positive
+    rhs once oriented, get an artificial (coefficient ``scale``); with none,
+    phase 1 is skipped.
 
     Row i stands for the rational tableau row ``rows[i] / rows[i][basis[i]]``:
     every row is an equation, so it is kept as a primitive integer vector whose
@@ -305,13 +318,65 @@ class _Tableau:
     over one denominator).
     """
 
-    def __init__(self, rows: list[list[int]], basis: list[int], n_cols: int):
-        self.rows = rows  # each row has n_cols + 1 entries, last is the rhs
-        self.basis = basis
-        self.n_cols = n_cols
+    def __init__(self, problem: LpProblem):
+        n = problem.n_vars
+        self.problem = problem
+        # sign_rows[r] = (j, |a|) for the first sign row r of each variable x_j.
+        self.sign_rows: dict[int, tuple[int, Fraction]] = {}
+        signed: set[int] = set()
+        kept = []
+        for r, c in enumerate(problem.constraints):
+            sign = c.sign_row
+            if sign is None:
+                scale, a = c.integer_row
+                flip = a[n] < 0 or (a[n] == 0 and c.relation == GE)
+                if flip:
+                    a = tuple(-x for x in a)
+                relation = _REVERSED[c.relation] if flip else c.relation
+                kept.append((r, c, flip, scale, a, relation))
+            elif sign[0] not in signed:
+                signed.add(sign[0])
+                self.sign_rows[r] = sign
+        # Column j holds x_j (or p_j); split[j] is the column of q_j, if any.
+        self.split: list[Optional[int]] = [None] * n
+        n_structural = n
+        for j in range(n):
+            if j not in signed:
+                self.split[j] = n_structural
+                n_structural += 1
+        self.art_start = n_structural + sum(1 for *_, rel in kept if rel != EQ)
+        self.n_cols = self.art_start + sum(1 for *_, rel in kept if rel != LE)
+        # Each row has n_cols + 1 entries, the last is the rhs.
+        self.rows: list[list[int]] = []
+        self.basis: list[int] = []
         self.obj: list[int] = []
         self.obj_scale = 1
-        self.n_entering = n_cols  # columns from here on may not enter the basis
+        self.n_entering = self.n_cols  # columns from here on may not enter the basis
+        # Kept row r -> its starting basic column, and whether its multiplier
+        # changes sign on the way out (negated here xor a ">=" row).
+        self.start: dict[int, tuple[int, bool]] = {}
+        slack_col, art_col = n_structural, self.art_start
+        for r, c, flip, scale, a, relation in kept:
+            row = [0] * (self.n_cols + 1)
+            row[:n] = a[:n]
+            for j, q in enumerate(self.split):
+                if q is not None:
+                    row[q] = -a[j]
+            row[self.n_cols] = a[n]
+            if relation == LE:
+                row[slack_col] = scale
+                basic = slack_col
+                slack_col += 1
+            else:
+                if relation == GE:
+                    row[slack_col] = -scale
+                    slack_col += 1
+                row[art_col] = scale
+                basic = art_col
+                art_col += 1
+            self.rows.append(row)
+            self.basis.append(basic)
+            self.start[r] = (basic, flip != (c.relation == GE))
 
     def set_objective(self, cost: Sequence[Union[int, Fraction]]) -> None:
         """Price out the basic columns of ``-cost`` in exact integers.
@@ -382,102 +447,26 @@ class _Tableau:
                 return entering
             self._pivot(leaving, entering)
 
-class _StandardForm:
-    """Standard-form encoding of a normalized problem, as integer rows.
-
-    Sign rows (see :attr:`Constraint.sign_row`) stay out of the tableau: a
-    variable with one gets a single nonnegative column, and every other
-    variable is split as x = p - q.  Each kept row is its integer row
-    (:attr:`Constraint.integer_row`), multiplied by ``scale``, the lcm of its
-    denominators, so that it is an integer equation; the rational problem and
-    so every pivot are unchanged.  The row is oriented so that its rhs is
-    nonnegative, a ``>= 0`` row becoming ``<= 0``.  An inequality gets a slack
-    with coefficient ``+-scale``; where that coefficient is positive the slack
-    starts basic.  Only ``=`` rows, and rows that read ``>=`` with a positive
-    rhs once oriented, get an artificial (coefficient ``scale``); with none,
-    phase 1 is skipped.
-    """
-
-    def __init__(self, problem: LpProblem):
-        n = problem.n_vars
-        self.problem = problem
-        # sign_rows[r] = (j, |a|) for the first sign row r of each variable x_j.
-        self.sign_rows: dict[int, tuple[int, Fraction]] = {}
-        signed: set[int] = set()
-        kept = []
-        for r, c in enumerate(problem.constraints):
-            sign = c.sign_row
-            if sign is None:
-                scale, a = c.integer_row
-                flip = a[n] < 0 or (a[n] == 0 and c.relation == GE)
-                if flip:
-                    a = tuple(-x for x in a)
-                relation = _REVERSED[c.relation] if flip else c.relation
-                kept.append((r, c, flip, scale, a, relation))
-            elif sign[0] not in signed:
-                signed.add(sign[0])
-                self.sign_rows[r] = sign
-        # Column j holds x_j (or p_j); split[j] is the column of q_j, if any.
-        self.split: list[Optional[int]] = [None] * n
-        n_structural = n
-        for j in range(n):
-            if j not in signed:
-                self.split[j] = n_structural
-                n_structural += 1
-        self.art_start = n_structural + sum(1 for *_, rel in kept if rel != EQ)
-        self.n_cols = self.art_start + sum(1 for *_, rel in kept if rel != LE)
-        rows: list[list[int]] = []
-        basis: list[int] = []
-        # Kept row r -> its starting basic column, and whether its multiplier
-        # changes sign on the way out (negated here xor a ">=" row).
-        self.start: dict[int, tuple[int, bool]] = {}
-        slack_col, art_col = n_structural, self.art_start
-        for r, c, flip, scale, a, relation in kept:
-            row = [0] * (self.n_cols + 1)
-            row[:n] = a[:n]
-            for j, q in enumerate(self.split):
-                if q is not None:
-                    row[q] = -a[j]
-            row[self.n_cols] = a[n]
-            if relation == LE:
-                row[slack_col] = scale
-                basic = slack_col
-                slack_col += 1
-            else:
-                if relation == GE:
-                    row[slack_col] = -scale
-                    slack_col += 1
-                row[art_col] = scale
-                basic = art_col
-                art_col += 1
-            rows.append(row)
-            basis.append(basic)
-            self.start[r] = (basic, flip != (c.relation == GE))
-        self.tableau = _Tableau(rows, basis, self.n_cols)
-
     def phase_one(self) -> Optional[tuple[Fraction, ...]]:
         """Reach a feasible basis and return None, or return a Farkas certificate."""
-        t = self.tableau
         if self.art_start == self.n_cols:
             return None  # the slack basis is feasible
-        t.set_objective([0] * self.art_start + [-1] * (self.n_cols - self.art_start))
-        entering = t.run()
+        self.set_objective([0] * self.art_start + [-1] * (self.n_cols - self.art_start))
+        entering = self.run()
         if entering is not None:
             raise RuntimeError("internal error: phase 1, bounded above by 0, came out unbounded")
-        if t.obj[t.n_cols] < 0:  # the phase-1 optimum, as obj_scale > 0
+        if self.obj[self.n_cols] < 0:  # the phase-1 optimum, as obj_scale > 0
             return self._certificate()
         # Drive any remaining artificial out of the basis, or drop its row.
-        for i in range(len(t.basis) - 1, -1, -1):
-            if t.basis[i] >= self.art_start:
-                pivot_col = next(
-                    (j for j in range(self.art_start) if t.rows[i][j] != 0), None
-                )
+        for i in range(len(self.basis) - 1, -1, -1):
+            if self.basis[i] >= self.art_start:
+                pivot_col = next((j for j in range(self.art_start) if self.rows[i][j] != 0), None)
                 if pivot_col is None:
-                    del t.rows[i]
-                    del t.basis[i]
+                    del self.rows[i]
+                    del self.basis[i]
                 else:
-                    t._pivot(i, pivot_col)
-        t.n_entering = self.art_start
+                    self._pivot(i, pivot_col)
+        self.n_entering = self.art_start
         return None
 
     def _certificate(self) -> tuple[Fraction, ...]:
@@ -495,20 +484,18 @@ class _StandardForm:
         oriented as ``<=``.  Each multiplier is formed as an integer numerator
         over ``obj_scale`` and leaves as one Fraction.
         """
-        t = self.tableau
         certificate = []
         for r in range(len(self.problem.constraints)):
             if r in self.start:
                 col, flip = self.start[r]
-                y = t.obj[col]
+                y = self.obj[col]
                 if col >= self.art_start:
-                    y -= t.obj_scale
-                certificate.append(Fraction(-y if flip else y, t.obj_scale))
+                    y -= self.obj_scale
+                certificate.append(Fraction(-y if flip else y, self.obj_scale))
             elif r in self.sign_rows:
                 j, a = self.sign_rows[r]
-                certificate.append(
-                    Fraction(t.obj[j] * a.denominator, t.obj_scale * a.numerator)
-                )
+                y = Fraction(self.obj[j] * a.denominator, self.obj_scale * a.numerator)
+                certificate.append(y)
             else:
                 certificate.append(_ZERO)
         return tuple(certificate)
@@ -524,24 +511,22 @@ class _StandardForm:
 
     def solution(self) -> tuple[list[int], int]:
         """The basic solution, as ``(X, d)``."""
-        t = self.tableau
-        return self._original({b: (row[-1], row[b]) for row, b in zip(t.rows, t.basis)})
+        return self._original({b: (row[-1], row[b]) for row, b in zip(self.rows, self.basis)})
 
     def ray(self, entering: int) -> tuple[list[int], int]:
         """The ray along a column that no row bounds, as ``(R, d)``."""
-        t = self.tableau
-        values = {b: (-row[entering], row[b]) for row, b in zip(t.rows, t.basis)}
+        values = {b: (-row[entering], row[b]) for row, b in zip(self.rows, self.basis)}
         values[entering] = (1, 1)
         return self._original(values)
 
 
-def _max_cost(problem: LpProblem, form: _StandardForm) -> list[Fraction]:
+def _max_cost(problem: LpProblem, t: _Tableau) -> list[Fraction]:
     obj = problem.objective
     if obj is None:
         raise RuntimeError("internal error: phase 2 priced a problem without an objective")
     sign = Fraction(1) if obj.direction == "max" else Fraction(-1)
-    cost = [Fraction(0)] * form.n_cols
-    for j, q in enumerate(form.split):
+    cost = [Fraction(0)] * t.n_cols
+    for j, q in enumerate(t.split):
         cost[j] = sign * obj.coeffs[j]
         if q is not None:
             cost[q] = -cost[j]
@@ -552,9 +537,9 @@ def _vector(X: Sequence[int], d: int) -> Vector:
     return Vector(tuple(Fraction(x, d) for x in X))
 
 
-def _checked_witness(problem: LpProblem, form: _StandardForm) -> Vector:
+def _checked_witness(problem: LpProblem, t: _Tableau) -> Vector:
     """The basic solution, checked in integers before it leaves as Fractions."""
-    X, d = form.solution()
+    X, d = t.solution()
     verified(_holds_all(problem, X, d), "LP witness")
     return _vector(X, d)
 
@@ -562,20 +547,18 @@ def _checked_witness(problem: LpProblem, form: _StandardForm) -> Vector:
 def solve(problem: LpProblem) -> LpResult:
     """Solve exactly; certificates refer to problem.normalized().constraints."""
     problem = problem.normalized()
-    form = _StandardForm(problem)
-    certificate = form.phase_one()
+    t = _Tableau(problem)
+    certificate = t.phase_one()
     if certificate is not None:
         verified(verify_infeasibility_certificate(problem, certificate), "Farkas certificate")
         return Infeasible(certificate)
     if problem.objective is None:
-        return Feasible(_checked_witness(problem, form))
-    cost = _max_cost(problem, form)
-    t = form.tableau
-    t.set_objective(cost)
+        return Feasible(_checked_witness(problem, t))
+    t.set_objective(_max_cost(problem, t))
     entering = t.run()
-    witness = _checked_witness(problem, form)
+    witness = _checked_witness(problem, t)
     if entering is not None:
-        ray = _vector(*form.ray(entering))
+        ray = _vector(*t.ray(entering))
         verified(verify_ray(problem, ray), "improving ray")
         return Unbounded(ray=ray, witness=witness)
     sign = 1 if problem.objective.direction == "max" else -1

@@ -213,34 +213,6 @@ class OptionSpace:
         return all(c >= 0 for c in coeffs.entries) and any(c > 0 for c in coeffs.entries)
 
 
-def row_reduce(rows: Sequence[Vector]) -> tuple[list[list[Fraction]], list[int]]:
-    """Gaussian elimination; returns the reduced rows and pivot column indices."""
-    if not rows:
-        return [], []
-    dim = rows[0].dim
-    matrix = [list(row.entries) for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(dim):
-        pivot_row = None
-        for r in range(rank, len(matrix)):
-            if matrix[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        pivot = matrix[rank][col]
-        matrix[rank] = [x / pivot for x in matrix[rank]]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [x - factor * y for x, y in zip(matrix[r], matrix[rank])]
-        pivots.append(col)
-        rank += 1
-    return matrix[:rank], pivots
-
-
 def rank_of(rows: Sequence[Vector]) -> int:
     """The rank of the rows, by fraction-free (Bareiss) elimination.
 
@@ -274,18 +246,15 @@ def rank_of(rows: Sequence[Vector]) -> int:
     return rank
 
 
-def nullspace_basis(rows: Sequence[Vector]) -> list[Vector]:
-    """A basis of {x : row . x = 0 for every row}."""
-    if not rows:
-        raise ValueError("need at least one row to know the dimension")
-    dim = rows[0].dim
-    reduced, pivots = row_reduce(rows)
-    free_cols = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for free in free_cols:
-        entries = [Fraction(0)] * dim
-        entries[free] = Fraction(1)
-        for r, pivot_col in enumerate(pivots):
-            entries[pivot_col] = -reduced[r][free]
-        basis.append(Vector(tuple(entries)))
-    return basis
+def row_kernel(row: Vector) -> list[Vector]:
+    """A basis of {x : row . x = 0} for a nonzero row, in closed form.
+
+    With p the first column where the row is nonzero, it is
+    ``e_j - (a_j / a_p) e_p`` for each other column j, in increasing order:
+    the reduced-row-echelon basis of the one row.
+    """
+    p = next((j for j, a in enumerate(row.entries) if a), None)
+    if p is None:
+        raise ValueError("the zero row has no pivot")
+    d, e_p = row.dim, unit_vector(row.dim, p)
+    return [unit_vector(d, j) - e_p.scale(row[j] / row[p]) for j in range(d) if j != p]

@@ -34,6 +34,24 @@ def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     return [aug[r][n] for r in range(n)]
 
 
+def rank_by_fractions(rows: Sequence[Vector]) -> int:
+    """The rank of the rows, by Gauss-Jordan elimination over Fractions."""
+    matrix = [list(row.entries) for row in rows]
+    rank = 0
+    for col in range(len(matrix[0]) if matrix else 0):
+        pivot_row = next((r for r in range(rank, len(matrix)) if matrix[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
+        pivot = matrix[rank]
+        for r in range(len(matrix)):
+            if r != rank and matrix[r][col] != 0:
+                factor = matrix[r][col] / pivot[col]
+                matrix[r] = [x - factor * y for x, y in zip(matrix[r], pivot)]
+        rank += 1
+    return rank
+
+
 def _satisfies(constraints, x: Sequence[Fraction]) -> bool:
     for coeffs, relation, rhs in constraints:
         value = sum((c * v for c, v in zip(coeffs, x)), Fraction(0))

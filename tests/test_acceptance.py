@@ -130,7 +130,7 @@ def test_criterion_04_archimedeanity_split_of_the_lexicographic_model():
     assert not archimedean_consistent(lex_form)
     evidence = separation_evidence(lex_form)
     assert isinstance(evidence, lp.Infeasible)
-    rows, _ = _separation_rows(lex_form, None)
+    rows, _ = _separation_rows(lex_form)
     system = lp.LpProblem(2, tuple(rows))
     assert lp.verify_infeasibility_certificate(system, evidence.certificate)
 

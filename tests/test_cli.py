@@ -126,6 +126,11 @@ FLAG_QUERIES = (
     (("arch", "--target", "K_hot", "--option-set=0,-1;-1,0"),
      {"kind": "arch_member", "target": "K_hot", "option_set": [["0", "-1"], ["-1", "0"]]}),
     (("arch", "--target", "D_I"), {"kind": "arch_consistent", "target": "D_I"}),
+    # An empty --option-set is the empty option set, not an absent flag.
+    (("member", "--target", "K_hot", "--option-set", ""),
+     {"kind": "member", "target": "K_hot", "option_set": []}),
+    (("arch", "--target", "K_hot", "--option-set="),
+     {"kind": "arch_member", "target": "K_hot", "option_set": []}),
     (("nml", "--functional", "L_half"), {"kind": "nml", "target": "L_half"}),
     (("choose", "--rule", "eadm", "--target", "K_cred", "--menu", "1,0;0,1;1/2,1/2"),
      {"kind": "choose", "rule": "eadm", "target": "K_cred",
@@ -243,6 +248,16 @@ def test_usage_errors_exit_64(tmp_path, capsys):
 
     code, _, err = run(capsys, "member", COIN, "--target", "D_I", "--option", "1,oops")
     assert code == EXIT_USAGE
+
+    # An empty --option is a malformed vector, not an absent flag, and an
+    # empty --option-set is still an option set, which a cone target refuses.
+    for command in ("member", "arch"):
+        code, out, err = run(capsys, command, COIN, "--target", "D_I", "--option", "")
+        assert code == EXIT_USAGE and not out, command
+        assert "bad option" in err, err
+        code, out, err = run(capsys, command, COIN, "--target", "D_I", "--option-set", "")
+        assert code == EXIT_USAGE and not out, command
+        assert "a cone target takes an 'option' (--option)" in err, err
 
     # report has no --text flag: text is what it prints without --json.
     code, out, err = run(capsys, "report", COIN, "--text")

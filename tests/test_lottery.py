@@ -97,12 +97,14 @@ def test_vector_round_trip():
     rng = random.Random(19)
     rewards = ("win", "draw", "lose")
     states = ("x1", "x2")
-    for _ in range(30):
-        h, g = rand_lottery(rng, states, rewards), rand_lottery(rng, states, rewards)
-        diff = embed_pref(h, g, Fraction(3, 2))
-        v = to_vector(diff, "lose")
-        assert v.dim == len(states) * (len(rewards) - 1)
-        assert from_vector(v, states, rewards, "lose") == diff
+    # The reference reward first, in the middle and last.
+    for r, reference in enumerate(rewards):
+        for _ in range(30):
+            h, g = rand_lottery(rng, states, rewards), rand_lottery(rng, states, rewards)
+            diff = embed_pref(h, g, Fraction(3, 2))
+            v = to_vector(diff, reference)
+            assert list(v.entries) == [row[c] for row in diff.table for c in range(3) if c != r]
+            assert from_vector(v, states, rewards, reference) == diff
     zero = embed_pref(point_up_on_heads(), point_up_on_heads(), Fraction(1))
     assert to_vector(zero, "bot").is_zero()
 
@@ -111,6 +113,10 @@ def test_to_vector_rejects_unknown_reference():
     diff = embed_pref(point_up_on_heads(), uniform(), Fraction(1))
     with pytest.raises(ValueError):
         to_vector(diff, "nope")
+    with pytest.raises(ValueError, match="unknown reward"):
+        from_vector(vec(1, -1), COIN, BETS, "nope")
+    with pytest.raises(ValueError, match="dimension"):
+        from_vector(vec(1, -1, 1), COIN, BETS, "bot")
 
 
 def test_mixture_independence():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,14 +10,15 @@ from conechoice.numeric import (
     OptionSpace,
     Vector,
     format_rational,
-    nullspace_basis,
     parse_rational,
     rank_of,
-    row_reduce,
+    row_kernel,
     unit_vector,
     vec,
     zero_vector,
 )
+
+from oracles import rank_by_fractions
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=20)
 
@@ -115,13 +117,34 @@ def test_background_orders_differ_on_the_boundary():
 def test_rank_and_nullspace():
     assert rank_of([vec(1, 0), vec(0, 1)]) == 2
     assert rank_of([vec(1, 2), vec(2, 4)]) == 1
-    basis = nullspace_basis([vec(1, 0)])
+    basis = row_kernel(vec(1, 0))
     assert len(basis) == 1
     assert basis[0].dot(vec(1, 0)) == 0
     assert not basis[0].is_zero()
-    basis3 = nullspace_basis([vec(1, 1, 1)])
+    basis3 = row_kernel(vec(1, 1, 1))
     assert len(basis3) == 2
     assert all(b.dot(vec(1, 1, 1)) == 0 for b in basis3)
+    with pytest.raises(ValueError):
+        row_kernel(zero_vector(2))
+
+
+def test_row_kernel_is_the_reduced_echelon_basis_of_the_row():
+    # About half the entries are zero, so the pivot is often not column 0.
+    rng = random.Random(20)
+    for _ in range(2000):
+        d = rng.randint(1, 7)
+        row = zero_vector(d)
+        while row.is_zero():
+            entries = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)]
+            row = Vector(tuple(Fraction(0) if rng.random() < 0.5 else a for a in entries))
+        pivot = next(j for j in range(d) if row[j] != 0)
+        free = [j for j in range(d) if j != pivot]
+        basis = row_kernel(row)
+        assert len(basis) == d - 1
+        assert all(k.dot(row) == 0 for k in basis)
+        assert rank_of(basis) == d - 1
+        for k, j in zip(basis, free):
+            assert [k[i] for i in free] == [int(i == j) for i in free]
 
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=7)
@@ -153,7 +176,7 @@ def matrices_with_planted_dependence(draw):
 @settings(max_examples=300, deadline=None)
 @given(matrices_with_planted_dependence())
 def test_integer_rank_agrees_with_rational_row_reduction(rows):
-    assert rank_of(rows) == len(row_reduce(rows)[0])
+    assert rank_of(rows) == rank_by_fractions(rows)
 
 
 def test_unit_vectors():
