@@ -126,7 +126,8 @@ def lambda_o(cone: DesirCone, u: Vector) -> Fraction:
     An open-dual or lexicographic cone evaluates ``lambda_o_functional``,
     which raises ``ValueError`` when a piece (the first level) is nonpositive
     at u_o.  A PosiCone solves one LP over its closed hull
-    (``cone.hull_lambda_o``).
+    (``cone.hull_lambda_o``), which raises ``ValueError`` when that hull is
+    all of V.
     """
     if u.dim != cone.space.dim:
         raise ValueError("dimension mismatch")
@@ -139,13 +140,8 @@ def lambda_o_functional(cone: DesirCone):
     """The closed-form Lambda_o with {eval > 0} equal to the interior of the cone."""
     u_o = cone.space.u_o
     if isinstance(cone, LexCone):
-        return nml(LinearF(cone.levels[0].coeffs), u_o)
+        return nml(cone.levels[0], u_o)
     if isinstance(cone, OpenDualCone):
-        distinct: list[LinearF] = []
-        for piece in pieces_of(nml(SuperlinF(cone.pieces), u_o)):
-            if piece not in distinct:
-                distinct.append(piece)
-        if len(distinct) == 1:
-            return distinct[0]
-        return SuperlinF(tuple(distinct))
+        distinct = tuple(dict.fromkeys(pieces_of(nml(SuperlinF(cone.pieces), u_o))))
+        return distinct[0] if len(distinct) == 1 else SuperlinF(distinct)
     raise ValueError("unsupported for PosiCone: use lambda_o pointwise")

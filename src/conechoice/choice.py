@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from typing import Iterator, Optional, Sequence, Union
@@ -64,12 +63,8 @@ class OptionSet:
     options: tuple[Vector, ...]
 
     def __post_init__(self) -> None:
-        seen: list[Vector] = []
-        for option in self.options:
-            if option not in seen:
-                seen.append(option)
-        seen.sort(key=lambda v: v.entries)
-        object.__setattr__(self, "options", tuple(seen))
+        options = sorted(dict.fromkeys(self.options), key=lambda v: v.entries)
+        object.__setattr__(self, "options", tuple(options))
 
     def __iter__(self) -> Iterator[Vector]:
         return iter(self.options)

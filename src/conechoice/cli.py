@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from . import archimedean as arch
-from . import choice, lp
+from . import choice, functional, lp
 from . import cone as cones
 from .functional import LinearF, SuperlinF
 from .lottery import embed_pref, to_vector
@@ -232,10 +232,7 @@ def _dispatch_query(model: Model, query: dict) -> dict:
     if kind == "nml":
         if target_name not in model.functionals:
             raise UsageError(f"unknown functional {target_name!r}")
-        # Read at the call, so traced models runs see the functional.nml binding they expect.
-        from .functional import nml
-
-        return _record(nml(model.functionals[target_name], model.space.u_o))
+        return _record(functional.nml(model.functionals[target_name], model.space.u_o))
     if kind == "embed":
         if target_name not in model.lotteries:
             raise UsageError(f"unknown lottery block {target_name!r}")

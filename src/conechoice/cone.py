@@ -219,10 +219,7 @@ def _posi_problem(generators: Sequence[Vector], v: Vector) -> lp.LpProblem:
     if v.dim != dim:
         raise ValueError("dimension mismatch")
     m = len(generators)
-    rows = [
-        lp.Constraint(Vector(tuple(g[j] for g in generators)), lp.EQ, v[j])
-        for j in range(dim)
-    ]
+    rows = lp.combination_rows(generators, v)
     rows += lp.nonneg_rows(m)
     if v.is_zero():
         # Any representation of a nonzero v already has a positive coefficient;
@@ -709,21 +706,22 @@ def hull_lambda_o(cone: PosiCone, u: Vector) -> Fraction:
     """sup{alpha : u - alpha * u_o in posi(generators plus units)}, one LP.
 
     Under both background orders this is Lambda_o of the cone at u: the sup
-    over the cone equals the sup over its closed hull.
+    over the cone equals the sup over its closed hull.  The LP is unbounded,
+    and Lambda_o is +infinity at every u, exactly when -u_o lies in the
+    closed hull: the hull holds the nonnegative orthant, whose interior holds
+    u_o, so it is then all of V.  That raises ``ValueError``; a hull that is
+    not pointed but misses -u_o still gives a finite answer.
     """
     space = cone.space
     u_o = space.u_o
     hull = list(cone.generators) + background_generators(space)
     m = len(hull)
     n = m + 1  # lambda_1..lambda_m, alpha
-    rows = [
-        lp.Constraint(Vector(tuple(g[i] for g in hull) + (u_o[i],)), lp.EQ, u[i])
-        for i in range(space.dim)
-    ]
+    rows = lp.combination_rows(hull + [u_o], u)
     rows += lp.nonneg_rows(n)[:m]
     result = lp.solve(lp.LpProblem(n, tuple(rows), _maximize_last(n)))
     if not isinstance(result, lp.Optimal):
-        raise ValueError("lambda_o undefined: cone is not pointed")
+        raise ValueError("lambda_o is +infinity: the closed hull of the cone is all of V")
     return result.value
 
 

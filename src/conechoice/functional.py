@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from . import lp
 from .numeric import OptionSpace, Vector
@@ -99,22 +99,14 @@ def dominating_polytope(f: SuperlinF) -> list[LinearF]:
     outside the hull is separated from it by some option u on which it drops
     below the envelope.  The envelope is the min over the returned vertices.
     """
-    points: list[Vector] = []
-    for piece in f.pieces:
-        if piece.coeffs not in points:
-            points.append(piece.coeffs)
+    points = list(dict.fromkeys(piece.coeffs for piece in f.pieces))
     if len(points) == 1:
         return [LinearF(points[0])]
     vertices: list[LinearF] = []
-    dim = points[0].dim
     for idx, p in enumerate(points):
-        others = [q for k, q in enumerate(points) if k != idx]
+        others = points[:idx] + points[idx + 1:]
         m = len(others)
-        rows = []
-        for j in range(dim):
-            rows.append(
-                lp.Constraint(Vector(tuple(q[j] for q in others)), lp.EQ, p[j])
-            )
+        rows = lp.combination_rows(others, p)
         rows.append(lp.sum_to_one_row(m))
         rows += lp.nonneg_rows(m)
         in_hull_of_others = isinstance(lp.solve(lp.LpProblem(m, tuple(rows))), lp.Feasible)
@@ -125,13 +117,7 @@ def dominating_polytope(f: SuperlinF) -> list[LinearF]:
 
 def hahn_banach_witness(f: SuperlinF, u: Vector) -> LinearF:
     """A dominating linear functional agreeing with f at u: a least-index argmin piece."""
-    best = f.pieces[0]
-    best_value = best.eval(u)
-    for piece in f.pieces[1:]:
-        value = piece.eval(u)
-        if value < best_value:
-            best, best_value = piece, value
-    return best
+    return min(f.pieces, key=lambda piece: piece.eval(u))
 
 
 def nml(f: Functional, u_o: Vector) -> Functional:

@@ -63,7 +63,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional, Sequence, Union
 
-from .numeric import Vector, ones, unit_vector
+from .numeric import Vector, integer_form, ones, unit_vector
 
 LE = "<="
 EQ = "="
@@ -87,7 +87,8 @@ class Constraint:
       None.  A sign row has one nonzero coefficient ``a`` and rhs 0, and reads
       ``a x_j >= 0`` with ``a > 0`` or ``a x_j <= 0`` with ``a < 0``.
     * ``integer_row``: ``(scale, row)``, the coefficients and then the rhs,
-      times ``scale``, the lcm of their denominators, as integers.
+      times ``scale``, the lcm of their denominators, as integers
+      (``numeric.integer_form``).
     """
 
     coeffs: Vector
@@ -99,10 +100,6 @@ class Constraint:
     def __post_init__(self) -> None:
         if self.relation not in _RELATIONS:
             raise ValueError(f"unknown relation {self.relation!r}")
-        entries = (*self.coeffs.entries, self.rhs)
-        dens = [x.denominator for x in entries]
-        scale = math.lcm(*dens)
-        row = tuple(x.numerator * (scale // q) for x, q in zip(entries, dens))
         sign_row = None
         if not self.rhs and self.relation != EQ:
             nonzero = [j for j, a in enumerate(self.coeffs.entries) if a]
@@ -110,7 +107,7 @@ class Constraint:
                 a = self.coeffs[nonzero[0]]
                 if (a > 0) == (self.relation == GE):
                     sign_row = (nonzero[0], abs(a))
-        object.__setattr__(self, "integer_row", (scale, row))
+        object.__setattr__(self, "integer_row", integer_form((*self.coeffs.entries, self.rhs)))
         object.__setattr__(self, "sign_row", sign_row)
 
 
@@ -194,12 +191,12 @@ def verified(condition: bool, what: str) -> None:
         raise RuntimeError(f"internal error: emitted {what} failed re-verification")
 
 
-def _integer_vector(problem: LpProblem, x: Vector) -> tuple[list[int], int]:
+def _integer_vector(problem: LpProblem, x: Vector) -> tuple[tuple[int, ...], int]:
     """``(X, d)`` with integers X and ``d > 0`` such that ``x = X / d``."""
     if x.dim != problem.n_vars:
         raise ValueError(f"dimension mismatch: {problem.n_vars} vs {x.dim}")
-    d = math.lcm(*(e.denominator for e in x.entries))
-    return [e.numerator * (d // e.denominator) for e in x.entries], d
+    d, X = integer_form(x.entries)
+    return X, d
 
 
 def _holds(c: Constraint, X: Sequence[int], d: int) -> bool:
@@ -565,6 +562,16 @@ def solve(problem: LpProblem) -> LpResult:
     value = Fraction(sign * t.obj[t.n_cols], t.obj_scale)
     verified(problem.objective.coeffs.dot(witness) == value, "optimal value")
     return Optimal(witness, value)
+
+
+def combination_rows(columns: Sequence[Vector], target: Vector) -> list[Constraint]:
+    """The rows of ``target = sum_k x_k columns[k]``: one equality per
+    coordinate i, whose coefficients are the columns' entries i in column
+    order, over one variable x_k per column."""
+    return [
+        Constraint(Vector(tuple(column[i] for column in columns)), EQ, target[i])
+        for i in range(target.dim)
+    ]
 
 
 def strict_row(s: Vector) -> Constraint:

@@ -8,6 +8,7 @@ the offending object.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -107,11 +108,16 @@ def _space(raw: Any) -> OptionSpace:
         raise ModelError(f"space: {exc}") from exc
 
 
-def _cone(name: str, raw: Any, space: OptionSpace) -> DesirCone:
-    where = f"cones.{name}"
+def _type_of(raw: Any, where: str) -> Any:
+    """The ``type`` field of a named entry, which must be an object."""
     if not isinstance(raw, dict) or "type" not in raw:
         raise ModelError(f"{where}: expected an object with a \"type\" field")
-    kind = raw["type"]
+    return raw["type"]
+
+
+def _cone(name: str, raw: Any, space: OptionSpace) -> DesirCone:
+    where = f"cones.{name}"
+    kind = _type_of(raw, where)
     try:
         if kind == "posi":
             generators = _vector_list(raw.get("generators", []), f"{where}.generators", space.dim)
@@ -129,9 +135,7 @@ def _cone(name: str, raw: Any, space: OptionSpace) -> DesirCone:
 
 def _functional(name: str, raw: Any, space: OptionSpace) -> Functional:
     where = f"functionals.{name}"
-    if not isinstance(raw, dict) or "type" not in raw:
-        raise ModelError(f"{where}: expected an object with a \"type\" field")
-    kind = raw["type"]
+    kind = _type_of(raw, where)
     try:
         if kind == "linear":
             return LinearF(_vector(raw.get("coeffs"), f"{where}.coeffs", space.dim))
@@ -145,9 +149,7 @@ def _functional(name: str, raw: Any, space: OptionSpace) -> Functional:
 
 def _k_model(name: str, raw: Any, space: OptionSpace, cones: dict[str, DesirCone]) -> KModel:
     where = f"k_models.{name}"
-    if not isinstance(raw, dict) or "type" not in raw:
-        raise ModelError(f"{where}: expected an object with a \"type\" field")
-    kind = raw["type"]
+    kind = _type_of(raw, where)
     try:
         if kind == "assessment":
             sets_raw = raw.get("assessment", [])
@@ -256,12 +258,10 @@ def load_model(path: str) -> Model:
 
 
 def _check_unique_names(model: Model) -> None:
-    names: list[str] = []
-    for section in (model.cones, model.functionals, model.k_models, model.lotteries):
-        names.extend(section.keys())
-    duplicates = {n for n in names if names.count(n) > 1}
+    counts = Counter([*model.cones, *model.functionals, *model.k_models, *model.lotteries])
+    duplicates = sorted(name for name, count in counts.items() if count > 1)
     if duplicates:
-        raise ModelError(f"names must be unique across sections: {sorted(duplicates)}")
+        raise ModelError(f"names must be unique across sections: {duplicates}")
 
 
 def _reject_float(value: str):

@@ -213,18 +213,26 @@ class OptionSpace:
         return all(c >= 0 for c in coeffs.entries) and any(c > 0 for c in coeffs.entries)
 
 
+def integer_form(entries: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """``(scale, ints)``: the entries times ``scale``, the lcm of their
+    denominators, as a tuple of integers.
+
+    >>> integer_form((Fraction(1, 2), Fraction(-2, 3), Fraction(3)))
+    (6, (3, -4, 18))
+    """
+    dens = [x.denominator for x in entries]
+    scale = lcm(*dens)
+    return scale, tuple(x.numerator * (scale // q) for x, q in zip(entries, dens))
+
+
 def rank_of(rows: Sequence[Vector]) -> int:
     """The rank of the rows, by fraction-free (Bareiss) elimination.
 
-    Each nonzero row is scaled by the lcm of its denominators into integers.
-    Every entry after step k is then a (k+1)-minor of the integer matrix, so
-    dividing by the previous pivot is exact and no Fraction is built.
+    Each nonzero row is scaled into integers (``integer_form``).  Every entry
+    after step k is then a (k+1)-minor of the integer matrix, so dividing by
+    the previous pivot is exact and no Fraction is built.
     """
-    matrix = []
-    for row in rows:
-        if not row.is_zero():
-            scale = lcm(*(a.denominator for a in row.entries))
-            matrix.append([a.numerator * (scale // a.denominator) for a in row.entries])
+    matrix = [integer_form(row.entries)[1] for row in rows if not row.is_zero()]
     if not matrix:
         return 0
     rank, previous = 0, 1

@@ -194,6 +194,34 @@ def test_lambda_o_on_a_piece_vanishing_at_u_o_exits_2(tmp_path, capsys):
     assert "nonpositive at u_o" in records["q"]["error"]
 
 
+def test_lambda_o_of_a_posi_cone_is_finite_unless_its_hull_is_all_of_v(tmp_path, capsys):
+    # posi((1,0), (-1,0)) is not pointed, yet its closed hull, the upper
+    # half-plane, misses -u_o, so Lambda_o at (1,1) is 1.  The hull of
+    # posi((-1,-1)) holds -u_o and is all of V: Lambda_o is +infinity, an
+    # error record in JSON and in text.
+    model = tmp_path / "posi.json"
+
+    def write(generators, option):
+        model.write_text(json.dumps({
+            "space": {"dim": 2, "background": "pointwise", "u_o": ["1", "1"]},
+            "cones": {"P": {"type": "posi", "generators": generators}},
+            "queries": [{"name": "q", "kind": "lambda_o", "target": "P", "option": option}],
+        }))
+
+    write([["1", "0"], ["-1", "0"]], ["1", "1"])
+    code, records = run_json(capsys, "report", str(model))
+    assert code == EXIT_OK and records["q"]["answer"] == "1", records
+
+    write([["-1", "-1"]], ["1", "0"])
+    code, records = run_json(capsys, "report", str(model))
+    message = "lambda_o is +infinity: the closed hull of the cone is all of V"
+    assert code == EXIT_PRECONDITION
+    assert records["q"] == {"name": "q", "kind": "lambda_o", "target": "P", "error": message}
+    code, out, _ = run(capsys, "report", str(model))
+    assert code == EXIT_PRECONDITION
+    assert out == f"q: lambda_o(P) -> error: {message}\n"
+
+
 def test_nml_flag(capsys):
     code, records = run_json(capsys, "nml", COIN, "--functional", "L_half")
     assert code == EXIT_OK
@@ -360,6 +388,29 @@ def test_usage_errors_exit_64(tmp_path, capsys):
             {"kind": "choose", "rule": "eadm", "target": "K_cred", "menu": [["1", "0", "0"]]},
             "expected 2 entries",
         ),
+        # Each kind and rule needs its own kind of target, and each query its fields.
+        ({"kind": "consistent", "target": "D_I"}, "kind 'consistent' does not apply to a cone"),
+        ({"kind": "member", "target": "D_I"}, "query needs an 'option' field"),
+        (
+            {"kind": "consistent", "target": "K_cred"},
+            "consistency queries need an assessment model",
+        ),
+        ({"kind": "coherent", "target": "K_hot"}, "kind 'coherent' does not apply to a k-model"),
+        (
+            {"kind": "choose", "rule": "maximality", "target": "K_cred", "menu": [["1", "0"]]},
+            "maximality needs a cone target, 'K_cred'",
+        ),
+        (
+            {"kind": "choose", "rule": "eadm", "target": "K_hot", "menu": [["1", "0"]]},
+            "eadm needs a credal k-model",
+        ),
+        (
+            {"kind": "choose", "rule": "foo", "target": "K_cred", "menu": [["1", "0"]]},
+            "unknown rule 'foo'",
+        ),
+        ({"kind": "choose", "target": "K_cred", "menu": [["1", "0"]]}, 'need a "rule" field'),
+        ({"kind": "nml", "target": "D_I"}, "unknown functional 'D_I'"),
+        ({"kind": "embed", "target": "D_I"}, "unknown lottery block 'D_I'"),
     ):
         path = tmp_path / "coin_queries.json"
         path.write_text(json.dumps({**coin, "queries": [{"name": "q", **query}]}))
@@ -495,6 +546,69 @@ def test_data_errors_exit_65(tmp_path, capsys):
         code, _, err = run(capsys, "check", str(bad))
         assert code == EXIT_DATA, (states, rewards)
         assert "model error" in err and "lotteries.L" in err, err
+
+    # Every schema check of the loader names the field it refuses.
+    def with_space(**sections):
+        return {"space": space, **sections}
+
+    block = {"states": ["H", "T"], "rewards": ["top", "bot"], "h": [["1", "0"], ["0", "1"]],
+             "g": [["1", "0"], ["0", "1"]]}
+    for content, field in (
+        (with_space(cones={"C": {"type": "ball"}}), "cones.C: unknown cone type 'ball'"),
+        (
+            with_space(functionals={"F": {"type": "quadratic"}}),
+            "functionals.F: unknown functional type 'quadratic'",
+        ),
+        (with_space(k_models={"K": {"type": "fuzzy"}}), "k_models.K: unknown k-model type 'fuzzy'"),
+        (with_space(cones={"C": {"generators": []}}), 'cones.C: expected an object with a "type"'),
+        (with_space(functionals={"F": {"coeffs": ["1", "1"]}}), "functionals.F: expected an object"),
+        (with_space(k_models={"K": ["assessment"]}), "k_models.K: expected an object"),
+        (
+            with_space(k_models={"K": {"type": "assessment", "assessment": "1,0"}}),
+            "k_models.K.assessment: expected a list of option sets",
+        ),
+        (
+            with_space(k_models={"K": {"type": "assessment", "assessment": [[]]}}),
+            "k_models.K.assessment[0]: option sets must be nonempty",
+        ),
+        (
+            with_space(functionals={"F": {"type": "superlinear", "pieces": []}}),
+            "functionals.F: a min-envelope needs at least one piece",
+        ),
+        (
+            with_space(k_models={"K": {"type": "credal", "functionals": [["1", "-1"]]}}),
+            "k_models.K: credal functionals must be background-positive",
+        ),
+        (
+            with_space(cones={"C": {"type": "posi", "generators": "1,0"}}),
+            "cones.C.generators: expected a list of vectors",
+        ),
+        (with_space(cones=[]), "cones: expected an object of named entries"),
+        (with_space(queries={}), "queries: expected a list"),
+        ({"space": ["2", "pointwise"]}, "space: expected an object"),
+        ({"space": {"background": "pointwise"}}, "space: missing field 'dim'"),
+        ([{"space": space}], 'model file must be an object with a "space" field'),
+        (with_space(lotteries={"L": [block]}), "lotteries.L: expected an object"),
+        (with_space(lotteries={"L": {**block, "states": [1, 2]}}), "lotteries.L.states"),
+        (with_space(lotteries={"L": {**block, "rewards": "top,bot"}}), "lotteries.L.rewards"),
+        (
+            with_space(lotteries={"L": {**block, "h": [["1", "0"]]}}),
+            "lotteries.L.h: expected one row per state",
+        ),
+        (with_space(lotteries={"L": {**block, "alpha": "0"}}), "lotteries.L.alpha: must be positive"),
+        (
+            with_space(lotteries={"L": {**block, "alpha": 1}}),
+            'lotteries.L.alpha: rationals must be strings like "p/q"',
+        ),
+        (
+            with_space(lotteries={"L": {**block, "reference_reward": "mid"}}),
+            "lotteries.L.reference_reward: unknown reward 'mid'",
+        ),
+    ):
+        bad.write_text(json.dumps(content))
+        code, out, err = run(capsys, "check", str(bad))
+        assert code == EXIT_DATA and not out, content
+        assert f"model error: {field}" in err, err
 
     # Malformed files the JSON reader itself rejects: nesting past the
     # recursion limit, an integer past the int-string digit limit, and bytes
