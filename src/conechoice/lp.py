@@ -37,9 +37,10 @@ Negative answers carry checkable evidence:
 
 The checks run in integers with the same exact predicates.  A witness or ray
 is read as an integer vector X over one denominator d, and each row is tested
-as ``a.X REL b.d`` on its integer row (a sign row as ``X_j >= 0``).  A
-certificate weighs each integer row by its multiplier over the row's scale, all
-over one common denominator.
+as ``a.X REL b.d`` on its integer row.  A certificate weighs each integer row
+by its multiplier over the row's scale, all over one common denominator.  The
+checks read each row as written, sign rows included, and never the tableau's
+layout, so a wrong layout cannot pass its own evidence.
 
 :func:`solve` is the one entry point, and every problem takes the same path
 through it, a problem without rows included.
@@ -85,7 +86,9 @@ class Constraint:
 
     * ``sign_row``: ``(j, |a|)`` when the row says only ``x_j >= 0``, else
       None.  A sign row has one nonzero coefficient ``a`` and rhs 0, and reads
-      ``a x_j >= 0`` with ``a > 0`` or ``a x_j <= 0`` with ``a < 0``.
+      ``a x_j >= 0`` with ``a > 0`` or ``a x_j <= 0`` with ``a < 0``.  It is
+      the tableau's layout decision, read by :class:`_Tableau` alone; the
+      evidence checks read ``integer_row``.
     * ``integer_row``: ``(scale, row)``, the coefficients and then the rhs,
       times ``scale``, the lcm of their denominators, as integers
       (``numeric.integer_form``).
@@ -202,11 +205,9 @@ def _integer_vector(problem: LpProblem, x: Vector) -> tuple[tuple[int, ...], int
 def _holds(c: Constraint, X: Sequence[int], d: int) -> bool:
     """Does c hold at ``X / d``?  With ``d = 0``, does it hold at X with rhs 0?
 
-    A sign row reads ``X_j >= 0``; any other row is compared in its integer
-    form, ``a.X REL b.d``.
+    Every row, a sign row included, is compared in its integer form,
+    ``a.X REL b.d``.
     """
-    if c.sign_row is not None:
-        return X[c.sign_row[0]] >= 0
     row = c.integer_row[1]
     value = sum(map(operator.mul, row, X)) - row[-1] * d
     if c.relation == LE:
@@ -238,9 +239,9 @@ def verify_infeasibility_certificate(
     The combination is formed in integers: multiplier ``y = p / q`` of a row
     with integer form ``scale * (a, b)`` weighs that form by the integer ``p``
     over ``q * scale``, and all weights are brought over one common
-    denominator.  A sign row, oriented as ``-|a| x_j <= 0``, adds ``-y |a|``
-    to entry j alone.  The weights need not be in lowest terms: the test
-    reads only zeros and a sign, which a positive common factor keeps.
+    denominator.  A sign row is weighed like any other row.  The weights need
+    not be in lowest terms: the test reads only zeros and a sign, which a
+    positive common factor keeps.
     """
     constraints = problem.normalized().constraints
     if len(certificate) != len(constraints):
@@ -248,30 +249,22 @@ def verify_infeasibility_certificate(
     n = problem.n_vars
     # (numerator, denominator, row) of each weighted row.
     weighted: list[tuple[int, int, Sequence[int]]] = []
-    # (numerator, denominator, j) of each sign row.
-    signs: list[tuple[int, int, int]] = []
     for mult, c in zip(certificate, constraints):
         if c.relation != EQ and mult < 0:
             return False
         if mult == 0:
             continue
-        if c.sign_row is not None:
-            j, a = c.sign_row
-            signs.append((mult.numerator * a.numerator, mult.denominator * a.denominator, j))
-            continue
         scale, row = c.integer_row
         # The multiplier of a ">=" row applies to the row negated into "<=".
         p = -mult.numerator if c.relation == GE else mult.numerator
         weighted.append((p, mult.denominator * scale, row))
-    d = math.lcm(*(q for _, q, _ in weighted), *(q for _, q, _ in signs))
+    d = math.lcm(*(q for _, q, _ in weighted))
     combo = [0] * (n + 1)
     for p, q, row in weighted:
         k = p * (d // q)
         for j, a in enumerate(row):
             if a:
                 combo[j] += k * a
-    for p, q, j in signs:
-        combo[j] -= p * (d // q)
     return not any(combo[:n]) and combo[n] < 0
 
 

@@ -226,7 +226,7 @@ def _named_section(raw: Any, section: str) -> dict[str, Any]:
 def load_model(path: str) -> Model:
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle, parse_float=_reject_float)
+            raw = json.load(handle, parse_float=_reject_float, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ModelError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -262,6 +262,15 @@ def _check_unique_names(model: Model) -> None:
     duplicates = sorted(name for name, count in counts.items() if count > 1)
     if duplicates:
         raise ModelError(f"names must be unique across sections: {duplicates}")
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    # json.load would keep only the last of two equal keys, in any object.
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = sorted(key for key, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise ModelError(f"keys must be unique within an object, repeated: {repeated}")
+    return obj
 
 
 def _reject_float(value: str):

@@ -62,6 +62,8 @@ def test_hot_model_membership(k_hot):
     assert not member(k_hot, option_set(vec(1, -1)))
     assert not member(k_hot, option_set(vec(-1, 1)))
     assert member(k_hot, option_set(vec(1, 1)))
+    with pytest.raises(ValueError, match="assessment option has wrong dimension"):
+        AssessmentK((option_set(vec(1, 0, 0)),), k_hot.space)
 
 
 def test_vacuous_model_membership(pw2):
@@ -76,6 +78,7 @@ def test_binary_model_membership(pw2, d_half):
     # Both options evaluate to exactly zero under the half-space functional.
     assert not member(model, option_set(vec(1, -1), vec(-1, 1)))
     assert member(model, option_set(vec(1, -1), vec(0, 1)))
+    assert model.space is d_half.space
 
 
 def test_membership_prunes_zero(k_hot, k_credal):
@@ -182,6 +185,8 @@ def test_reject_and_choose_examples(pw2, k_credal, vacuous):
     assert reject(binary_vacuous, both).options == (zero_vector(2),)
 
     assert reject(k_credal, option_set(vec(1, 0))).options == ()
+    with pytest.raises(ValueError, match="need a nonempty menu"):
+        reject(k_credal, OptionSet(()))
 
 
 def test_e_admissible_examples(k_credal):
@@ -190,6 +195,12 @@ def test_e_admissible_examples(k_credal):
     single = [expectation("2/3")]
     assert e_admissible(single, menu).options == (vec(1, 0),)
     assert e_admissible(single, option_set(vec(5, 5))).options == (vec(5, 5),)
+    with pytest.raises(ValueError, match="need a nonempty credal set"):
+        e_admissible((), menu)
+    with pytest.raises(ValueError, match="a credal set needs at least one functional"):
+        CredalK((), k_credal.space)
+    with pytest.raises(ValueError, match="credal functional has wrong dimension"):
+        CredalK((LinearF(vec(1, 1, 1)),), k_credal.space)
 
 
 def test_maximal_examples(pw2, vacuous):

@@ -610,6 +610,23 @@ def test_data_errors_exit_65(tmp_path, capsys):
         assert code == EXIT_DATA and not out, content
         assert f"model error: {field}" in err, err
 
+    # JSON keeps only the last of two equal keys, in any object of the file;
+    # the loader refuses the repeat instead of silently using the last.
+    posi = '{"type": "posi", "generators": [["1", "-1"]]}'
+    for content, key in (
+        ('{"space": %s, "cones": {"D": %s, "D": {"type": "posi", "generators": []}}}'
+         % (json.dumps(space), posi), "D"),
+        ('{"space": %s, "cones": {"D": {"type": "posi", "generators": [["1", "-1"]],'
+         ' "generators": []}}}' % json.dumps(space), "generators"),
+        ('{"space": %s, "space": %s}' % (json.dumps(space), json.dumps(space)), "space"),
+        ('{"space": %s, "cones": {"D": %s}, "queries": [{"kind": "member", "target": "D",'
+         ' "option": ["1", "-1"], "kind": "coherent"}]}' % (json.dumps(space), posi), "kind"),
+    ):
+        bad.write_text(content)
+        code, out, err = run(capsys, "check", str(bad))
+        assert code == EXIT_DATA and not out, content
+        assert f"model error: keys must be unique within an object, repeated: ['{key}']" in err, err
+
     # Malformed files the JSON reader itself rejects: nesting past the
     # recursion limit, an integer past the int-string digit limit, and bytes
     # that are not UTF-8.

@@ -20,6 +20,7 @@ from conechoice.cone import (
     member,
     natural_extension,
     posi_member,
+    separates,
     separation_evidence,
     strict_background_rows,
     verify_inconsistency_combination,
@@ -466,6 +467,19 @@ def test_cone_construction_validation(pw2):
         LexCone((LinearF(vec(1, 1)), LinearF(vec(2, 2))), pw2)  # dependent levels
     with pytest.raises(ValueError):
         member(PosiCone((), pw2), vec(1, 2, 3))
+    with pytest.raises(ValueError, match="generator has wrong dimension"):
+        PosiCone((vec(1, 2, 3),), pw2)
+    with pytest.raises(ValueError, match="piece has wrong dimension"):
+        OpenDualCone((LinearF(vec(1, 2, 3)),), pw2)
+    with pytest.raises(ValueError, match="level has wrong dimension"):
+        LexCone((LinearF(vec(1, 2, 3)),), pw2)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        posi_member([vec(1, 0)], vec(1, 2, 3))
+    assert not verify_inconsistency_combination(())
+    assert not verify_inconsistency_combination(((vec(1, 0), Fraction(-1)), (vec(-1, 0), Fraction(-1))))
+    assert not verify_inconsistency_combination(((vec(1, 0), Fraction(1)),))
+    # Background-positive, but zero on the cone's generator.
+    assert not separates(LinearF(vec(1, 1)), PosiCone((vec(1, -1),), pw2))
 
 
 # The SHA-256 of the answers below, each the repr of what the engine returns

@@ -197,3 +197,6 @@ def test_pieces_of():
     assert pieces_of(f) == (f,)
     g = corner_min([vec(1, 0), vec(0, 1)])
     assert len(pieces_of(g)) == 2
+    assert g.dim == 2
+    with pytest.raises(ValueError, match="pieces must share one dimension"):
+        corner_min([vec(1, 0), vec(0, 1, 0)])

@@ -49,6 +49,8 @@ def test_lottery_validation():
         HorseLottery(COIN, BETS, ((Fraction(2), Fraction(-1)), (Fraction(0), Fraction(1))))
     with pytest.raises(ValueError):
         HorseLottery(("H", "H"), BETS, ((Fraction(1), Fraction(0)),) * 2)
+    with pytest.raises(ValueError, match="table shape does not match the labels"):
+        HorseLottery(COIN, BETS, ((Fraction(1), Fraction(0)),))
     # Rational rows over mixed denominators: one sums to one, one to 5/6, and
     # one sums to one with a negative mass.
     rewards = ("a", "b", "c")
@@ -144,3 +146,5 @@ def test_mix_validation():
     with pytest.raises(ValueError):
         mix(point_up_on_heads(), uniform(), Fraction(3, 2))
     assert mix(point_up_on_heads(), uniform(), Fraction(1)) == point_up_on_heads()
+    with pytest.raises(ValueError, match=r"mixture coefficient must lie in \(0, 1\]"):
+        mixture_independence_check(point_up_on_heads(), uniform(), uniform(), Fraction(0))

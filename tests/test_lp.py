@@ -400,6 +400,55 @@ def test_certificate_weights_sign_rows():
     _check_evidence(problem, result)
 
 
+def _misread_as_x0_nonnegative(coeffs: Vector) -> Constraint:
+    """A fresh ``coeffs . x >= 0`` row that the tableau is told reads ``x0 >= 0``."""
+    row = Constraint(coeffs, GE, Fraction(0))
+    object.__setattr__(row, "sign_row", (0, Fraction(1)))
+    return row
+
+
+@pytest.mark.parametrize(
+    "problem, what",
+    [
+        pytest.param(
+            LpProblem(
+                2,
+                (
+                    _misread_as_x0_nonnegative(vec(1, -1)),
+                    Constraint(vec(0, 1), GE, Fraction(1)),
+                    Constraint(vec(1, 0), LE, Fraction(0)),
+                ),
+            ),
+            "LP witness",
+            id="witness",
+        ),
+        pytest.param(
+            LpProblem(
+                2,
+                (
+                    _misread_as_x0_nonnegative(vec(-1, 1)),
+                    Constraint(vec(1, 0), LE, Fraction(-1)),
+                ),
+            ),
+            "Farkas certificate",
+            id="certificate",
+        ),
+        pytest.param(
+            LpProblem(2, (_misread_as_x0_nonnegative(vec(1, -1)),), Objective("max", vec(0, 1))),
+            "improving ray",
+            id="ray",
+        ),
+    ],
+)
+def test_checks_read_each_row_not_its_sign_row_classification(problem, what):
+    # The tableau lays the tampered row out as x0 >= 0 and so solves another
+    # problem: (0, 1) breaks x0 - x1 >= 0, (1, 1) certifies a problem that
+    # (-1, -1) solves, and the ray (0, 1) breaks x0 - x1 >= 0.  The checks
+    # read each row as written and refuse all three.
+    with pytest.raises(RuntimeError, match=f"emitted {what} failed re-verification"):
+        solve(problem)
+
+
 def _random_sign_row(rng: random.Random, n: int) -> Constraint:
     # x_j >= 0 written as a x_j >= 0 or -a x_j <= 0 with a > 0.
     a = [Fraction(0)] * n
@@ -681,3 +730,13 @@ def test_problem_validation():
         Constraint(vec(1), "<", Fraction(0))
     with pytest.raises(ValueError):
         lp.Objective("maximize", vec(1))
+    with pytest.raises(ValueError, match="objective coefficient vector has wrong length"):
+        LpProblem(2, (), Objective("max", vec(1)))
+    with pytest.raises(ValueError, match="bounds list has wrong length"):
+        LpProblem(2, (), bounds=((None, None),))
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 1"):
+        verify_witness(LpProblem(2, ()), vec(1))
+    assert not verify_ray(LpProblem(1, ()), vec(1))
+    # x <= 0 holds along -1 but not along the improving direction 1.
+    problem = LpProblem(1, (Constraint(vec(1), LE, Fraction(0)),), Objective("max", vec(1)))
+    assert not verify_ray(problem, vec(1))

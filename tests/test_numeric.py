@@ -9,6 +9,7 @@ from conechoice.numeric import (
     Background,
     OptionSpace,
     Vector,
+    as_rational,
     format_rational,
     parse_rational,
     rank_of,
@@ -64,6 +65,20 @@ def test_vector_dimension_mismatch():
         vec(1, 2) + vec(1, 2, 3)
     with pytest.raises(ValueError):
         vec(1, 2).dot(vec(1))
+    with pytest.raises(ValueError, match="vectors must have positive dimension"):
+        Vector(())
+    with pytest.raises(TypeError, match="vector entries must be Fraction"):
+        Vector((1,))
+    with pytest.raises(TypeError, match="cannot interpret 0.5 as a rational"):
+        as_rational(0.5)
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        OptionSpace(0, Background.POINTWISE, vec(1))
+    with pytest.raises(ValueError, match="reference option has wrong dimension"):
+        OptionSpace(2, Background.POINTWISE, vec(1))
+    space = OptionSpace(2, Background.POINTWISE, vec(1, 1))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        space.background_strictly_positive(vec(1, 1, 1))
+    assert str(vec(1, "-1/2")) == "(1, -1/2)"
 
 
 vectors_2d = st.tuples(rationals, rationals).map(lambda t: vec(*t))
