@@ -8,7 +8,9 @@ rests on the separation system, whose rows per cone class are built in
 reads it.  The answers for one option, ``separate`` and
 ``archimedean_closure_member``, come from ``cone.option_separation``,
 which reads the cone's kept functional and the option's membership before it
-solves anything, and whose docstring holds the proof behind it.
+solves anything, and whose docstring holds the proof behind it.  Lambda_o
+solves no LP below ``cone.DD_RAY_CAP``: every cone class has it in closed
+form (``lambda_o_functional``), found once per cone object and kept on it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .cone import (
     LexCone,
     OpenDualCone,
     PosiCone,
+    hull_dual,
     hull_lambda_o,
     is_coherent,
     member,
@@ -31,7 +34,7 @@ from .cone import (
     separates,
     separation_evidence,
 )
-from .functional import LinearF, SuperlinF, nml, pieces_of
+from .functional import Functional, LinearF, SuperlinF, nml, pieces_of
 from .numeric import Background, Vector
 
 
@@ -52,7 +55,7 @@ def verify_separation_witness(
         if not posi_member([p.coeffs for p in cone.pieces], f.coeffs):
             return False
     return separates(f, cone, (witness.separated_option,)) and all(
-        f.eval(u) > 0 for u in members
+        f.sign_at(u) > 0 for u in members
     )
 
 
@@ -123,25 +126,36 @@ def is_essentially_archimedean(cone: DesirCone) -> bool:
 def lambda_o(cone: DesirCone, u: Vector) -> Fraction:
     """sup{alpha : u - alpha * u_o in D} for the cone's reference option u_o.
 
-    An open-dual or lexicographic cone evaluates ``lambda_o_functional``,
+    A PosiCone reads the min of the normalised extreme rays of the dual of
+    its closed hull (``cone.hull_lambda_o``), found once per cone object, and
+    raises ``ValueError`` when that hull is all of V.  An open-dual or
+    lexicographic cone evaluates ``lambda_o_functional``, kept on the cone,
     which raises ``ValueError`` when a piece (the first level) is nonpositive
-    at u_o.  A PosiCone solves one LP over its closed hull
-    (``cone.hull_lambda_o``), which raises ``ValueError`` when that hull is
-    all of V.
+    at u_o.
     """
     if u.dim != cone.space.dim:
         raise ValueError("dimension mismatch")
     if isinstance(cone, PosiCone):
         return hull_lambda_o(cone, u)
-    return lambda_o_functional(cone).eval(u)
+    return cone.kept("lambda_o", lambda_o_functional).eval(u)
 
 
-def lambda_o_functional(cone: DesirCone):
-    """The closed-form Lambda_o with {eval > 0} equal to the interior of the cone."""
+def lambda_o_functional(cone: DesirCone) -> Functional:
+    """Lambda_o in closed form, a linear functional or a min-envelope of
+    them, with {eval > 0} equal to the interior of the cone's closure.
+
+    For a PosiCone the pieces are the normalised extreme rays of the dual of
+    its closed hull (``cone.hull_dual``), which raises the "+infinity"
+    ``ValueError`` when that hull is all of V.  Past ``cone.DD_RAY_CAP`` rays
+    there is no closed form, and ``lambda_o`` solves one LP per option.
+    """
     u_o = cone.space.u_o
     if isinstance(cone, LexCone):
         return nml(cone.levels[0], u_o)
     if isinstance(cone, OpenDualCone):
-        distinct = tuple(dict.fromkeys(pieces_of(nml(SuperlinF(cone.pieces), u_o))))
-        return distinct[0] if len(distinct) == 1 else SuperlinF(distinct)
-    raise ValueError("unsupported for PosiCone: use lambda_o pointwise")
+        pieces = tuple(dict.fromkeys(pieces_of(nml(SuperlinF(cone.pieces), u_o))))
+    else:
+        pieces = hull_dual(cone)
+        if pieces is None:
+            raise ValueError("unsupported past cone.DD_RAY_CAP: use lambda_o pointwise")
+    return pieces[0] if len(pieces) == 1 else SuperlinF(pieces)

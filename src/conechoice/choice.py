@@ -182,7 +182,7 @@ def member(model: KModel, b: OptionSet) -> bool:
     if not options:
         return False
     if isinstance(model, CredalK):
-        return all(any(f.eval(u) > 0 for u in options) for f in model.functionals)
+        return all(any(f.sign_at(u) > 0 for u in options) for f in model.functionals)
     if isinstance(model, BinaryK):
         return any(cone_member(model.cone, u) for u in options)
     # A background-positive option is a member of every extension.

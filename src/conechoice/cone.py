@@ -32,15 +32,24 @@ Every separating functional, and every min-envelope of them in
 :mod:`conechoice.choice`, is checked by one routine, ``separates``.
 
 Mixing reads the same solve for a PosiCone: a separating functional shows
-that a PosiCone of dimension 2 or more is not mixing, and one Lambda_o LP over
-its closed hull (``hull_lambda_o``) turns it into a witness pair.
+that a PosiCone of dimension 2 or more is not mixing, and Lambda_o at one
+kernel direction (``hull_lambda_o``) turns it into a witness pair.
+
+Lambda_o of a PosiCone, sup{alpha : u - alpha u_o in D}, is the min of the
+normalised extreme rays of the dual of its closed hull (``hull_dual``).  They
+are found once per cone object by the double-description method, in
+integers, each checked where it is made to be an extreme ray of that dual;
+a dual with more than ``DD_RAY_CAP`` rays on the way keeps none, and its
+Lambda_o is one LP per option.
 
 A cone object keeps what it learns, since it is frozen, in one store
 (``_Cone.kept``): its option-free separation evidence (``separation_evidence``),
 whose functional f is checked where it is made to be strictly positive on
-the cone (``separates``), and, for a selection's extension in
-:mod:`conechoice.choice`, its consistency.  Beside the store sits a record of
-the last option v the object was asked about (``OptionRecord``): v's
+the cone (``separates``), a PosiCone's hull dual, an open-dual or
+lexicographic cone's closed-form Lambda_o (``archimedean.lambda_o``), and,
+for a selection's extension in :mod:`conechoice.choice`, its consistency.
+Beside the store sits a record of the last option v the object was asked
+about (``OptionRecord``): v's
 membership verdict, a PosiCone's Farkas functional y of v's failed
 membership solve, and v's separation evidence.  Every entry is a function of
 the cone and v alone, so no answer depends on what was asked before.
@@ -53,9 +62,11 @@ it, and why ``y + t f`` separates.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Any, Callable, Optional, Sequence, Union
 
 from . import lp
@@ -64,6 +75,8 @@ from .numeric import (
     Background,
     OptionSpace,
     Vector,
+    integer_form,
+    integer_rank,
     rank_of,
     row_kernel,
     unit_vector,
@@ -274,7 +287,8 @@ def _combine(generators: Sequence[Vector], lambdas: Sequence[Fraction]) -> Vecto
     return total
 
 
-def lex_sign(values: Sequence[Fraction]) -> int:
+def lex_sign(values: Sequence[Union[int, Fraction]]) -> int:
+    """The sign of the first nonzero value (or sign), 0 if there is none."""
     for value in values:
         if value > 0:
             return 1
@@ -305,13 +319,13 @@ def member(cone: DesirCone, v: Vector) -> bool:
     if v.dim != cone.space.dim:
         raise ValueError("dimension mismatch")
     if isinstance(cone, OpenDualCone):
-        return all(p.eval(v) > 0 for p in cone.pieces)
+        return all(p.sign_at(v) > 0 for p in cone.pieces)
     if isinstance(cone, LexCone):
-        return lex_sign([level.eval(v) for level in cone.levels]) > 0
+        return lex_sign([level.sign_at(v) for level in cone.levels]) > 0
     if cone.space.background_strictly_positive(v):
         return True
     f = cone.kept("separation")
-    if isinstance(f, LinearF) and f.eval(v) <= 0:
+    if isinstance(f, LinearF) and f.sign_at(v) <= 0:
         return False
     record = cone.record(v)
     if record.member is None:
@@ -322,10 +336,13 @@ def member(cone: DesirCone, v: Vector) -> bool:
 
 def _membership(
     cone: PosiCone, v: Vector
-) -> tuple[Optional[Combination], Optional[LinearF]]:
-    """The nonzero (vector, coefficient) terms of a combination reaching v, or
-    None; and for a non-member, the Farkas functional of a failed solve when
-    it is nonnegative on every member and negative at v (``_excludes_by``).
+) -> tuple[Optional[Callable[[], Combination]], Optional[LinearF]]:
+    """A call that builds the nonzero (vector, coefficient) terms of a
+    combination reaching v from the witness found, or None; and for a
+    non-member, the Farkas functional of a failed solve when it is
+    nonnegative on every member and negative at v (``_excludes_by``).  A
+    verdict reads only whether there is a combination, so only
+    ``_membership_combination`` makes the call.
 
     Pointwise dominance solves one system over the generators and the unit
     vectors, and its certificate always qualifies.  Strict dominance has two
@@ -341,15 +358,16 @@ def _membership(
         generators += background_generators(cone.space)
     elif not generators:
         # The semantic set is the open orthant.
-        terms = ((v, Fraction(1)),) if cone.space.background_strictly_positive(v) else None
-        return terms, None
+        if cone.space.background_strictly_positive(v):
+            return (lambda: ((v, Fraction(1)),)), None
+        return None, None
     posi = (_posi_problem, 0, _posi_terms)
     residual = (_residual_problem, 1, _residual_terms)
     systems = (posi,) if pointwise else (posi, residual) if v.is_zero() else (residual, posi)
     for problem, first, terms in systems:
         result = lp.solve(problem(generators, v))
         if isinstance(result, lp.Feasible):
-            return terms(generators, v, result.witness), None
+            return partial(terms, generators, v, result.witness), None
         y = LinearF(Vector(result.certificate[first : first + v.dim]))
         if _excludes_by(y, cone, v):
             return None, y
@@ -358,7 +376,8 @@ def _membership(
 
 def _membership_combination(cone: PosiCone, v: Vector) -> Optional[Combination]:
     """The nonzero (vector, coefficient) terms of a combination reaching v, or None."""
-    return _membership(cone, v)[0]
+    combination = _membership(cone, v)[0]
+    return None if combination is None else combination()
 
 
 def _excludes_by(y: LinearF, cone: PosiCone, v: Vector) -> bool:
@@ -368,9 +387,9 @@ def _excludes_by(y: LinearF, cone: PosiCone, v: Vector) -> bool:
     open orthant and the generators, hence on every nonnegative combination
     of them."""
     return (
-        y.eval(v) < 0
+        y.sign_at(v) < 0
         and all(c >= 0 for c in y.coeffs.entries)
-        and all(y.eval(g) >= 0 for g in cone.generators)
+        and all(y.sign_at(g) >= 0 for g in cone.generators)
     )
 
 
@@ -412,14 +431,14 @@ def is_coherent(cone: DesirCone) -> bool:
     if isinstance(cone, PosiCone):
         # Posi-closure and background inclusion hold by construction;
         # only the exclusion of 0 can fail.
-        return _membership_combination(cone, zero_vector(space.dim)) is None
+        return _membership(cone, zero_vector(space.dim))[0] is None
     if isinstance(cone, OpenDualCone):
         # 0 is never a member (every piece evaluates to 0 there).
         return all(is_positive(p, space) for p in cone.pieces)
     # LexCone: 0 maps to the zero tuple, never lex-positive.
     if space.background is Background.POINTWISE:
         return all(
-            lex_sign([level.eval(e) for level in cone.levels]) > 0
+            lex_sign([level.sign_at(e) for level in cone.levels]) > 0
             for e in background_generators(space)
         )
     # Strict dominance: a negative first-level coefficient makes some strictly
@@ -448,14 +467,14 @@ def separates(f: Functional, cone: DesirCone, options: Sequence[Vector] = ()) ->
     """
     if not is_positive(f, cone.space):
         return False
-    if isinstance(cone, PosiCone) and not all(f.eval(g) > 0 for g in cone.generators):
+    if isinstance(cone, PosiCone) and not all(f.sign_at(g) > 0 for g in cone.generators):
         return False
     if isinstance(cone, LexCone) and not (
         len(cone.levels) == 1
         and all(_positively_proportional(cone.levels[0].coeffs, p.coeffs) for p in pieces_of(f))
     ):
         return False
-    return all(f.eval(v) <= 0 for v in options)
+    return all(f.sign_at(v) <= 0 for v in options)
 
 
 def _separation_rows(
@@ -569,7 +588,7 @@ def option_separation(cone: DesirCone, v: Vector) -> Optional[LinearF]:
     f = separation_evidence(cone)
     if isinstance(f, lp.Infeasible):
         return None
-    if f.eval(v) <= 0:
+    if f.sign_at(v) <= 0:
         evidence = f
     elif cone.space.background_strictly_positive(v) or member(cone, v):
         return None
@@ -599,7 +618,7 @@ def _excludes(f: LinearF, cone: DesirCone, v: Vector) -> bool:
     every member.  The other classes decide membership by evaluation.
     """
     if isinstance(cone, PosiCone):
-        return f.eval(v) <= 0
+        return f.sign_at(v) <= 0
     return not member(cone, v)
 
 
@@ -702,16 +721,157 @@ def _posi_mixing(cone: PosiCone) -> Optional[tuple[Vector, Vector]]:
     return n + cone.space.u_o.scale(delta), -n
 
 
+# The double description's budget on exponential work: a PosiCone whose ray
+# list grows past this many rays keeps no description, and ``hull_lambda_o``
+# solves its LP.  Timed on random cones in dims 2-8, a description within it
+# cost at most about one LP solve in the median, and past it up to 13.  It
+# only bounds exponential work: no benchmark workload reaches it.
+DD_RAY_CAP = 64
+
+_ALL_OF_V = "lambda_o is +infinity: the closed hull of the cone is all of V"
+
+# A piece r / r(u_o) of Lambda_o as integers: ``(P, q)`` with q > 0 stands
+# for the linear functional P / q.
+_Piece = tuple[tuple[int, ...], int]
+
+
+def hull_dual(cone: PosiCone) -> Optional[tuple[LinearF, ...]]:
+    """The extreme rays of the dual of the cone's closed hull, each
+    normalised to 1 at u_o; None past ``DD_RAY_CAP``.
+
+    The closed hull is H = posi(generators plus units) under both background
+    orders, and its dual H* = {f : f >= 0, f(g) >= 0 for every generator g}
+    lies in the nonnegative orthant, so it is pointed and is the positive
+    hull of its extreme rays.  Since H is closed, u is in H iff r(u) >= 0
+    for every extreme ray r, and so
+
+        Lambda_o(u) = sup{alpha : u - alpha u_o in H} = min_r r(u) / r(u_o),
+
+    the min of the pieces returned (r(u_o) > 0, as r is nonnegative and
+    nonzero and u_o is strictly positive).  No piece, H* = {0}, means H is
+    all of V, where Lambda_o is +infinity: that raises ``ValueError``.  The
+    rays are found once per cone object and kept on it.  Each is checked to
+    be an extreme ray of H*, so the min over them is at least Lambda_o(u);
+    that the list misses no ray is shown by the tests, not checked here.
+    """
+    pieces = _hull_pieces(cone)
+    if pieces is None:
+        return None
+    return tuple(LinearF(Vector(tuple(Fraction(a, q) for a in P))) for P, q in pieces)
+
+
+def _hull_pieces(cone: PosiCone) -> Optional[tuple[_Piece, ...]]:
+    """The kept pieces, found at the first call; None past ``DD_RAY_CAP``,
+    and ``ValueError`` when there are none."""
+    pieces = cone.kept("hull_dual", _double_description)
+    if pieces == ():
+        raise ValueError(_ALL_OF_V)
+    return pieces
+
+
+def _double_description(cone: PosiCone) -> Optional[tuple[_Piece, ...]]:
+    """H*'s extreme rays by the double-description method (Motzkin, Raiffa,
+    Thompson and Thrall 1953; Fukuda and Prodon 1996), as normalised pieces.
+
+    It starts from the orthant, whose extreme rays are the units, and adds
+    one row ``f(g) >= 0`` per distinct nonzero generator g.  Each ray is a
+    primitive integer vector with the set of rows it is tight on as a
+    bitmask, the units' rows being bits 0..d-1.  A row keeps the rays on
+    which it is nonnegative, and each adjacent pair of a positive ray p and a
+    negative ray n gives the new ray ``g(p) n - g(n) p``, tight on the row
+    and on the rows both are tight on.  The pair is adjacent iff at least
+    d - 2 rows are tight on both and no other ray is tight on all of them
+    (the combinatorial test: every ray kept is extreme, and the cone is
+    pointed).  Each ray is checked where it is made, by substitution
+    (``_extreme_in_dual``).  The ray list starts with d rays, so a space of
+    more than ``DD_RAY_CAP`` dimensions keeps no description either.
+    """
+    d = cone.space.dim
+    if d > DD_RAY_CAP:
+        return None
+    generators = [integer_form(g.entries)[1] for g in cone.generators]
+    rows = list(dict.fromkeys(_primitive(g) for g in generators if any(g)))
+    rays = [(tuple(int(i == j) for j in range(d)), ((1 << d) - 1) ^ (1 << i)) for i in range(d)]
+    for k, row in enumerate(rows):
+        bit = 1 << (d + k)
+        values = [sum(map(operator.mul, row, ray)) for ray, _ in rays]
+        kept = [(ray, tight | bit if value == 0 else tight)
+                for (ray, tight), value in zip(rays, values) if value >= 0]
+        positive = [(ray, tight, value) for (ray, tight), value in zip(rays, values) if value > 0]
+        for (n, n_tight), n_value in zip(rays, values):
+            if n_value >= 0:
+                continue
+            for p, p_tight, p_value in positive:
+                common = p_tight & n_tight
+                if common.bit_count() < d - 2 or any(
+                    tight & common == common and ray is not p and ray is not n
+                    for ray, tight in rays
+                ):
+                    continue
+                kept.append((_primitive([p_value * a - n_value * b for a, b in zip(n, p)]),
+                             common | bit))
+        if len(kept) > DD_RAY_CAP:
+            return None
+        rays = kept
+    scale, u_o = integer_form(cone.space.u_o.entries)
+    pieces = []
+    for ray, _ in rays:
+        lp.verified(_extreme_in_dual(ray, generators), "dual ray")
+        # r(u_o) = r.U_o / scale, so r / r(u_o) = (scale r) / (r.U_o).
+        pieces.append((tuple(scale * a for a in ray), sum(map(operator.mul, ray, u_o))))
+    return tuple(pieces)
+
+
+def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    g = math.gcd(*ints)
+    return tuple(a // g for a in ints)
+
+
+def _extreme_in_dual(ray: Sequence[int], generators: Sequence[Sequence[int]]) -> bool:
+    """Is the integer ray in H* and tight on rows of rank d - 1, so on an
+    extreme ray of H*?  By substitution: it is nonnegative, and nonnegative
+    at every generator (each given as a positive multiple, in integers).  The
+    unit rows tight on it span the coordinates off its support S, so the
+    tight rows have rank d - 1 iff the tight generators, cut to S, have rank
+    |S| - 1 (``integer_rank``)."""
+    values = [sum(map(operator.mul, g, ray)) for g in generators]
+    support = [i for i, a in enumerate(ray) if a]
+    tight = [[g[i] for i in support] for g, value in zip(generators, values) if value == 0]
+    return (
+        all(a >= 0 for a in ray)
+        and all(value >= 0 for value in values)
+        and integer_rank(tight) == len(support) - 1
+    )
+
+
 def hull_lambda_o(cone: PosiCone, u: Vector) -> Fraction:
-    """sup{alpha : u - alpha * u_o in posi(generators plus units)}, one LP.
+    """sup{alpha : u - alpha * u_o in posi(generators plus units)}.
 
     Under both background orders this is Lambda_o of the cone at u: the sup
-    over the cone equals the sup over its closed hull.  The LP is unbounded,
-    and Lambda_o is +infinity at every u, exactly when -u_o lies in the
+    over the cone equals the sup over its closed hull.  It is the min of the
+    pieces of ``hull_dual``, kept on the cone, so a cone builds them once; u
+    is read as integers over one denominator, and one Fraction is built.
+    With no piece the hull is all of V and Lambda_o is +infinity at every u,
+    which raises ``ValueError``.  A cone past ``DD_RAY_CAP`` keeps no pieces
+    and solves one LP per u, which is unbounded exactly when -u_o lies in the
     closed hull: the hull holds the nonnegative orthant, whose interior holds
-    u_o, so it is then all of V.  That raises ``ValueError``; a hull that is
-    not pointed but misses -u_o still gives a finite answer.
+    u_o, so it is then all of V.
     """
+    pieces = _hull_pieces(cone)
+    if pieces is None:
+        return _hull_lambda_o_lp(cone, u)
+    scale, U = integer_form(u.entries)
+    # min over pieces of P.U / q, compared across pieces by cross-multiplying.
+    best, best_q = None, 1
+    for P, q in pieces:
+        value = sum(map(operator.mul, P, U))
+        if best is None or value * best_q < best * q:
+            best, best_q = value, q
+    return Fraction(best, best_q * scale)
+
+
+def _hull_lambda_o_lp(cone: PosiCone, u: Vector) -> Fraction:
+    """Lambda_o at u as one LP over the closed hull, past ``DD_RAY_CAP``."""
     space = cone.space
     u_o = space.u_o
     hull = list(cone.generators) + background_generators(space)
@@ -721,7 +881,7 @@ def hull_lambda_o(cone: PosiCone, u: Vector) -> Fraction:
     rows += lp.nonneg_rows(n)[:m]
     result = lp.solve(lp.LpProblem(n, tuple(rows), _maximize_last(n)))
     if not isinstance(result, lp.Optimal):
-        raise ValueError("lambda_o is +infinity: the closed hull of the cone is all of V")
+        raise ValueError(_ALL_OF_V)
     return result.value
 
 

@@ -30,6 +30,10 @@ class LinearF:
     def eval(self, u: Vector) -> Fraction:
         return self.coeffs.dot(u)
 
+    def sign_at(self, u: Vector) -> int:
+        """The sign of ``eval(u)``, -1, 0 or 1, with no Fraction built."""
+        return self.coeffs.dot_sign(u)
+
     def conjugate_eval(self, u: Vector) -> Fraction:
         # Linear functionals are self-conjugate.
         return self.coeffs.dot(u)
@@ -57,6 +61,10 @@ class SuperlinF:
 
     def eval(self, u: Vector) -> Fraction:
         return min(p.eval(u) for p in self.pieces)
+
+    def sign_at(self, u: Vector) -> int:
+        """The sign of ``eval(u)``: the least sign over the pieces."""
+        return min(p.sign_at(u) for p in self.pieces)
 
     def conjugate_eval(self, u: Vector) -> Fraction:
         # conj(u) = -eval(-u) = max over pieces.

@@ -103,14 +103,17 @@ class Constraint:
     def __post_init__(self) -> None:
         if self.relation not in _RELATIONS:
             raise ValueError(f"unknown relation {self.relation!r}")
+        integer_row = integer_form((*self.coeffs.entries, self.rhs))
+        # Read off the integer row, whose signs and zeros are the row's.
+        *row, rhs = integer_row[1]
         sign_row = None
-        if not self.rhs and self.relation != EQ:
-            nonzero = [j for j, a in enumerate(self.coeffs.entries) if a]
+        if not rhs and self.relation != EQ:
+            nonzero = [j for j, a in enumerate(row) if a]
             if len(nonzero) == 1:
-                a = self.coeffs[nonzero[0]]
-                if (a > 0) == (self.relation == GE):
-                    sign_row = (nonzero[0], abs(a))
-        object.__setattr__(self, "integer_row", integer_form((*self.coeffs.entries, self.rhs)))
+                j = nonzero[0]
+                if (row[j] > 0) == (self.relation == GE):
+                    sign_row = (j, abs(self.coeffs[j]))
+        object.__setattr__(self, "integer_row", integer_row)
         object.__setattr__(self, "sign_row", sign_row)
 
 
@@ -138,7 +141,7 @@ class LpProblem:
         if self.n_vars <= 0:
             raise ValueError("need at least one variable")
         for c in self.constraints:
-            if c.coeffs.dim != self.n_vars:
+            if len(c.coeffs.entries) != self.n_vars:
                 raise ValueError("constraint coefficient vector has wrong length")
         if self.objective is not None and self.objective.coeffs.dim != self.n_vars:
             raise ValueError("objective coefficient vector has wrong length")
@@ -202,23 +205,19 @@ def _integer_vector(problem: LpProblem, x: Vector) -> tuple[tuple[int, ...], int
     return X, d
 
 
-def _holds(c: Constraint, X: Sequence[int], d: int) -> bool:
-    """Does c hold at ``X / d``?  With ``d = 0``, does it hold at X with rhs 0?
+def _holds_all(problem: LpProblem, X: Sequence[int], d: int) -> bool:
+    """Does every row hold at ``X / d``?  With ``d = 0``, at X with rhs 0?
 
     Every row, a sign row included, is compared in its integer form,
     ``a.X REL b.d``.
     """
-    row = c.integer_row[1]
-    value = sum(map(operator.mul, row, X)) - row[-1] * d
-    if c.relation == LE:
-        return value <= 0
-    if c.relation == GE:
-        return value >= 0
-    return value == 0
-
-
-def _holds_all(problem: LpProblem, X: Sequence[int], d: int) -> bool:
-    return all(_holds(c, X, d) for c in problem.normalized().constraints)
+    for c in problem.normalized().constraints:
+        row = c.integer_row[1]
+        value = sum(map(operator.mul, row, X)) - row[-1] * d
+        relation = c.relation
+        if value > 0 if relation == LE else value < 0 if relation == GE else value != 0:
+            return False
+    return True
 
 
 def verify_witness(problem: LpProblem, x: Vector) -> bool:
@@ -315,27 +314,30 @@ class _Tableau:
         self.sign_rows: dict[int, tuple[int, Fraction]] = {}
         signed: set[int] = set()
         kept = []
+        n_slack = n_art = 0
         for r, c in enumerate(problem.constraints):
             sign = c.sign_row
             if sign is None:
                 scale, a = c.integer_row
-                flip = a[n] < 0 or (a[n] == 0 and c.relation == GE)
+                relation = c.relation
+                flip = a[n] < 0 or (a[n] == 0 and relation == GE)
                 if flip:
-                    a = tuple(-x for x in a)
-                relation = _REVERSED[c.relation] if flip else c.relation
-                kept.append((r, c, flip, scale, a, relation))
+                    a = [-x for x in a]
+                    relation = _REVERSED[relation]
+                n_slack += relation != EQ
+                n_art += relation != LE
+                kept.append((r, flip != (c.relation == GE), scale, a, relation))
             elif sign[0] not in signed:
                 signed.add(sign[0])
                 self.sign_rows[r] = sign
         # Column j holds x_j (or p_j); split[j] is the column of q_j, if any.
         self.split: list[Optional[int]] = [None] * n
-        n_structural = n
-        for j in range(n):
-            if j not in signed:
-                self.split[j] = n_structural
-                n_structural += 1
-        self.art_start = n_structural + sum(1 for *_, rel in kept if rel != EQ)
-        self.n_cols = self.art_start + sum(1 for *_, rel in kept if rel != LE)
+        unsigned = [j for j in range(n) if j not in signed]
+        for q, j in enumerate(unsigned, start=n):
+            self.split[j] = q
+        n_structural = n + len(unsigned)
+        self.art_start = n_structural + n_slack
+        self.n_cols = self.art_start + n_art
         # Each row has n_cols + 1 entries, the last is the rhs.
         self.rows: list[list[int]] = []
         self.basis: list[int] = []
@@ -345,28 +347,27 @@ class _Tableau:
         # Kept row r -> its starting basic column, and whether its multiplier
         # changes sign on the way out (negated here xor a ">=" row).
         self.start: dict[int, tuple[int, bool]] = {}
-        slack_col, art_col = n_structural, self.art_start
-        for r, c, flip, scale, a, relation in kept:
-            row = [0] * (self.n_cols + 1)
-            row[:n] = a[:n]
-            for j, q in enumerate(self.split):
-                if q is not None:
-                    row[q] = -a[j]
-            row[self.n_cols] = a[n]
+        # Each row is built in one pass: its structural entries, then its
+        # slack and artificial block, which holds at most two nonzeros, at
+        # offsets k (the next slack) and a_off (the next artificial).
+        block = [0] * (n_slack + n_art)
+        k, a_off = 0, n_slack
+        for r, turned, scale, a, relation in kept:
+            extra = block[:]
             if relation == LE:
-                row[slack_col] = scale
-                basic = slack_col
-                slack_col += 1
+                extra[k] = scale
+                basic = n_structural + k
+                k += 1
             else:
                 if relation == GE:
-                    row[slack_col] = -scale
-                    slack_col += 1
-                row[art_col] = scale
-                basic = art_col
-                art_col += 1
-            self.rows.append(row)
+                    extra[k] = -scale
+                    k += 1
+                extra[a_off] = scale
+                basic = n_structural + a_off
+                a_off += 1
+            self.rows.append([*a[:n], *[-a[j] for j in unsigned], *extra, a[n]])
             self.basis.append(basic)
-            self.start[r] = (basic, flip != (c.relation == GE))
+            self.start[r] = (basic, turned)
 
     def set_objective(self, cost: Sequence[Union[int, Fraction]]) -> None:
         """Price out the basic columns of ``-cost`` in exact integers.
@@ -382,14 +383,18 @@ class _Tableau:
             for row, b in zip(self.rows, self.basis)
             if cost[b]
         ]
-        scale = math.lcm(*(c.denominator for c in cost), *(den for _, den, _ in factors))
-        obj = [-(c.numerator * (scale // c.denominator)) for c in cost] + [0]
+        denominators = [c.denominator for c in cost]
+        scale = math.lcm(*denominators, *(den for _, den, _ in factors))
+        obj = [-(c.numerator * (scale // q)) for c, q in zip(cost, denominators)] + [0]
         for num, den, row in factors:
             k = num * (scale // den)
             obj = [o + k * x for o, x in zip(obj, row)]
         g = math.gcd(*obj, scale)
-        self.obj = [o // g for o in obj]
-        self.obj_scale = scale // g
+        if g == 1:
+            self.obj, self.obj_scale = obj, scale
+        else:
+            self.obj = [o // g for o in obj]
+            self.obj_scale = scale // g
 
     def _pivot(self, row_idx: int, col: int) -> None:
         pivot_row = self.rows[row_idx]
@@ -419,8 +424,10 @@ class _Tableau:
         rhs = self.n_cols
         while True:
             obj = self.obj
-            entering = next((j for j in range(self.n_entering) if obj[j] < 0), None)
-            if entering is None:
+            for entering in range(self.n_entering):
+                if obj[entering] < 0:
+                    break
+            else:
                 return None
             # Bland's ratio test, min rhs_i / a_i over a_i > 0, by cross-multiplication.
             leaving = None
@@ -490,24 +497,29 @@ class _Tableau:
                 certificate.append(_ZERO)
         return tuple(certificate)
 
-    def _original(self, values: dict[int, tuple[int, int]]) -> tuple[list[int], int]:
+    def _original(
+        self, basic: Sequence[int], numerators: Sequence[int], denominators: Sequence[int]
+    ) -> tuple[list[int], int]:
         """``(X, d)`` with ``x = X / d`` in the problem's variables, from the
-        standard-form values ``{column: (numerator, denominator > 0)}``."""
-        d = math.lcm(*(den for _, den in values.values()))
+        standard-form value ``numerators[i] / denominators[i] > 0`` of each
+        column ``basic[i]``, and 0 in every other column."""
+        d = math.lcm(*denominators)
         std = [0] * self.n_cols
-        for col, (num, den) in values.items():
+        for col, num, den in zip(basic, numerators, denominators):
             std[col] = num * (d // den)
         return [std[j] if q is None else std[j] - std[q] for j, q in enumerate(self.split)], d
 
     def solution(self) -> tuple[list[int], int]:
         """The basic solution, as ``(X, d)``."""
-        return self._original({b: (row[-1], row[b]) for row, b in zip(self.rows, self.basis)})
+        rows, basis = self.rows, self.basis
+        return self._original(basis, [row[-1] for row in rows],
+                              [row[b] for row, b in zip(rows, basis)])
 
     def ray(self, entering: int) -> tuple[list[int], int]:
         """The ray along a column that no row bounds, as ``(R, d)``."""
-        values = {b: (-row[entering], row[b]) for row, b in zip(self.rows, self.basis)}
-        values[entering] = (1, 1)
-        return self._original(values)
+        rows, basis = self.rows, self.basis
+        return self._original([*basis, entering], [-row[entering] for row in rows] + [1],
+                              [row[b] for row, b in zip(rows, basis)] + [1])
 
 
 def _max_cost(problem: LpProblem, t: _Tableau) -> list[Fraction]:

@@ -94,7 +94,7 @@ class Vector:
         return len(self.entries)
 
     def _check_dim(self, other: "Vector") -> None:
-        if self.dim != other.dim:
+        if len(self.entries) != len(other.entries):
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def __add__(self, other: "Vector") -> "Vector":
@@ -115,17 +115,29 @@ class Vector:
     def dot(self, other: "Vector") -> Fraction:
         """The exact inner product, summed as one integer fraction num / den
         over the nonzero products; one Fraction is built, at the end."""
+        return Fraction(*self._dot_ratio(other))
+
+    def dot_sign(self, other: "Vector") -> int:
+        """The sign of the inner product, -1, 0 or 1, with no Fraction built."""
+        num = self._dot_ratio(other)[0]
+        return (num > 0) - (num < 0)
+
+    def _dot_ratio(self, other: "Vector") -> tuple[int, int]:
+        """The inner product as integers ``(num, den)`` with ``den > 0``."""
         self._check_dim(other)
         num, den = 0, 1
         for a, b in zip(self.entries, other.entries):
-            if a and b:
+            p = a.numerator  # a zero entry of self skips the other's read
+            if p:
+                p *= b.numerator
+            if p:
                 q = a.denominator * b.denominator
                 if q == den:
-                    num += a.numerator * b.numerator
+                    num += p
                 else:
-                    num = num * q + a.numerator * b.numerator * den
+                    num = num * q + p * den
                     den *= q
-        return Fraction(num, den)
+        return num, den
 
     def sup_norm(self) -> Fraction:
         return max(abs(a) for a in self.entries)
@@ -197,9 +209,11 @@ class OptionSpace:
         """Is u > 0 in the background order?"""
         if u.dim != self.dim:
             raise ValueError("dimension mismatch")
+        # A Fraction's numerator carries its sign.
+        signs = [a.numerator for a in u.entries]
         if self.background is Background.POINTWISE:
-            return all(a >= 0 for a in u.entries) and any(a > 0 for a in u.entries)
-        return all(a > 0 for a in u.entries)
+            return all(a >= 0 for a in signs) and any(signs)
+        return all(a > 0 for a in signs)
 
     def positive_functional(self, coeffs: Vector) -> bool:
         """Is u -> coeffs . u strictly positive on every background-positive u?
@@ -208,9 +222,10 @@ class OptionSpace:
         positive, so each coefficient must be > 0; strict dominance holds the
         open orthant positive, so coefficients >= 0, not all 0, suffice.
         """
+        signs = [c.numerator for c in coeffs.entries]
         if self.background is Background.POINTWISE:
-            return all(c > 0 for c in coeffs.entries)
-        return all(c >= 0 for c in coeffs.entries) and any(c > 0 for c in coeffs.entries)
+            return all(c > 0 for c in signs)
+        return all(c >= 0 for c in signs) and any(signs)
 
 
 def integer_form(entries: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
@@ -226,13 +241,18 @@ def integer_form(entries: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
 
 
 def rank_of(rows: Sequence[Vector]) -> int:
-    """The rank of the rows, by fraction-free (Bareiss) elimination.
+    """The rank of the rows: each row scaled into integers
+    (``integer_form``), then ``integer_rank``."""
+    return integer_rank([integer_form(row.entries)[1] for row in rows])
 
-    Each nonzero row is scaled into integers (``integer_form``).  Every entry
-    after step k is then a (k+1)-minor of the integer matrix, so dividing by
+
+def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """The rank of integer rows, by fraction-free (Bareiss) elimination.
+
+    Every entry after step k is a (k+1)-minor of the matrix, so dividing by
     the previous pivot is exact and no Fraction is built.
     """
-    matrix = [integer_form(row.entries)[1] for row in rows if not row.is_zero()]
+    matrix = [row for row in rows if any(row)]
     if not matrix:
         return 0
     rank, previous = 0, 1

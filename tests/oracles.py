@@ -1,9 +1,13 @@
 """Independent brute-force oracles used to cross-check the engine.
 
-Nothing in this module calls the engine's LP solver or cone machinery; the
-oracles work by exhaustive enumeration (vertices, candidate directions,
+Nothing in this module calls the engine's cone machinery, and all but one
+oracle work by exhaustive enumeration (vertices, candidate directions,
 generator pairs) over exact rationals, so disagreement with the engine always
-means a real bug on one side.
+means a real bug on one side.  The exception is ``hull_lambda_o_lp``: Lambda_o
+of a posi-generated cone posed as the LP over its closed hull, which the
+engine solved before it read Lambda_o off the dual's extreme rays.  It calls
+the engine's simplex, a different algorithm from the double description it
+checks.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from conechoice.lp import EQ, GE, LE, LpProblem
-from conechoice.numeric import Vector, unit_vector
+from conechoice.lp import EQ, GE, LE, Constraint, LpProblem, Objective, Optimal, solve
+from conechoice.numeric import OptionSpace, Vector, unit_vector
 
 
 def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
@@ -203,3 +207,21 @@ def grid_2d(radius: Fraction, step: Fraction):
 
 def units_2d() -> list[Vector]:
     return [unit_vector(2, 0), unit_vector(2, 1)]
+
+
+def hull_lambda_o_lp(
+    generators: Sequence[Vector], space: OptionSpace, u: Vector
+) -> Optional[Fraction]:
+    """max alpha with u = sum_k lambda_k h_k + alpha u_o and lambda >= 0, over
+    the hull's columns h: the generators, then the units.  None when the LP
+    is unbounded, i.e. when the closed hull is all of V."""
+    d = space.dim
+    hull = [*generators, *(unit_vector(d, i) for i in range(d))]
+    n = len(hull) + 1
+    rows = [
+        Constraint(Vector(tuple(h[i] for h in hull) + (space.u_o[i],)), EQ, u[i])
+        for i in range(d)
+    ]
+    rows += [Constraint(unit_vector(n, k), GE, Fraction(0)) for k in range(n - 1)]
+    result = solve(LpProblem(n, tuple(rows), Objective("max", unit_vector(n, n - 1))))
+    return result.value if isinstance(result, Optimal) else None

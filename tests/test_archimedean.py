@@ -1,9 +1,11 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from conechoice import cone as cone_module
 from conechoice import lp
 from conechoice.archimedean import (
     SeparationWitness,
@@ -18,11 +20,11 @@ from conechoice.archimedean import (
     verify_separation_witness,
 )
 from conechoice.cone import LexCone, OpenDualCone, PosiCone, is_mixing, member, natural_extension
-from conechoice.functional import LinearF, is_positive
+from conechoice.functional import LinearF, SuperlinF, is_positive
 from conechoice.numeric import Background, OptionSpace, Vector, vec, zero_vector
 
 from conftest import expectation, rand_positive_vector, rand_vector
-from oracles import cone2_member, grid_2d, separation_direction_2d, units_2d
+from oracles import cone2_member, grid_2d, hull_lambda_o_lp, separation_direction_2d, units_2d
 
 
 def test_separate_from_a_single_bet_closure(pw2):
@@ -172,9 +174,96 @@ def test_lambda_o_functional_closed_forms(d_interval, d_half, d_lex):
         assert (f_half.eval(v) > 0) == member(d_half, v)
 
 
-def test_lambda_o_functional_unsupported_for_posi(d_sector):
-    with pytest.raises(ValueError):
-        lambda_o_functional(d_sector)
+def test_lambda_o_functional_of_posi_cones_in_closed_form(d_sector, pw2, st2):
+    # The sector's hull has the dual {f >= 0 : 3 f1 >= f2, 3 f2 >= f1}, whose
+    # extreme rays (1, 3) and (3, 1), normalised at u_o = (1, 1), are the
+    # pieces of the interval cone's Lambda_o.
+    f_sector = lambda_o_functional(d_sector)
+    assert isinstance(f_sector, SuperlinF)
+    assert set(p.coeffs for p in f_sector.pieces) == {vec("1/4", "3/4"), vec("3/4", "1/4")}
+    for v in grid_2d(Fraction(1), Fraction(1, 5)):
+        assert f_sector.eval(v) == lambda_o(d_sector, v)
+    # No generator: the hull is the orthant, whose dual rays are the units.
+    for space in (pw2, st2):
+        f_vacuous = lambda_o_functional(PosiCone((), space))
+        assert set(p.coeffs for p in f_vacuous.pieces) == {vec(1, 0), vec(0, 1)}
+    # (1, -1) and (-2, 2) span a line, which the units lift to the half-plane
+    # {u1 + u2 >= 0}: one piece.
+    for space in (pw2, st2):
+        f_line = lambda_o_functional(PosiCone((vec(1, -1), vec(-2, 2)), space))
+        assert isinstance(f_line, LinearF) and f_line.coeffs == vec("1/2", "1/2")
+    # A hull that is all of V, under both backgrounds: -u_o is a generator,
+    # or -e1 and a multiple of -e2 are.
+    message = re.escape("lambda_o is +infinity: the closed hull of the cone is all of V")
+    for generators in ((vec(-1, -1),), (vec(-1, 0), vec(0, -2))):
+        for space in (pw2, st2):
+            with pytest.raises(ValueError, match=message):
+                lambda_o_functional(PosiCone(generators, space))
+
+
+def _random_posi_cone(rng: random.Random) -> PosiCone:
+    """A PosiCone in dims 1-5 under a random background and u_o, with 0-5
+    generators drawn among zero vectors, negatives (g, -g pairs), repeats
+    and positive multiples of earlier ones, and random vectors."""
+    d = rng.randint(1, 5)
+    space = OptionSpace(d, rng.choice(list(Background)), rand_positive_vector(rng, d, 2))
+    generators: list[Vector] = []
+    for _ in range(rng.randint(0, 5)):
+        draw = rng.random()
+        if draw < 0.1:
+            generators.append(zero_vector(d))
+        elif draw < 0.25 and generators:
+            generators.append(-rng.choice(generators))
+        elif draw < 0.4 and generators:
+            generators.append(rng.choice(generators).scale(rng.randint(1, 3)))
+        else:
+            generators.append(rand_vector(rng, d, 2))
+    return PosiCone(tuple(generators), space)
+
+
+def test_lambda_o_of_posi_cones_agrees_with_the_hull_lp():
+    # Lambda_o from the kept dual rays equals the LP over the closed hull on
+    # 2,000 random cones, and raises "+infinity" exactly where that LP is
+    # unbounded; the closed form, where there is one, agrees too.
+    rng = random.Random(24)
+    message = "lambda_o is +infinity: the closed hull of the cone is all of V"
+    infinite = finite = 0
+    for _ in range(2000):
+        cone = _random_posi_cone(rng)
+        d = cone.space.dim
+        for u in (rand_vector(rng, d, 3), rand_vector(rng, d, 3), cone.space.u_o):
+            reference = hull_lambda_o_lp(cone.generators, cone.space, u)
+            if reference is None:
+                infinite += 1
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    lambda_o(cone, u)
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    lambda_o_functional(cone)
+            else:
+                finite += 1
+                assert lambda_o(cone, u) == reference, (cone, u)
+                assert lambda_o_functional(cone).eval(u) == reference, (cone, u)
+    assert min(infinite, finite) > 1000, (infinite, finite)
+
+
+def test_lambda_o_of_a_posi_cone_below_the_cap_solves_no_lp(monkeypatch, d_sector):
+    # The hull's dual is found once per cone, with no LP; past DD_RAY_CAP a
+    # cone keeps no rays and solves the hull LP for each option, with the
+    # same values and the same "+infinity" error.
+    rng = random.Random(25)
+    cones = [_random_posi_cone(rng) for _ in range(60)] + [d_sector]
+    options = [[rand_vector(rng, c.space.dim, 3) for _ in range(3)] for c in cones]
+    solves = _spy(monkeypatch, lp, "solve")
+    below = [[_answer(lambda_o, cone, u) for u in us] for cone, us in zip(cones, options)]
+    assert solves == []
+    monkeypatch.setattr(cone_module, "DD_RAY_CAP", 0)
+    fresh = [replace(cone) for cone in cones]
+    past = [[_answer(lambda_o, cone, u) for u in us] for cone, us in zip(fresh, options)]
+    assert past == below
+    assert len(solves) == sum(map(len, options))
+    assert all(cone.kept("hull_dual") is None for cone in fresh)
+    with pytest.raises(ValueError, match="DD_RAY_CAP"):
+        lambda_o_functional(fresh[-1])
 
 
 def test_witnesses_are_positive_on_members(pw2):
@@ -408,8 +497,9 @@ def _planar_member(cone, v) -> bool:
 
 def test_kept_functional_answers_agree_with_a_fresh_cone():
     # A cone whose kept separation evidence is solved first answers member,
-    # separate and archimedean_closure_member as a fresh cone object does,
-    # errors included; in the plane both agree with the oracles.  Of 150
+    # separate, archimedean_closure_member and lambda_o (whose kept closed
+    # form is found at the first option) as a fresh cone object does, errors
+    # included; in the plane both agree with the oracles.  Of 150
     # cones, 51 have a kept functional, which decides 245 of their options.
     rng = random.Random(20)
     for _ in range(150):
@@ -428,7 +518,7 @@ def test_kept_functional_answers_agree_with_a_fresh_cone():
             consistent = separation_direction_2d(strict, [], nonneg) is not None
         for v in options + [zero_vector(d + 1)] + ([zero_vector(d - 1)] if d > 1 else []):
             answers = {}
-            for query in (member, separate, archimedean_closure_member):
+            for query in (member, separate, archimedean_closure_member, lambda_o):
                 answer = _answer(query, warm, v)
                 fresh_cone = replace(warm)
                 fresh = _answer(query, fresh_cone, v)

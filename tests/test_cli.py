@@ -451,6 +451,9 @@ def test_a_closed_stdout_ends_the_output_without_a_traceback():
 
 def test_lp_solves_per_coin_query(monkeypatch):
     # `check` and then `report` on one loaded model, as the CLI runs them.
+    # D_sector.mixing solves the separation and the membership of one option
+    # of its witness pair; Lambda_o at the kernel direction reads the
+    # sector's hull dual, which solves no LP.
     calls = []
     solve = lp.solve
     monkeypatch.setattr(lp, "solve", lambda problem: calls.append(problem) or solve(problem))
@@ -462,7 +465,7 @@ def test_lp_solves_per_coin_query(monkeypatch):
         solves[query["name"]] = len(calls) - before
     assert {name: solves[name] for name in (
         "D_H.arch_consistent", "K_hot.is_binary", "hot_membership", "D_sector.mixing"
-    )} == {"D_H.arch_consistent": 1, "K_hot.is_binary": 2, "hot_membership": 0, "D_sector.mixing": 3}
+    )} == {"D_H.arch_consistent": 1, "K_hot.is_binary": 2, "hot_membership": 0, "D_sector.mixing": 2}
 
 
 def test_arch_member_solves_once_for_a_non_member(tmp_path, capsys, monkeypatch):

@@ -40,6 +40,20 @@ def test_conjugate_identity():
         assert f.conjugate_eval(u) == -f.eval(-u)
 
 
+def test_sign_at_is_the_sign_of_eval():
+    # Linear functionals and envelopes of 1-3 pieces in dims 1-4, at random
+    # options that are zero in some entries, and at the zero vector.
+    rng = random.Random(24)
+    for _ in range(500):
+        d = rng.randint(1, 4)
+        pieces = [LinearF(rand_vector(rng, d, 2)) for _ in range(rng.randint(1, 3))]
+        u = Vector(tuple(x if rng.random() < 0.7 else Fraction(0) for x in rand_vector(rng, d, 2)))
+        for f in (pieces[0], SuperlinF(tuple(pieces))):
+            for option in (u, u.scale(0)):
+                value = f.eval(option)
+                assert f.sign_at(option) == (value > 0) - (value < 0)
+
+
 def test_is_positive_examples(pw2, st2):
     assert is_positive(expectation("1/2"), pw2)
     assert is_positive(expectation("1/2"), st2)

@@ -1,4 +1,5 @@
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -69,3 +70,22 @@ def test_unreached_lines_finds_each_statement_once(monkeypatch):
     # A statement has run when any of its lines has.
     assert unreached_lines.unreached(source, {2, 6, 9, 11, 15, 17}) == [12]
     assert unreached_lines.unreached(source, set()) == [2, 5, 9, 10, 12, 15, 17]
+
+
+def test_ab_interleaved_runs_a_tree_against_itself():
+    # One second of grid seed 1 (two chunks), with this checkout on both
+    # sides: both workers build the same workload, and every verdict passes
+    # its check.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_interleaved.py"), str(ROOT), str(ROOT),
+         "--workload", "grid", "--seed", "1", "--seconds", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["correct"] and summary["failed"] == 0
+    assert set(summary["parent"]) == set(summary["change"]) == {
+        "queries_per_s", "query_gmean_ms", "query_tail_ms"
+    }
