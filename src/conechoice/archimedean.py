@@ -9,8 +9,10 @@ reads it.  The answers for one option, ``separate`` and
 ``archimedean_closure_member``, come from ``cone.option_separation``,
 which reads the cone's kept functional and the option's membership before it
 solves anything, and whose docstring holds the proof behind it.  Lambda_o
-solves no LP below ``cone.DD_RAY_CAP``: every cone class has it in closed
-form (``lambda_o_functional``), found once per cone object and kept on it.
+of every cone class is the min of r(u) / r(u_o) over the generators r of
+the dual of the cone's closure (``cone.dual_generators``), so it solves no
+LP below ``cone.DD_RAY_CAP``, and ``lambda_o_functional`` is the same
+generators normalised at u_o.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from .cone import (
     DesirCone,
     LexCone,
     OpenDualCone,
-    PosiCone,
-    hull_dual,
+    dual_generators,
     hull_lambda_o,
     is_coherent,
     member,
@@ -126,36 +127,29 @@ def is_essentially_archimedean(cone: DesirCone) -> bool:
 def lambda_o(cone: DesirCone, u: Vector) -> Fraction:
     """sup{alpha : u - alpha * u_o in D} for the cone's reference option u_o.
 
-    A PosiCone reads the min of the normalised extreme rays of the dual of
-    its closed hull (``cone.hull_lambda_o``), found once per cone object, and
-    raises ``ValueError`` when that hull is all of V.  An open-dual or
-    lexicographic cone evaluates ``lambda_o_functional``, kept on the cone,
-    which raises ``ValueError`` when a piece (the first level) is nonpositive
-    at u_o.
+    It is the min of r(u) / r(u_o) over the generators r of the dual of the
+    cone's closure (``cone.dual_generators``), evaluated in integers by
+    ``cone.hull_lambda_o`` for every cone class, with no LP below
+    ``cone.DD_RAY_CAP``.  It raises ``ValueError`` when a generator (an
+    open-dual piece or a first level) is nonpositive at u_o, and when a
+    PosiCone's closed hull is all of V, where Lambda_o is +infinity.
     """
-    if u.dim != cone.space.dim:
-        raise ValueError("dimension mismatch")
-    if isinstance(cone, PosiCone):
-        return hull_lambda_o(cone, u)
-    return cone.kept("lambda_o", lambda_o_functional).eval(u)
+    return hull_lambda_o(cone, u)
 
 
 def lambda_o_functional(cone: DesirCone) -> Functional:
     """Lambda_o in closed form, a linear functional or a min-envelope of
     them, with {eval > 0} equal to the interior of the cone's closure.
 
-    For a PosiCone the pieces are the normalised extreme rays of the dual of
-    its closed hull (``cone.hull_dual``), which raises the "+infinity"
-    ``ValueError`` when that hull is all of V.  Past ``cone.DD_RAY_CAP`` rays
-    there is no closed form, and ``lambda_o`` solves one LP per option.
+    Its pieces are the generators of ``lambda_o`` normalised to 1 at u_o
+    (``functional.nml``), each kept once: an open-dual cone's pieces, a
+    lexicographic cone's first level, a PosiCone's ``cone.hull_dual`` rays.
+    It raises ``lambda_o``'s errors, and one more past ``cone.DD_RAY_CAP``
+    rays, where there is no closed form and ``lambda_o`` solves one LP per
+    option.
     """
-    u_o = cone.space.u_o
-    if isinstance(cone, LexCone):
-        return nml(cone.levels[0], u_o)
-    if isinstance(cone, OpenDualCone):
-        pieces = tuple(dict.fromkeys(pieces_of(nml(SuperlinF(cone.pieces), u_o))))
-    else:
-        pieces = hull_dual(cone)
-        if pieces is None:
-            raise ValueError("unsupported past cone.DD_RAY_CAP: use lambda_o pointwise")
+    generators = dual_generators(cone)
+    if generators is None:
+        raise ValueError("unsupported past cone.DD_RAY_CAP: use lambda_o pointwise")
+    pieces = tuple(dict.fromkeys(pieces_of(nml(SuperlinF(generators), cone.space.u_o))))
     return pieces[0] if len(pieces) == 1 else SuperlinF(pieces)

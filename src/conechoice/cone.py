@@ -35,19 +35,21 @@ Mixing reads the same solve for a PosiCone: a separating functional shows
 that a PosiCone of dimension 2 or more is not mixing, and Lambda_o at one
 kernel direction (``hull_lambda_o``) turns it into a witness pair.
 
-Lambda_o of a PosiCone, sup{alpha : u - alpha u_o in D}, is the min of the
-normalised extreme rays of the dual of its closed hull (``hull_dual``).  They
-are found once per cone object by the double-description method, in
-integers, each checked where it is made to be an extreme ray of that dual;
-a dual with more than ``DD_RAY_CAP`` rays on the way keeps none, and its
-Lambda_o is one LP per option.
+Lambda_o, sup{alpha : u - alpha u_o in D}, is for every cone class the min
+of r(u) / r(u_o) over the generators r of the dual of the cone's closure
+(``dual_generators``), evaluated by one routine (``hull_lambda_o``): an
+open-dual cone's pieces, a lexicographic cone's first level, and a
+PosiCone's primitive integer extreme rays of the dual of its closed hull
+(``hull_dual``).  Those rays are found once per cone object by the
+double-description method, in integers, each checked where it is made to
+be an extreme ray of that dual; a dual with more than ``DD_RAY_CAP`` rays on
+the way keeps none, and its Lambda_o is one LP per option.
 
 A cone object keeps what it learns, since it is frozen, in one store
 (``_Cone.kept``): its option-free separation evidence (``separation_evidence``),
 whose functional f is checked where it is made to be strictly positive on
-the cone (``separates``), a PosiCone's hull dual, an open-dual or
-lexicographic cone's closed-form Lambda_o (``archimedean.lambda_o``), and,
-for a selection's extension in :mod:`conechoice.choice`, its consistency.
+the cone (``separates``), a PosiCone's hull dual, and, for a selection's
+extension in :mod:`conechoice.choice`, its consistency.
 Beside the store sits a record of the last option v the object was asked
 about (``OptionRecord``): v's
 membership verdict, a PosiCone's Farkas functional y of v's failed
@@ -70,7 +72,7 @@ from functools import cache, partial
 from typing import Any, Callable, Optional, Sequence, Union
 
 from . import lp
-from .functional import Functional, LinearF, is_positive, pieces_of
+from .functional import NONPOSITIVE_AT_U_O, Functional, LinearF, is_positive, pieces_of
 from .numeric import (
     Background,
     OptionSpace,
@@ -580,8 +582,12 @@ def option_separation(cone: DesirCone, v: Vector) -> Optional[LinearF]:
 
     A functional made here is checked where it is made (``separates``) and
     kept in the record of v, so membership, the closure and separation of
-    one option solve each system once.  A functional returned is checked to
-    exclude v (``_excludes``).
+    one option solve each system once.  Every functional returned excludes
+    v by a check already made: a PosiCone's f is strictly positive on every
+    member, so ``f(v) <= 0`` excludes v, and a functional made for v passed
+    ``separates`` at v after v's membership came out False.  Only the kept f
+    of an open-dual or lexicographic cone, whose ``separates`` check reads
+    its LP rows rather than its members, is checked here, by membership.
     """
     if v.dim != cone.space.dim:
         raise ValueError("dimension mismatch")
@@ -589,37 +595,23 @@ def option_separation(cone: DesirCone, v: Vector) -> Optional[LinearF]:
     if isinstance(f, lp.Infeasible):
         return None
     if f.sign_at(v) <= 0:
-        evidence = f
-    elif cone.space.background_strictly_positive(v) or member(cone, v):
+        if not isinstance(cone, PosiCone):
+            lp.verified(not member(cone, v), "member exclusion")
+        return f
+    if cone.space.background_strictly_positive(v) or member(cone, v):
         return None
-    else:
-        record = cone.record(v)
-        if record.separation is None:
-            y = record.farkas
-            if y is None:
-                record.separation = _solve_separation(cone, (v,))
-            else:
-                t = -y.eval(v) / f.eval(v)
-                made = LinearF(y.coeffs + f.coeffs.scale(t))
-                lp.verified(separates(made, cone, (v,)), "separation witness")
-                record.separation = made
-        evidence = record.separation
-        if isinstance(evidence, lp.Infeasible):
-            return None
-    lp.verified(_excludes(evidence, cone, v), "member exclusion")
-    return evidence
-
-
-def _excludes(f: LinearF, cone: DesirCone, v: Vector) -> bool:
-    """Does f show by substitution, with no LP, that v is not a member?
-
-    For a PosiCone, ``f(v) <= 0`` is the one dot product to check: f was
-    checked where it was made (``separates``) to be strictly positive on
-    every member.  The other classes decide membership by evaluation.
-    """
-    if isinstance(cone, PosiCone):
-        return f.sign_at(v) <= 0
-    return not member(cone, v)
+    record = cone.record(v)
+    if record.separation is None:
+        y = record.farkas
+        if y is None:
+            record.separation = _solve_separation(cone, (v,))
+        else:
+            t = -y.eval(v) / f.eval(v)
+            made = LinearF(y.coeffs + f.coeffs.scale(t))
+            lp.verified(separates(made, cone, (v,)), "separation witness")
+            record.separation = made
+    evidence = record.separation
+    return None if isinstance(evidence, lp.Infeasible) else evidence
 
 
 @dataclass(frozen=True)
@@ -730,48 +722,54 @@ DD_RAY_CAP = 64
 
 _ALL_OF_V = "lambda_o is +infinity: the closed hull of the cone is all of V"
 
-# A piece r / r(u_o) of Lambda_o as integers: ``(P, q)`` with q > 0 stands
-# for the linear functional P / q.
-_Piece = tuple[tuple[int, ...], int]
+
+def dual_generators(cone: DesirCone) -> Optional[tuple[LinearF, ...]]:
+    """The generators r of the dual of the cone's closure, over which
+    Lambda_o is the min of r(u) / r(u_o) (``hull_lambda_o``); None past
+    ``DD_RAY_CAP``.
+
+    * An open-dual cone's are its pieces: u - alpha u_o is a member iff
+      alpha < piece(u) / piece(u_o) for every piece, each positive at u_o.
+    * A lexicographic cone's is its first level: u - alpha u_o is a member
+      when that level is positive there, and not when it is negative.
+    * A PosiCone's are the extreme rays of the dual of its closed hull
+      (``hull_dual``), found once per cone object and kept on it.
+    """
+    if isinstance(cone, OpenDualCone):
+        return cone.pieces
+    if isinstance(cone, LexCone):
+        return cone.levels[:1]
+    return hull_dual(cone)
 
 
 def hull_dual(cone: PosiCone) -> Optional[tuple[LinearF, ...]]:
-    """The extreme rays of the dual of the cone's closed hull, each
-    normalised to 1 at u_o; None past ``DD_RAY_CAP``.
+    """The extreme rays of the dual of the cone's closed hull, as primitive
+    integer functionals; None past ``DD_RAY_CAP``.
 
     The closed hull is H = posi(generators plus units) under both background
     orders, and its dual H* = {f : f >= 0, f(g) >= 0 for every generator g}
     lies in the nonnegative orthant, so it is pointed and is the positive
-    hull of its extreme rays.  Since H is closed, u is in H iff r(u) >= 0
-    for every extreme ray r, and so
+    hull of its extreme rays: the facet normals of H.  Since H is closed, u
+    is in H iff r(u) >= 0 for every extreme ray r, and so
 
         Lambda_o(u) = sup{alpha : u - alpha u_o in H} = min_r r(u) / r(u_o),
 
-    the min of the pieces returned (r(u_o) > 0, as r is nonnegative and
-    nonzero and u_o is strictly positive).  No piece, H* = {0}, means H is
-    all of V, where Lambda_o is +infinity: that raises ``ValueError``.  The
-    rays are found once per cone object and kept on it.  Each is checked to
-    be an extreme ray of H*, so the min over them is at least Lambda_o(u);
-    that the list misses no ray is shown by the tests, not checked here.
+    with r(u_o) > 0, as r is nonnegative and nonzero and u_o is strictly
+    positive.  No ray, H* = {0}, means H is all of V, where Lambda_o is
+    +infinity: that raises ``ValueError``.  The rays are found once per cone
+    object and kept on it.  Each is checked to be an extreme ray of H*, so
+    the min over them is at least Lambda_o(u); that the list misses no ray
+    is shown by the tests, not checked here.
     """
-    pieces = _hull_pieces(cone)
-    if pieces is None:
-        return None
-    return tuple(LinearF(Vector(tuple(Fraction(a, q) for a in P))) for P, q in pieces)
-
-
-def _hull_pieces(cone: PosiCone) -> Optional[tuple[_Piece, ...]]:
-    """The kept pieces, found at the first call; None past ``DD_RAY_CAP``,
-    and ``ValueError`` when there are none."""
-    pieces = cone.kept("hull_dual", _double_description)
-    if pieces == ():
+    rays = cone.kept("hull_dual", _double_description)
+    if rays == ():
         raise ValueError(_ALL_OF_V)
-    return pieces
+    return rays
 
 
-def _double_description(cone: PosiCone) -> Optional[tuple[_Piece, ...]]:
+def _double_description(cone: PosiCone) -> Optional[tuple[LinearF, ...]]:
     """H*'s extreme rays by the double-description method (Motzkin, Raiffa,
-    Thompson and Thrall 1953; Fukuda and Prodon 1996), as normalised pieces.
+    Thompson and Thrall 1953; Fukuda and Prodon 1996).
 
     It starts from the orthant, whose extreme rays are the units, and adds
     one row ``f(g) >= 0`` per distinct nonzero generator g.  Each ray is a
@@ -813,13 +811,8 @@ def _double_description(cone: PosiCone) -> Optional[tuple[_Piece, ...]]:
         if len(kept) > DD_RAY_CAP:
             return None
         rays = kept
-    scale, u_o = integer_form(cone.space.u_o.entries)
-    pieces = []
-    for ray, _ in rays:
-        lp.verified(_extreme_in_dual(ray, generators), "dual ray")
-        # r(u_o) = r.U_o / scale, so r / r(u_o) = (scale r) / (r.U_o).
-        pieces.append((tuple(scale * a for a in ray), sum(map(operator.mul, ray, u_o))))
-    return tuple(pieces)
+    lp.verified(all(_extreme_in_dual(ray, generators) for ray, _ in rays), "dual ray")
+    return tuple(LinearF(Vector(tuple(map(Fraction, ray)))) for ray, _ in rays)
 
 
 def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
@@ -844,30 +837,35 @@ def _extreme_in_dual(ray: Sequence[int], generators: Sequence[Sequence[int]]) ->
     )
 
 
-def hull_lambda_o(cone: PosiCone, u: Vector) -> Fraction:
-    """sup{alpha : u - alpha * u_o in posi(generators plus units)}.
+def hull_lambda_o(cone: DesirCone, u: Vector) -> Fraction:
+    """Lambda_o(u) = sup{alpha : u - alpha * u_o in the cone}, for every
+    cone class: the min of r(u) / r(u_o) over the cone's ``dual_generators``.
 
-    Under both background orders this is Lambda_o of the cone at u: the sup
-    over the cone equals the sup over its closed hull.  It is the min of the
-    pieces of ``hull_dual``, kept on the cone, so a cone builds them once; u
-    is read as integers over one denominator, and one Fraction is built.
-    With no piece the hull is all of V and Lambda_o is +infinity at every u,
-    which raises ``ValueError``.  A cone past ``DD_RAY_CAP`` keeps no pieces
-    and solves one LP per u, which is unbounded exactly when -u_o lies in the
-    closed hull: the hull holds the nonnegative orthant, whose interior holds
-    u_o, so it is then all of V.
+    Each r(u) and r(u_o) is read in integers (``Vector.dot_ratio``) and the
+    ratios are compared by cross-multiplying, so one Fraction is built.  A
+    generator nonpositive at u_o, an open-dual piece or a first level,
+    raises ``ValueError``, as does a PosiCone whose closed hull is all of V
+    (``hull_dual``).  A PosiCone past ``DD_RAY_CAP`` keeps no rays and
+    solves one LP per u over its closed hull, which is unbounded exactly
+    when -u_o lies in the hull: the hull holds the nonnegative orthant,
+    whose interior holds u_o, so it is then all of V.
     """
-    pieces = _hull_pieces(cone)
-    if pieces is None:
+    if u.dim != cone.space.dim:
+        raise ValueError("dimension mismatch")
+    generators = dual_generators(cone)
+    if generators is None:
         return _hull_lambda_o_lp(cone, u)
-    scale, U = integer_form(u.entries)
-    # min over pieces of P.U / q, compared across pieces by cross-multiplying.
-    best, best_q = None, 1
-    for P, q in pieces:
-        value = sum(map(operator.mul, P, U))
-        if best is None or value * best_q < best * q:
-            best, best_q = value, q
-    return Fraction(best, best_q * scale)
+    best_num, best_den = None, 1
+    for r in generators:
+        num, den = r.coeffs.dot_ratio(u)
+        at_u_o, den_o = r.coeffs.dot_ratio(cone.space.u_o)
+        if at_u_o <= 0:
+            raise ValueError(NONPOSITIVE_AT_U_O)
+        # r(u) / r(u_o) = (num den_o) / (den at_u_o), over a positive denominator.
+        num, den = num * den_o, den * at_u_o
+        if best_num is None or num * best_den < best_num * den:
+            best_num, best_den = num, den
+    return Fraction(best_num, best_den)
 
 
 def _hull_lambda_o_lp(cone: PosiCone, u: Vector) -> Fraction:

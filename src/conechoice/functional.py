@@ -73,6 +73,8 @@ class SuperlinF:
 
 Functional = Union[LinearF, SuperlinF]
 
+NONPOSITIVE_AT_U_O = "normalisation undefined: a piece is nonpositive at u_o"
+
 
 def pieces_of(f: Functional) -> tuple[LinearF, ...]:
     if isinstance(f, LinearF):
@@ -147,7 +149,7 @@ def _normalised(piece: LinearF, u_o: Vector) -> LinearF:
     coefficient a/b built as one Fraction(a*q, b*p)."""
     value = piece.eval(u_o)
     if value <= 0:
-        raise ValueError("normalisation undefined: a piece is nonpositive at u_o")
+        raise ValueError(NONPOSITIVE_AT_U_O)
     p, q = value.numerator, value.denominator
     return LinearF(Vector(tuple(
         Fraction(c.numerator * q, c.denominator * p) for c in piece.coeffs.entries

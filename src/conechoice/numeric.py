@@ -115,14 +115,14 @@ class Vector:
     def dot(self, other: "Vector") -> Fraction:
         """The exact inner product, summed as one integer fraction num / den
         over the nonzero products; one Fraction is built, at the end."""
-        return Fraction(*self._dot_ratio(other))
+        return Fraction(*self.dot_ratio(other))
 
     def dot_sign(self, other: "Vector") -> int:
         """The sign of the inner product, -1, 0 or 1, with no Fraction built."""
-        num = self._dot_ratio(other)[0]
+        num = self.dot_ratio(other)[0]
         return (num > 0) - (num < 0)
 
-    def _dot_ratio(self, other: "Vector") -> tuple[int, int]:
+    def dot_ratio(self, other: "Vector") -> tuple[int, int]:
         """The inner product as integers ``(num, den)`` with ``den > 0``."""
         self._check_dim(other)
         num, den = 0, 1
@@ -222,6 +222,8 @@ class OptionSpace:
         positive, so each coefficient must be > 0; strict dominance holds the
         open orthant positive, so coefficients >= 0, not all 0, suffice.
         """
+        if coeffs.dim != self.dim:
+            raise ValueError("dimension mismatch")
         signs = [c.numerator for c in coeffs.entries]
         if self.background is Background.POINTWISE:
             return all(c > 0 for c in signs)

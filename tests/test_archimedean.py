@@ -150,12 +150,15 @@ def test_lambda_o_refuses_pieces_nonpositive_at_u_o(pw2):
                 lambda_o(cone, vec(1, 0))
 
 
-def test_lambda_o_refuses_a_vector_of_the_wrong_length(pw2, d_interval):
+def test_lambda_o_refuses_a_vector_of_the_wrong_length(pw2, d_interval, d_sector):
     # (1, 2, 99) used to be cut to (1, 2) and answer 1; (1,) raised IndexError.
-    for cone in (PosiCone((vec(1, -1),), pw2), d_interval):
-        for u in (vec(1, 2, 99), vec(1)):
-            with pytest.raises(ValueError, match="dimension mismatch"):
-                lambda_o(cone, u)
+    # cone.hull_lambda_o cut them too: on the sector (1, 2, 3) gave 5/4 and
+    # (1,) gave 1/4.
+    for cone in (PosiCone((vec(1, -1),), pw2), d_interval, d_sector):
+        for u in (vec(1, 2, 3), vec(1, 2, 99), vec(1)):
+            for query in (lambda_o, cone_module.hull_lambda_o):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    query(cone, u)
 
 
 def test_lambda_o_functional_closed_forms(d_interval, d_half, d_lex):
@@ -261,9 +264,29 @@ def test_lambda_o_of_a_posi_cone_below_the_cap_solves_no_lp(monkeypatch, d_secto
     past = [[_answer(lambda_o, cone, u) for u in us] for cone, us in zip(fresh, options)]
     assert past == below
     assert len(solves) == sum(map(len, options))
-    assert all(cone.kept("hull_dual") is None for cone in fresh)
+    assert all("hull_dual" in vars(cone) and cone.kept("hull_dual") is None for cone in fresh)
     with pytest.raises(ValueError, match="DD_RAY_CAP"):
         lambda_o_functional(fresh[-1])
+
+
+def test_lambda_o_past_the_cap_solves_one_lp_per_option(monkeypatch):
+    # A space of DD_RAY_CAP + 1 dimensions keeps no double description, whose
+    # ray list would start with more rays than the cap: each option's
+    # Lambda_o is one hull LP, equal to the oracle's, and there is no closed
+    # form.
+    rng = random.Random(26)
+    d = cone_module.DD_RAY_CAP + 1
+    space = OptionSpace(d, Background.POINTWISE, rand_positive_vector(rng, d, 2))
+    cone = PosiCone((rand_vector(rng, d, 2), rand_vector(rng, d, 2)), space)
+    options = [rand_vector(rng, d, 3), rand_vector(rng, d, 3), space.u_o]
+    references = [hull_lambda_o_lp(cone.generators, space, u) for u in options]
+    assert None not in references
+    solves = _spy(monkeypatch, lp, "solve")
+    assert [lambda_o(cone, u) for u in options] == references
+    assert len(solves) == len(options)
+    assert "hull_dual" in vars(cone) and cone.kept("hull_dual") is None
+    with pytest.raises(ValueError, match="DD_RAY_CAP"):
+        lambda_o_functional(cone)
 
 
 def test_witnesses_are_positive_on_members(pw2):
@@ -497,8 +520,8 @@ def _planar_member(cone, v) -> bool:
 
 def test_kept_functional_answers_agree_with_a_fresh_cone():
     # A cone whose kept separation evidence is solved first answers member,
-    # separate, archimedean_closure_member and lambda_o (whose kept closed
-    # form is found at the first option) as a fresh cone object does, errors
+    # separate, archimedean_closure_member and lambda_o (whose kept dual
+    # rays are found at the first option) as a fresh cone object does, errors
     # included; in the plane both agree with the oracles.  Of 150
     # cones, 51 have a kept functional, which decides 245 of their options.
     rng = random.Random(20)

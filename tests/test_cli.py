@@ -654,3 +654,16 @@ def test_coin_json_output_matches_golden(capsys, command):
         code, out, _ = run(capsys, command, COIN, *flags)
         assert code == EXIT_OK
         assert out == (GOLDEN / f"coin_{command}.{suffix}").read_text()
+
+
+def test_lambda_o_output_matches_golden(capsys):
+    # Lambda_o of every cone class under a non-unit u_o, in JSON and in text:
+    # posi cones by their hull's dual rays, one whose hull is all of V, open
+    # duals by their pieces (one repeated up to a positive factor, one
+    # vanishing at u_o) and lexicographic cones of one and two levels by
+    # their first level.  The two error records make report exit 2.
+    model = str(GOLDEN / "lambda_o.json")
+    for flags, suffix in ((("--json",), "json"), ((), "txt")):
+        code, out, _ = run(capsys, "report", model, *flags)
+        assert code == EXIT_PRECONDITION
+        assert out == (GOLDEN / f"lambda_o_report.{suffix}").read_text()

@@ -672,8 +672,8 @@ def test_broken_invariants_raise_runtime_errors(monkeypatch):
             id="excluding_envelope",
         ),
         pytest.param(
-            "cone._excludes = lambda f, cone, v: False",
-            "archimedean.separate(cone.PosiCone((vec(1, -1),), space), vec(-1, 3))",
+            "cone.member = lambda c, v: True",
+            "archimedean.separate(cone.OpenDualCone((LinearF(vec(1, 1)),), space), vec(-1, 0))",
             "member exclusion",
             id="separation_excludes_member",
         ),

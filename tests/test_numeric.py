@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conechoice.functional import LinearF, is_positive
 from conechoice.numeric import (
     Background,
     OptionSpace,
@@ -78,6 +79,12 @@ def test_vector_dimension_mismatch():
     space = OptionSpace(2, Background.POINTWISE, vec(1, 1))
     with pytest.raises(ValueError, match="dimension mismatch"):
         space.background_strictly_positive(vec(1, 1, 1))
+    # A functional of the wrong length used to read as positive.
+    for coeffs in (vec(1, 1, 1), vec(1)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            space.positive_functional(coeffs)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            is_positive(LinearF(coeffs), space)
     assert str(vec(1, "-1/2")) == "(1, -1/2)"
 
 
