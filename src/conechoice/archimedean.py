@@ -11,7 +11,7 @@ which reads the cone's kept functional and the option's membership before it
 solves anything, and whose docstring holds the proof behind it.  Lambda_o
 of every cone class is the min of r(u) / r(u_o) over the generators r of
 the dual of the cone's closure (``cone.dual_generators``), so it solves no
-LP below ``cone.DD_RAY_CAP``, and ``lambda_o_functional`` is the same
+hull LP below ``cone.DD_RAY_CAP``, and ``lambda_o_functional`` is the same
 generators normalised at u_o.
 """
 
@@ -129,8 +129,10 @@ def lambda_o(cone: DesirCone, u: Vector) -> Fraction:
 
     It is the min of r(u) / r(u_o) over the generators r of the dual of the
     cone's closure (``cone.dual_generators``), evaluated in integers by
-    ``cone.hull_lambda_o`` for every cone class, with no LP below
-    ``cone.DD_RAY_CAP``.  It raises ``ValueError`` when a generator (an
+    ``cone.hull_lambda_o`` for every cone class, with no hull LP below
+    ``cone.DD_RAY_CAP``; a PosiCone's value is certified there by a checked
+    combination, which takes one small LP only where its exact solve has a
+    negative coefficient.  It raises ``ValueError`` when a generator (an
     open-dual piece or a first level) is nonpositive at u_o, and when a
     PosiCone's closed hull is all of V, where Lambda_o is +infinity.
     """

@@ -13,7 +13,7 @@ half-spaces, lexicographic cones), which is why all three exist.
 
 Separation -- a background-positive linear functional strictly positive on
 the cone -- is one strict homogeneous solve (``separation_evidence``), with
-rows per class:
+rows per class, unless a PosiCone's kept rays decide it first (below):
 
 * PosiCone: a functional is strictly positive on the cone iff it is strictly
   positive on the finitely many generators and background-positive.
@@ -42,8 +42,25 @@ open-dual cone's pieces, a lexicographic cone's first level, and a
 PosiCone's primitive integer extreme rays of the dual of its closed hull
 (``hull_dual``).  Those rays are found once per cone object by the
 double-description method, in integers, each checked where it is made to
-be an extreme ray of that dual; a dual with more than ``DD_RAY_CAP`` rays on
+lie in that dual; a dual with more than ``DD_RAY_CAP`` rays on
 the way keeps none, and its Lambda_o is one LP per option.
+
+A PosiCone's Lambda_o is certified from both sides where it is made: the
+least-index ray r* attaining the min lies in the dual, which bounds it from
+above, and a nonnegative combination of the generators and units on which
+r* is zero reaches ``u - Lambda_o(u) u_o``, which bounds it from below
+(``_hull_combination``).  A ray the list missed makes that combination
+impossible, and the answer is refused rather than given.  The same rays
+answer a PosiCone's other questions for a nonzero option v, built at the
+cone's first such question: membership is the sign of Lambda_o(v), with r*
+as the functional excluding a non-member and the combination showing a
+member (``_facet_membership``); the option-free separation is the sum of
+the rays when it separates (``_cone_separation``); and a hull that is all
+of V holds every nonzero option, shown by one kept combination reaching
+-u_o (``_all_of_v``).  Past the cap, and for v = 0, the LPs answer.
+``archimedean.lambda_o_functional`` is the one reader of the rays whose
+list is not certified: each of its pieces lies in the dual, but no
+combination shows that it misses no ray.
 
 A cone object keeps what it learns, since it is frozen, in one store
 (``_Cone.kept``): its option-free separation evidence (``separation_evidence``),
@@ -51,10 +68,11 @@ whose functional f is checked where it is made to be strictly positive on
 the cone (``separates``), a PosiCone's hull dual, and, for a selection's
 extension in :mod:`conechoice.choice`, its consistency.
 Beside the store sits a record of the last option v the object was asked
-about (``OptionRecord``): v's
-membership verdict, a PosiCone's Farkas functional y of v's failed
-membership solve, and v's separation evidence.  Every entry is a function of
-the cone and v alone, so no answer depends on what was asked before.
+about (``OptionRecord``): v's membership verdict, a PosiCone's functional
+y excluding a non-member v (the active ray, or the Farkas functional of a
+failed membership solve), Lambda_o(v) with its active ray and combination,
+and v's separation evidence.  Every entry is a function of the cone and v
+alone, so no answer depends on what was asked before.
 
 Every Archimedean answer for an option -- separation, closure membership,
 and an assessment's Archimedean membership -- comes from one routine,
@@ -78,9 +96,9 @@ from .numeric import (
     OptionSpace,
     Vector,
     integer_form,
-    integer_rank,
     rank_of,
     row_kernel,
+    solve_in_span,
     unit_vector,
     zero_vector,
 )
@@ -91,22 +109,32 @@ def background_generators(space: OptionSpace) -> list[Vector]:
     return [unit_vector(space.dim, i) for i in range(space.dim)]
 
 
+Combination = tuple[tuple[Vector, Fraction], ...]
+
+
 @dataclass
 class OptionRecord:
     """What a cone object has learnt about one option.
 
-    ``member`` is the verdict of a membership solve (None until a PosiCone
-    solves one; the other classes decide membership by evaluation).
-    ``farkas`` is, for a PosiCone non-member, the checked functional y of a
-    failed membership solve: nonnegative on every member, negative at the
-    option.  ``separation`` is the option's separation evidence, once some
-    query has made it (``option_separation``).
+    ``member`` is the verdict of a PosiCone's membership question (None
+    until one is asked; the other classes decide membership by evaluation).
+    ``farkas`` is, for a PosiCone non-member, a checked functional y that is
+    nonnegative on every member and negative at the option: the active ray
+    of the hull dual, or the certificate of a failed membership solve.
+    ``separation`` is the option's separation evidence, once some query has
+    made it (``option_separation``).  For a PosiCone with kept rays
+    (``hull_dual``), ``active`` is Lambda_o at the option and the
+    least-index ray r* attaining it, and ``combination`` the checked terms
+    reaching ``option - Lambda_o u_o`` over the columns tight on r*
+    (``_hull_combination``).
     """
 
     option: Vector
     member: Optional[bool] = None
     farkas: Optional[LinearF] = None
     separation: Union[LinearF, lp.Infeasible, None] = None
+    active: Optional[tuple[Fraction, LinearF]] = None
+    combination: Optional[Combination] = None
 
 
 class _Cone:
@@ -207,20 +235,26 @@ class ConsistencyReport:
 def verify_inconsistency_combination(
     combination: Sequence[tuple[Vector, Fraction]]
 ) -> bool:
+    return (
+        bool(combination)
+        and any(coeff > 0 for _, coeff in combination)
+        and combination_reaches(combination, zero_vector(combination[0][0].dim))
+    )
+
+
+def combination_reaches(combination: Sequence[tuple[Vector, Fraction]], target: Vector) -> bool:
+    """Are the coefficients nonnegative and the sum of the terms the target?
+    Checked by substitution."""
     if not combination:
+        return target.is_zero()
+    coeffs = Vector(tuple(coeff for _, coeff in combination))
+    if any(coeff < 0 for coeff in coeffs):
         return False
-    dim = combination[0][0].dim
-    total = zero_vector(dim)
-    coeff_sum = Fraction(0)
-    for vector, coeff in combination:
-        if coeff < 0:
+    for i, value in enumerate(target):
+        num, den = coeffs.dot_ratio(Vector(tuple(v[i] for v, _ in combination)))
+        if num * value.denominator != value.numerator * den:
             return False
-        coeff_sum += coeff
-        total = total + vector.scale(coeff)
-    return coeff_sum > 0 and total.is_zero()
-
-
-Combination = tuple[tuple[Vector, Fraction], ...]
+    return True
 
 
 def _posi_problem(generators: Sequence[Vector], v: Vector) -> lp.LpProblem:
@@ -314,9 +348,13 @@ def member(cone: DesirCone, v: Vector) -> bool:
       (member never solves it), ``f(v) <= 0`` answers False, since f is
       strictly positive on every member (``separates``).
 
-    Any other option is decided by ``_membership``, and the verdict and the
-    Farkas functional of a non-member go into the cone's record of v, so a
-    repeat, or a separation query on v, solves nothing.
+    Any other nonzero option is decided from the kept rays of the hull dual
+    (``hull_dual``, built here on the cone's first such question) by
+    ``_facet_membership``: a closed hull that is all of V keeps no ray and
+    answers True by its kept combination reaching -u_o (``_all_of_v``).
+    Past ``DD_RAY_CAP``, or for v = 0, ``_membership``'s LP decides.  The
+    verdict and the functional y excluding a non-member go into the cone's
+    record of v, so a repeat, or a separation query on v, solves nothing.
     """
     if v.dim != cone.space.dim:
         raise ValueError("dimension mismatch")
@@ -331,9 +369,58 @@ def member(cone: DesirCone, v: Vector) -> bool:
         return False
     record = cone.record(v)
     if record.member is None:
-        combination, record.farkas = _membership(cone, v)
-        record.member = combination is not None
+        rays = None if v.is_zero() else _kept_rays(cone)
+        if rays is None:
+            combination, record.farkas = _membership(cone, v)
+            record.member = combination is not None
+        else:
+            record.member = _facet_membership(cone, record, rays)
     return record.member
+
+
+def _facet_membership(cone: PosiCone, record: OptionRecord, rays: Sequence[LinearF]) -> bool:
+    """Membership of a nonzero v, the record's option, from the sign of
+    Lambda_o(v) over the kept rays of the closed hull H's dual, with the
+    active ray r* (``_active_ray``).  D lies in H, and H in the closure of D.
+
+    * Lambda_o(v) < 0: False.  r* is negative at v, and it was checked
+      where the double description made it to be nonnegative and
+      nonnegative on the generators, as ``_excludes_by`` asks, so it is
+      kept as the record's ``farkas``.
+    * Lambda_o(v) > 0: True, by the checked combination
+      ``v = Lambda_o(v) u_o + sum_c lambda_c c`` over generators and units
+      (``_hull_combination``).  Under strict dominance ``Lambda_o(v) u_o``
+      plus the units' terms is the strictly positive residual.
+    * Lambda_o(v) = 0 under pointwise dominance: True, by the same
+      combination, which reaches v itself.
+    * Lambda_o(v) = 0 under strict dominance: v is on the boundary of H,
+      where no strictly positive residual can occur, as
+      ``r*(p + s) >= r*(s) > 0`` for p in H and s strictly positive.  So v
+      is a member iff v is in posi(generators), and a combination reaching v
+      can use only the generators tight on r*, since ``r*(v) = 0`` and r* is
+      nonnegative on every generator: one LP over those, whose checked
+      witness shows a member.  A non-member keeps no ``farkas``: its
+      certificate is nonnegative only on the tight generators.
+    * No ray, so H is all of V: True, by the kept combination reaching
+      ``-u_o = p + o``, p over the generators and o >= 0 over the units
+      (``_all_of_v``).  Under pointwise dominance v is a nonzero member of
+      H.  Under strict dominance p is nonzero, as -u_o is not nonnegative,
+      and ``v = t p + (v + t u_o + t o)``, whose second term is strictly
+      positive once t > 0 is large enough.
+    """
+    if not rays:
+        _all_of_v(cone)
+        return True
+    v = record.option
+    lam, ray = _active_ray(cone, record, rays)
+    if lam < 0:
+        record.farkas = ray
+        return False
+    if lam > 0 or cone.space.background is Background.POINTWISE:
+        _hull_combination(cone, record)
+        return True
+    tight = [g for g in cone.generators if ray.sign_at(g) == 0]
+    return bool(tight) and isinstance(lp.solve(_posi_problem(tight, v)), lp.Feasible)
 
 
 def _membership(
@@ -355,10 +442,8 @@ def _membership(
     consistency question) the generators alone come first.
     """
     pointwise = cone.space.background is Background.POINTWISE
-    generators = list(cone.generators)
-    if pointwise:
-        generators += background_generators(cone.space)
-    elif not generators:
+    generators = _hull_columns(cone) if pointwise else list(cone.generators)
+    if not generators:
         # The semantic set is the open orthant.
         if cone.space.background_strictly_positive(v):
             return (lambda: ((v, Fraction(1)),)), None
@@ -520,17 +605,42 @@ def _separation_rows(
 
 
 def separation_evidence(cone: DesirCone) -> Union[LinearF, lp.Infeasible]:
-    """The option-free solve of the separation system behind every
+    """The option-free answer of the separation system behind every
     Archimedean answer.
 
     Returns a background-positive linear functional strictly positive on the
     cone, re-verified before it is returned, or the ``lp.Infeasible`` whose
-    Farkas certificate shows that no such functional exists.  It is solved
-    once per cone object and then kept (``_Cone.kept``).  The system for an
-    option v adds the row ``f(v) <= 0`` and is solved only by
-    ``option_separation``, where v's membership solve left no functional.
+    Farkas certificate, checked too, shows that no such functional exists.
+    It is found once per cone object and then kept (``_Cone.kept``): for a
+    PosiCone with kept rays without an LP (``_cone_separation``), and
+    otherwise by one solve.  The system for an option v adds the row
+    ``f(v) <= 0`` and is solved only by ``option_separation``, where v's
+    membership left no functional.
     """
-    return cone.kept("separation", _solve_separation)
+    return cone.kept("separation", _cone_separation)
+
+
+def _cone_separation(cone: DesirCone) -> Union[LinearF, lp.Infeasible]:
+    """The sum of a PosiCone's kept rays, when ``separates`` passes it, else
+    the solve of the option-free system.
+
+    The rays generate H*, the dual of the closed hull, so a functional f
+    that separates is ``sum_r mu_r r`` with every ``mu_r >= 0``.  Where f is
+    positive, at a generator or a unit, so is some ray, and so is the sum of
+    the rays, which is nonnegative everywhere on H: it separates whenever
+    any functional does.  It is scaled to the LP's normalisation: its least
+    value on the system's strict rows is 1.  The LP is left for cones past
+    ``DD_RAY_CAP``, for a hull that is all of V (no ray), and for every
+    ``lp.Infeasible`` answer, whose certificate only it gives.
+    """
+    rays = _kept_rays(cone) if isinstance(cone, PosiCone) else None
+    if rays:
+        total = Vector(tuple(map(sum, zip(*(r.coeffs.entries for r in rays)))))
+        if separates(LinearF(total), cone):
+            strict, _ = strict_background_rows(cone.space)
+            least = min(s.dot(total) for s in (*cone.generators, *(c.coeffs for c in strict)))
+            return LinearF(total.scale(1 / least))
+    return _solve_separation(cone)
 
 
 def _solve_separation(
@@ -564,21 +674,23 @@ def option_separation(cone: DesirCone, v: Vector) -> Optional[LinearF]:
       functional strictly positive on the cone at the other.  This needs no
       LP for v: membership is an evaluation for an OpenDualCone or a
       LexCone, and a PosiCone keeps its verdict in its record of v.
-    * Otherwise v is a non-member.  Where the record holds the Farkas
-      functional y of v's failed membership solve, checked nonnegative on
-      every member and negative at v (``_excludes_by``),
+    * Otherwise v is a non-member.  Where the record holds a functional y
+      nonnegative on every member and negative at v (``_excludes_by``),
 
           f' = y + t f,  t = -y(v) / f(v)
 
       separates v with no LP: ``y >= 0`` and ``f > 0`` on every member and
       on the background, so ``f' > 0`` there; ``y(v) < 0 < f(v)``, so
-      ``t > 0``; and ``f'(v) = y(v) + t f(v) = 0``.  A pointwise-dominance
-      certificate always qualifies.  Under strict dominance a nonzero v
-      tries the strictly positive residual first, whose certificate is
-      nonnegative with ``y(v) <= 0``, then the generators alone
-      (``_membership``).  Only where no certificate qualified (an open-dual
-      or lexicographic non-member, or a strict-dominance one with
-      ``y(v) = 0``) is the system for v solved.
+      ``t > 0``; and ``f'(v) = y(v) + t f(v) = 0``.  A PosiCone with kept
+      rays gives the active ray, negative at every non-member off the
+      closed hull (``_facet_membership``).  On the LP path a
+      pointwise-dominance certificate always qualifies; under strict
+      dominance a nonzero v tries the strictly positive residual first,
+      whose certificate is nonnegative with ``y(v) <= 0``, then the
+      generators alone (``_membership``).  Only where no functional
+      qualified (an open-dual or lexicographic non-member, or a
+      strict-dominance one on the closed hull's boundary) is the system for
+      v solved.
 
     A functional made here is checked where it is made (``separates``) and
     kept in the record of v, so membership, the closure and separation of
@@ -756,15 +868,52 @@ def hull_dual(cone: PosiCone) -> Optional[tuple[LinearF, ...]]:
 
     with r(u_o) > 0, as r is nonnegative and nonzero and u_o is strictly
     positive.  No ray, H* = {0}, means H is all of V, where Lambda_o is
-    +infinity: that raises ``ValueError``.  The rays are found once per cone
-    object and kept on it.  Each is checked to be an extreme ray of H*, so
-    the min over them is at least Lambda_o(u); that the list misses no ray
-    is shown by the tests, not checked here.
+    +infinity: that raises ``ValueError``, once the checked combination
+    reaching -u_o (``_all_of_v``) confirms it.  The rays are found once per
+    cone object and kept on it.  Each is checked to lie in H*, so the min
+    over them is at least Lambda_o(u).  That the list misses no ray is
+    checked at each answer the cone module reads from it, by the combination
+    that reaches ``u - Lambda_o(u) u_o`` (``_hull_combination``); it is not
+    checked for ``archimedean.lambda_o_functional``, which returns the rays
+    themselves as its envelope's pieces.
     """
-    rays = cone.kept("hull_dual", _double_description)
+    rays = _kept_rays(cone)
     if rays == ():
+        _all_of_v(cone)
         raise ValueError(_ALL_OF_V)
     return rays
+
+
+def _kept_rays(cone: PosiCone) -> Optional[tuple[LinearF, ...]]:
+    """``hull_dual``'s rays, found on first need and kept on the cone: None
+    past ``DD_RAY_CAP``, and () when the closed hull is all of V."""
+    return cone.kept("hull_dual", _double_description)
+
+
+def _all_of_v(cone: PosiCone) -> Combination:
+    """A checked combination of the generators and units reaching -u_o, the
+    evidence that the closed hull H is all of V where the double description
+    kept no ray: one LP over ``_hull_columns``, solved once per cone object
+    and kept (``_reach_minus_u_o``).  H holds the nonnegative orthant, so
+    ``u = (u + t u_o) + t (-u_o)`` is in H for every u, once t makes
+    ``u + t u_o`` nonnegative."""
+    return cone.kept("all_of_v", _reach_minus_u_o)
+
+
+def _reach_minus_u_o(cone: PosiCone) -> Combination:
+    columns = _hull_columns(cone)
+    minus_u_o = -cone.space.u_o
+    result = lp.solve(_posi_problem(columns, minus_u_o))
+    terms = (
+        _posi_terms(columns, minus_u_o, result.witness) if isinstance(result, lp.Feasible) else ()
+    )
+    lp.verified(bool(terms) and combination_reaches(terms, minus_u_o), "all-of-V combination")
+    return terms
+
+
+def _hull_columns(cone: PosiCone) -> list[Vector]:
+    """The generators of the closed hull H: the cone's, then the units."""
+    return [*cone.generators, *background_generators(cone.space)]
 
 
 def _double_description(cone: PosiCone) -> Optional[tuple[LinearF, ...]]:
@@ -780,9 +929,9 @@ def _double_description(cone: PosiCone) -> Optional[tuple[LinearF, ...]]:
     and on the rows both are tight on.  The pair is adjacent iff at least
     d - 2 rows are tight on both and no other ray is tight on all of them
     (the combinatorial test: every ray kept is extreme, and the cone is
-    pointed).  Each ray is checked where it is made, by substitution
-    (``_extreme_in_dual``).  The ray list starts with d rays, so a space of
-    more than ``DD_RAY_CAP`` dimensions keeps no description either.
+    pointed).  Each ray is checked where it is made to lie in H*, by
+    substitution (``_in_dual``).  The ray list starts with d rays, so a
+    space of more than ``DD_RAY_CAP`` dimensions keeps no description either.
     """
     d = cone.space.dim
     if d > DD_RAY_CAP:
@@ -811,7 +960,7 @@ def _double_description(cone: PosiCone) -> Optional[tuple[LinearF, ...]]:
         if len(kept) > DD_RAY_CAP:
             return None
         rays = kept
-    lp.verified(all(_extreme_in_dual(ray, generators) for ray, _ in rays), "dual ray")
+    lp.verified(all(_in_dual(ray, generators) for ray, _ in rays), "dual ray")
     return tuple(LinearF(Vector(tuple(map(Fraction, ray)))) for ray, _ in rays)
 
 
@@ -820,31 +969,25 @@ def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
     return tuple(a // g for a in ints)
 
 
-def _extreme_in_dual(ray: Sequence[int], generators: Sequence[Sequence[int]]) -> bool:
-    """Is the integer ray in H* and tight on rows of rank d - 1, so on an
-    extreme ray of H*?  By substitution: it is nonnegative, and nonnegative
-    at every generator (each given as a positive multiple, in integers).  The
-    unit rows tight on it span the coordinates off its support S, so the
-    tight rows have rank d - 1 iff the tight generators, cut to S, have rank
-    |S| - 1 (``integer_rank``)."""
-    values = [sum(map(operator.mul, g, ray)) for g in generators]
-    support = [i for i, a in enumerate(ray) if a]
-    tight = [[g[i] for i in support] for g, value in zip(generators, values) if value == 0]
-    return (
-        all(a >= 0 for a in ray)
-        and all(value >= 0 for value in values)
-        and integer_rank(tight) == len(support) - 1
-    )
+def _in_dual(ray: Sequence[int], generators: Sequence[Sequence[int]]) -> bool:
+    """Is the integer ray in H*?  By substitution: it is nonnegative, and
+    nonnegative at every generator (each given as a positive multiple, in
+    integers).  That it is extreme is not checked: a ray of H* that is not
+    extreme changes no min, and every answer the cone module reads from the
+    rays is certified by a combination (``_hull_combination``)."""
+    return all(a >= 0 for a in ray) and all(sum(map(operator.mul, g, ray)) >= 0 for g in generators)
 
 
 def hull_lambda_o(cone: DesirCone, u: Vector) -> Fraction:
     """Lambda_o(u) = sup{alpha : u - alpha * u_o in the cone}, for every
-    cone class: the min of r(u) / r(u_o) over the cone's ``dual_generators``.
+    cone class: the min of r(u) / r(u_o) over the cone's ``dual_generators``
+    (``_least_ratio``).
 
-    Each r(u) and r(u_o) is read in integers (``Vector.dot_ratio``) and the
-    ratios are compared by cross-multiplying, so one Fraction is built.  A
-    generator nonpositive at u_o, an open-dual piece or a first level,
-    raises ``ValueError``, as does a PosiCone whose closed hull is all of V
+    A PosiCone's value is certified from both sides: the minimising ray lies
+    in the dual, and a checked combination reaches ``u - Lambda_o(u) u_o``
+    (``_hull_combination``); both are kept in its record of u.  A generator
+    nonpositive at u_o, an open-dual piece or a first level, raises
+    ``ValueError``, as does a PosiCone whose closed hull is all of V
     (``hull_dual``).  A PosiCone past ``DD_RAY_CAP`` keeps no rays and
     solves one LP per u over its closed hull, which is unbounded exactly
     when -u_o lies in the hull: the hull holds the nonnegative orthant,
@@ -855,24 +998,103 @@ def hull_lambda_o(cone: DesirCone, u: Vector) -> Fraction:
     generators = dual_generators(cone)
     if generators is None:
         return _hull_lambda_o_lp(cone, u)
-    best_num, best_den = None, 1
+    if isinstance(cone, PosiCone):
+        record = cone.record(u)
+        lam = _active_ray(cone, record, generators)[0]
+        _hull_combination(cone, record)
+        return lam
+    return _least_ratio(generators, u, cone.space.u_o)[0]
+
+
+def _least_ratio(
+    generators: Sequence[LinearF], u: Vector, u_o: Vector
+) -> tuple[Fraction, LinearF]:
+    """The min of r(u) / r(u_o) over the generators, and the least-index r
+    attaining it.  Each r(u) and r(u_o) is read in integers
+    (``Vector.dot_ratio``) and the ratios are compared by cross-multiplying,
+    so one Fraction is built.  A generator nonpositive at u_o raises
+    ``ValueError``."""
+    best_num, best_den, best = None, 1, None
     for r in generators:
         num, den = r.coeffs.dot_ratio(u)
-        at_u_o, den_o = r.coeffs.dot_ratio(cone.space.u_o)
+        at_u_o, den_o = r.coeffs.dot_ratio(u_o)
         if at_u_o <= 0:
             raise ValueError(NONPOSITIVE_AT_U_O)
         # r(u) / r(u_o) = (num den_o) / (den at_u_o), over a positive denominator.
         num, den = num * den_o, den * at_u_o
         if best_num is None or num * best_den < best_num * den:
-            best_num, best_den = num, den
-    return Fraction(best_num, best_den)
+            best_num, best_den, best = num, den, r
+    return Fraction(best_num, best_den), best
+
+
+def _active_ray(
+    cone: PosiCone, record: OptionRecord, rays: Sequence[LinearF]
+) -> tuple[Fraction, LinearF]:
+    """Lambda_o at the record's option over the kept rays, and the
+    least-index ray r* attaining it, kept in the record.  Each ray was
+    checked to lie in H*, so this is an upper bound on Lambda_o
+    (``_hull_combination`` gives the lower one)."""
+    if record.active is None:
+        record.active = _least_ratio(rays, record.option, cone.space.u_o)
+    return record.active
+
+
+def _hull_combination(cone: PosiCone, record: OptionRecord) -> Combination:
+    """The nonnegative combination of the generators and units tight on the
+    active ray r* that reaches ``w = u - Lambda u_o``, u the record's option
+    and Lambda its ``_active_ray`` value, checked by substitution
+    (``combination_reaches``) and kept in the record.
+
+    With r* in H*, ``r*(u - alpha u_o) >= 0`` bounds every alpha with
+    ``u - alpha u_o`` in H by Lambda; the combination puts w in H, so
+    Lambda_o(u) = Lambda exactly.  Where w is in H, any combination reaching
+    it uses only columns T on which r* is zero, as ``r*(w) = 0`` and r* is
+    nonnegative on every column.  So one exact solve over the least-index
+    basis of T (``numeric.solve_in_span``) is tried first; w outside the
+    span of T is outside H, and one LP over T alone decides when the
+    solution has a negative coefficient.  A ray that the kept list misses
+    makes Lambda too large and w fall outside H, so no combination exists
+    and ``lp.verified`` refuses to answer.
+    """
+    if record.combination is None:
+        lam, ray = record.active
+        w = record.option - cone.space.u_o.scale(lam)
+        columns = _hull_columns(cone)
+        x = _reach_over_tight(columns, ray, w)
+        combination = None if x is None else tuple((c, a) for c, a in zip(columns, x) if a)
+        lp.verified(
+            combination is not None and combination_reaches(combination, w), "Lambda_o combination"
+        )
+        record.combination = combination
+    return record.combination
+
+
+def _reach_over_tight(
+    columns: Sequence[Vector], ray: LinearF, w: Vector
+) -> Optional[list[Fraction]]:
+    """Nonnegative coefficients over the columns, zero off the columns T on
+    which the ray is zero, that reach w; None when the LP over T finds
+    none.  One exact solve over the least-index basis of T
+    (``numeric.solve_in_span``) gives them when it has no negative
+    coefficient, and one LP over T alone otherwise."""
+    tight = [j for j, c in enumerate(columns) if ray.sign_at(c) == 0]
+    t_columns = [columns[j] for j in tight]
+    y = solve_in_span(t_columns, w)
+    if y is not None and any(a < 0 for a in y):
+        result = lp.solve(_posi_problem(t_columns, w))
+        y = result.witness.entries if isinstance(result, lp.Feasible) else None
+    if y is None:
+        return None
+    x = [Fraction(0)] * len(columns)
+    for j, a in zip(tight, y):
+        x[j] = a
+    return x
 
 
 def _hull_lambda_o_lp(cone: PosiCone, u: Vector) -> Fraction:
     """Lambda_o at u as one LP over the closed hull, past ``DD_RAY_CAP``."""
-    space = cone.space
-    u_o = space.u_o
-    hull = list(cone.generators) + background_generators(space)
+    u_o = cone.space.u_o
+    hull = _hull_columns(cone)
     m = len(hull)
     n = m + 1  # lambda_1..lambda_m, alpha
     rows = lp.combination_rows(hull + [u_o], u)

@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import lcm
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 Rational = Fraction
 
@@ -244,21 +244,26 @@ def integer_form(entries: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
 
 def rank_of(rows: Sequence[Vector]) -> int:
     """The rank of the rows: each row scaled into integers
-    (``integer_form``), then ``integer_rank``."""
-    return integer_rank([integer_form(row.entries)[1] for row in rows])
+    (``integer_form``), then brought to echelon form (``_echelon``)."""
+    return len(_echelon([integer_form(row.entries)[1] for row in rows])[1])
 
 
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """The rank of integer rows, by fraction-free (Bareiss) elimination.
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """The nonzero rows brought to echelon form by fraction-free (Bareiss)
+    elimination, and the column of each one's pivot, in increasing order.
 
     Every entry after step k is a (k+1)-minor of the matrix, so dividing by
-    the previous pivot is exact and no Fraction is built.
+    the previous pivot is exact and no Fraction is built.  A pivot is taken
+    in each column that has one, from left to right, so the pivot columns
+    are the least-index set of independent columns.
     """
-    matrix = [row for row in rows if any(row)]
+    matrix = [list(row) for row in rows if any(row)]
+    pivots: list[int] = []
     if not matrix:
-        return 0
-    rank, previous = 0, 1
+        return matrix, pivots
+    previous = 1
     for col in range(len(matrix[0])):
+        rank = len(pivots)
         pivot_row = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
         if pivot_row is None:
             continue
@@ -270,10 +275,36 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
             matrix[r] = [(pivot * x - factor * y) // previous
                          for x, y in zip(matrix[r], pivot_entries)]
         previous = pivot
-        rank += 1
-        if rank == len(matrix):
+        pivots.append(col)
+        if len(pivots) == len(matrix):
             break
-    return rank
+    return matrix[: len(pivots)], pivots
+
+
+def solve_in_span(columns: Sequence[Vector], target: Vector) -> Optional[tuple[Fraction, ...]]:
+    """Coefficients x with ``sum_k x_k columns[k] = target``, zero off the
+    least-index basis of the columns, or None when the target is outside
+    their span: one exact solve, with the square system of the basis.
+
+    Each equation (one coordinate) is scaled into integers on its own
+    (``integer_form``), which keeps its solutions, then eliminated
+    (``_echelon``) and solved back over the pivot columns.
+
+    >>> solve_in_span([vec(1, 1), vec(2, 2), vec(0, 1)], vec(3, 5))
+    (Fraction(3, 1), Fraction(0, 1), Fraction(2, 1))
+    >>> solve_in_span([vec(1, 1)], vec(1, 2)) is None
+    True
+    """
+    m = len(columns)
+    rows = [integer_form([c[i] for c in columns] + [target[i]])[1] for i in range(target.dim)]
+    matrix, pivots = _echelon(rows)
+    if pivots and pivots[-1] == m:
+        return None
+    x = [Fraction(0)] * m
+    for row, col in zip(reversed(matrix), reversed(pivots)):
+        rest = sum(row[j] * x[j] for j in range(col + 1, m))
+        x[col] = (row[m] - rest) / Fraction(row[col])
+    return tuple(x)
 
 
 def row_kernel(row: Vector) -> list[Vector]:

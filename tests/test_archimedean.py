@@ -249,16 +249,23 @@ def test_lambda_o_of_posi_cones_agrees_with_the_hull_lp():
     assert min(infinite, finite) > 1000, (infinite, finite)
 
 
-def test_lambda_o_of_a_posi_cone_below_the_cap_solves_no_lp(monkeypatch, d_sector):
-    # The hull's dual is found once per cone, with no LP; past DD_RAY_CAP a
-    # cone keeps no rays and solves the hull LP for each option, with the
-    # same values and the same "+infinity" error.
+def test_lambda_o_of_a_posi_cone_below_the_cap_solves_no_hull_lp(monkeypatch, d_sector):
+    # The hull's dual is found once per cone, with no LP.  Each value's
+    # combination is one exact solve over the tight columns, and one
+    # feasibility LP only where that solve has a negative coefficient.  A
+    # cone whose hull is all of V keeps no ray, and its "+infinity" error is
+    # confirmed by one feasibility LP per cone reaching -u_o.  Past
+    # DD_RAY_CAP a cone keeps no rays and solves the hull LP for each option,
+    # with the same values and the same "+infinity" error.
     rng = random.Random(25)
     cones = [_random_posi_cone(rng) for _ in range(60)] + [d_sector]
     options = [[rand_vector(rng, c.space.dim, 3) for _ in range(3)] for c in cones]
     solves = _spy(monkeypatch, lp, "solve")
     below = [[_answer(lambda_o, cone, u) for u in us] for cone, us in zip(cones, options)]
-    assert solves == []
+    whole = sum(cone.kept("hull_dual") == () for cone in cones)
+    assert whole == 16 and len(solves) == 27 + whole
+    assert all(problem.objective is None for problem in solves)
+    solves.clear()
     monkeypatch.setattr(cone_module, "DD_RAY_CAP", 0)
     fresh = [replace(cone) for cone in cones]
     past = [[_answer(lambda_o, cone, u) for u in us] for cone, us in zip(fresh, options)]
@@ -287,6 +294,43 @@ def test_lambda_o_past_the_cap_solves_one_lp_per_option(monkeypatch):
     assert "hull_dual" in vars(cone) and cone.kept("hull_dual") is None
     with pytest.raises(ValueError, match="DD_RAY_CAP"):
         lambda_o_functional(cone)
+
+
+@pytest.mark.parametrize("background", [Background.POINTWISE, Background.STRICT])
+def test_a_ray_list_past_the_cap_part_way_through_takes_the_lp_path(monkeypatch, background):
+    # In 16 dims the generator (1, ..., 1, -1) leaves 30 rays, and the
+    # alternating (1, -1, ..., 1, -1) then makes 72, past DD_RAY_CAP: the
+    # double description gives up at its second row and keeps no rays.
+    # member, separate and lambda_o then solve LPs, and agree with the
+    # answers read from the full ray list, found with a larger cap.
+    d = 16
+    space = OptionSpace(d, background, vec(*([1] * d)))
+    g1, g2 = vec(*([1] * (d - 1) + [-1])), vec(*[(-1) ** i for i in range(d)])
+    capped = PosiCone((g1, g2), space)
+    e = [vec(*[int(i == j) for j in range(d)]) for i in range(d)]
+    options = [g1 + g2, g2, -g2, e[1] - e[0], e[0] - e[15], e[15] - e[0], space.u_o, -g1]
+
+    def answers(cone):
+        found = []
+        for v in options:
+            witness = _answer(separate, cone, v)
+            if isinstance(witness, SeparationWitness):
+                assert verify_separation_witness(cone, witness), v
+                witness = "separated"
+            found.append((member(cone, v), witness, _answer(lambda_o, cone, v)))
+        return found
+
+    solves = _spy(monkeypatch, lp, "solve")
+    past = answers(capped)
+    assert "hull_dual" in vars(capped) and capped.kept("hull_dual") is None
+    # One hull LP per Lambda_o, and membership and separation LPs besides.
+    assert sum(problem.objective is not None for problem in solves) == len(options)
+    assert any(problem.objective is None for problem in solves)
+    monkeypatch.setattr(cone_module, "DD_RAY_CAP", 128)
+    uncapped = PosiCone((g1, g2), space)
+    assert answers(uncapped) == past
+    assert len(uncapped.kept("hull_dual")) == 72
+    assert {member(capped, v) for v in options} == {True, False}
 
 
 def test_witnesses_are_positive_on_members(pw2):
@@ -623,9 +667,10 @@ def test_posi_separation_does_not_depend_on_earlier_queries(monkeypatch):
 
 def test_one_separation_solve_decides_a_non_member(monkeypatch, d_sector, d_interval):
     # The cone's kept functional answers separate with the one option-free
-    # LP, and then the closure query with none; a background-positive option,
-    # which it does not decide, is a closure member with no LP, since
-    # consistency reads the kept evidence.
+    # LP, and then the closure query with none; the sector's is the sum of
+    # its hull dual's rays, with no LP.  A background-positive option, which
+    # it does not decide, is a closure member with no LP, since consistency
+    # reads the kept evidence.
     solves = []
     solve = lp.solve
 
@@ -637,7 +682,7 @@ def test_one_separation_solve_decides_a_non_member(monkeypatch, d_sector, d_inte
     for cone in (d_sector, d_interval):
         solves.clear()
         assert separate(cone, vec(-1, 0)) is not None
-        assert len(solves) == 1
+        assert len(solves) == (cone is d_interval)
         solves.clear()
         assert archimedean_closure_member(cone, vec(-1, 0)) is False
         assert len(solves) == 0
@@ -661,11 +706,12 @@ def _spy(monkeypatch, owner, name):
 
 def test_consistency_evidence_is_solved_once_per_cone(monkeypatch, d_sector):
     # CLI check asks a posi cone for mixing and then for Archimedean
-    # consistency; both read the one option-free separation solve.
+    # consistency; both read the one kept option-free separation, here the
+    # sum of the hull dual's rays, and the mixing witness is decided from the
+    # same rays, so neither solves an LP.
     solves = _spy(monkeypatch, lp, "solve")
     assert is_mixing(d_sector).status is False
-    assert solves
-    solves.clear()
+    assert solves == [] and "separation" in vars(d_sector)
     assert archimedean_consistent(d_sector)
     assert solves == []
     assert separation_evidence(d_sector) is separation_evidence(d_sector)
@@ -673,34 +719,38 @@ def test_consistency_evidence_is_solved_once_per_cone(monkeypatch, d_sector):
 
 @pytest.mark.parametrize("background", [Background.POINTWISE, Background.STRICT])
 def test_repeat_queries_build_only_the_rows_of_their_data(monkeypatch, background):
-    # Rows that depend only on a size (sign rows, background rows) are built
-    # once and shared, so a repeat query on a cone builds only the rows that
-    # hold its option or the cone's generators.  The option is one that the
-    # cone's kept functional does not exclude; its separation is built from
-    # the Farkas functional of its membership solve, with no row at all.
+    # The option is one that the cone's kept functional does not exclude.
+    # With the hull dual's rays kept, its membership is read from them and
+    # builds no row, and its separation is built from the active ray, with
+    # no row either.  Past DD_RAY_CAP, rows that depend only on a size (sign
+    # rows, background rows) are built once and shared, so a repeat query
+    # builds only the rows of its membership solve that hold its option or
+    # the cone's generators, and its separation is built from that solve's
+    # Farkas functional.
     g1, g2 = vec("3/4", "-1/4"), vec("-1/4", "3/4")
-    cone = PosiCone((g1, g2), OptionSpace(2, background, vec(1, 1)))
+    space = OptionSpace(2, background, vec(1, 1))
     v = vec(2, -1)
     if background is Background.POINTWISE:
         # One LP over the generators plus the unit vectors.
         columns = [(g1[j], g2[j], Fraction(j == 0), Fraction(j == 1)) for j in range(2)]
-        member_rows = [lp.Constraint(Vector(c), lp.EQ, v[j]) for j, c in enumerate(columns)]
+        lp_rows = [lp.Constraint(Vector(c), lp.EQ, v[j]) for j, c in enumerate(columns)]
     else:
         # The homogenised strictly positive residual, whose certificate is
         # negative at v, so the generators alone are not tried.
-        member_rows = [
-            lp.Constraint(vec(-g1[i], -g2[i], v[i]), lp.GE, Fraction(1)) for i in range(2)
-        ]
-    assert not member(cone, vec(-2, 1)) and separate(cone, vec(-2, 1)) is not None
-    assert separation_evidence(cone).eval(v) > 0
+        lp_rows = [lp.Constraint(vec(-g1[i], -g2[i], v[i]), lp.GE, Fraction(1)) for i in range(2)]
     built = _spy(monkeypatch, lp.Constraint, "__post_init__")
-    assert not member(cone, v)
-    assert built == member_rows
-    built.clear()
-    assert separate(cone, v) is not None
-    assert built == []
-    # An option that the kept functional excludes builds no row at all.
-    built.clear()
-    assert separation_evidence(cone).eval(vec(-1, 0)) <= 0
-    assert not member(cone, vec(-1, 0)) and separate(cone, vec(-1, 0)) is not None
-    assert built == []
+    for cap, member_rows in ((cone_module.DD_RAY_CAP, []), (0, lp_rows)):
+        monkeypatch.setattr(cone_module, "DD_RAY_CAP", cap)
+        cone = PosiCone((g1, g2), space)
+        assert not member(cone, vec(-2, 1)) and separate(cone, vec(-2, 1)) is not None
+        assert separation_evidence(cone).eval(v) > 0
+        built.clear()
+        assert not member(cone, v)
+        assert built == member_rows
+        built.clear()
+        assert separate(cone, v) is not None
+        assert built == []
+        # An option that the kept functional excludes builds no row at all.
+        assert separation_evidence(cone).eval(vec(-1, 0)) <= 0
+        assert not member(cone, vec(-1, 0)) and separate(cone, vec(-1, 0)) is not None
+        assert built == []

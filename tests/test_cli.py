@@ -451,9 +451,10 @@ def test_a_closed_stdout_ends_the_output_without_a_traceback():
 
 def test_lp_solves_per_coin_query(monkeypatch):
     # `check` and then `report` on one loaded model, as the CLI runs them.
-    # D_sector.mixing solves the separation and the membership of one option
-    # of its witness pair; Lambda_o at the kernel direction reads the
-    # sector's hull dual, which solves no LP.
+    # D_sector.mixing reads its separation and its witness pair's membership
+    # from the sector's hull dual, and K_hot.is_binary its members' too, so
+    # neither solves a separation or a membership LP; Lambda_o at the kernel
+    # direction is certified by one exact solve.
     calls = []
     solve = lp.solve
     monkeypatch.setattr(lp, "solve", lambda problem: calls.append(problem) or solve(problem))
@@ -465,13 +466,15 @@ def test_lp_solves_per_coin_query(monkeypatch):
         solves[query["name"]] = len(calls) - before
     assert {name: solves[name] for name in (
         "D_H.arch_consistent", "K_hot.is_binary", "hot_membership", "D_sector.mixing"
-    )} == {"D_H.arch_consistent": 1, "K_hot.is_binary": 2, "hot_membership": 0, "D_sector.mixing": 2}
+    )} == {"D_H.arch_consistent": 1, "K_hot.is_binary": 1, "hot_membership": 0, "D_sector.mixing": 0}
 
 
-def test_arch_member_solves_once_for_a_non_member(tmp_path, capsys, monkeypatch):
-    # The closure query solves the sector's option-free separation and the
-    # membership of (2, -1); the witness for the record is built from those
-    # two solves, so separate, asked next by the CLI, solves nothing.
+def test_arch_member_solves_no_lp_for_a_non_member(tmp_path, capsys, monkeypatch):
+    # The closure query reads the sector's option-free separation, the sum
+    # of its hull dual's rays, and the membership of (2, -1), whose active
+    # ray is negative there; the witness for the record is built from those
+    # two, so neither the closure nor separate, asked next by the CLI, solves
+    # an LP.
     space = {"dim": 2, "background": "pointwise", "u_o": ["1", "1"]}
     sector = {"type": "posi", "generators": [["3/4", "-1/4"], ["-1/4", "3/4"]]}
     query = {"name": "q", "kind": "arch_member", "target": "D", "option": ["2", "-1"]}
@@ -483,7 +486,7 @@ def test_arch_member_solves_once_for_a_non_member(tmp_path, capsys, monkeypatch)
     code, records = run_json(capsys, "report", str(path))
     assert code == EXIT_OK
     assert records["q"]["answer"] is False and "witness" in records["q"]
-    assert len(calls) == 2
+    assert calls == []
 
 
 def test_query_vector_entries_must_be_strings(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -7,13 +8,16 @@ import pytest
 
 from conechoice import archimedean as arch
 from conechoice import choice, lp
+from conechoice import cone as cone_module
 from conechoice.archimedean import archimedean_consistency_witness, is_essentially_archimedean
 from conechoice.cone import (
     LexCone,
+    MixingResult,
     OpenDualCone,
     PosiCone,
     _membership_combination,
     background_generators,
+    combination_reaches,
     is_coherent,
     is_mixing,
     lex_sign,
@@ -38,7 +42,14 @@ from conechoice.numeric import (
 )
 
 from conftest import expectation, rand_fraction, rand_positive_vector, rand_vector
-from oracles import cone2_member, grid_2d, separation_direction_2d, units_2d
+from oracles import (
+    brute_force_lp,
+    cone2_member,
+    grid_2d,
+    hull_lambda_o_lp,
+    separation_direction_2d,
+    units_2d,
+)
 
 
 def test_posi_member_examples():
@@ -486,12 +497,30 @@ def test_cone_construction_validation(pw2):
 # or "ValueError: <message>": every verdict, witness and certificate the cone,
 # Archimedean and choice layers give them.  A refactor keeps it; a change to
 # an answer or a piece of evidence changes it on purpose and records the new one.
-ENGINE_DIGEST = "820916af706270df8932671a22dd9a301dd85b06618e7bf796bc85b2334311d5"
+ENGINE_DIGEST = "f4bb7db15fbad2c52ad0ef7ba7a36d8472c380f2e956acc85114a2711eb3f834"
+
+# The SHA-256 of the same answers reduced to what they decide (``_verdict``):
+# verdicts, values, rejection sets and error messages, with no evidence.  A
+# change that moves only evidence keeps it.
+ENGINE_VERDICT_DIGEST = "2bf645e9170d899b7a27dc7497c989d5ba7bf62e9f6455b0eaa90ee1912d4a95"
 
 
-def _answer(query, *args) -> str:
+def _verdict(answer) -> str:
+    """What an answer decides: a bool, a value or a rejection set as it is,
+    a mixing answer's status, an extension's consistency, and otherwise only
+    the kind of evidence (a functional, a certificate, or None)."""
+    if isinstance(answer, (bool, Fraction, choice.OptionSet)):
+        return repr(answer)
+    if isinstance(answer, MixingResult):
+        return f"MixingResult({answer.status})"
+    if isinstance(answer, tuple):  # natural_extension's (cone, report)
+        return f"consistent={answer[1].consistent}"
+    return type(answer).__name__
+
+
+def _answer(query, *args, view=repr) -> str:
     try:
-        return repr(query(*args))
+        return view(query(*args))
     except ValueError as exc:
         return f"ValueError: {exc}"
 
@@ -514,36 +543,216 @@ def _random_set(rng: random.Random, d: int, low: int, high: int) -> choice.Optio
     return choice.OptionSet(tuple(rand_vector(rng, d, 2) for _ in range(rng.randint(low, high))))
 
 
-def engine_answers() -> list[str]:
+def engine_answers(view=repr) -> list[str]:
     """The answers to every cone, Archimedean and assessment query on 400
-    random draws in dims 1-4 under both backgrounds, each with a random u_o."""
+    random draws in dims 1-4 under both backgrounds, each with a random u_o,
+    each shown by view."""
     rng = random.Random(23)
     answers = []
+
+    def answer(query, *args):
+        answers.append(_answer(query, *args, view=view))
+
     for _ in range(400):
         d = rng.randint(1, 4)
         space = OptionSpace(d, rng.choice(list(Background)), rand_positive_vector(rng, d, 2))
         cone = _random_cone(rng, space)
-        answers += [_answer(q, cone) for q in (is_coherent, is_mixing, separation_evidence)]
+        for query in (is_coherent, is_mixing, separation_evidence):
+            answer(query, cone)
         for _ in range(4):
             v = rand_vector(rng, d, 2)
             for query in (member, arch.separate, arch.archimedean_closure_member, arch.lambda_o):
-                answers.append(_answer(query, cone, v))
-        assessment = [rand_vector(rng, d, 2) for _ in range(rng.randint(1, 3))]
-        answers.append(_answer(natural_extension, assessment, space))
+                answer(query, cone, v)
+        answer(natural_extension, [rand_vector(rng, d, 2) for _ in range(rng.randint(1, 3))], space)
         model = choice.AssessmentK(
             tuple(_random_set(rng, d, 1, 2) for _ in range(rng.randint(1, 3))), space
         )
         b, menu = _random_set(rng, d, 1, 2), _random_set(rng, d, 2, 3)
-        answers += [
-            _answer(choice.member, model, b),
-            _answer(choice.consistent, model),
-            _answer(choice.archimedean_member_evidence, model, b),
-            _answer(choice.is_binary, model),
-            _answer(choice.reject, model, menu),
-        ]
+        answer(choice.member, model, b)
+        answer(choice.consistent, model)
+        answer(choice.archimedean_member_evidence, model, b)
+        answer(choice.is_binary, model)
+        answer(choice.reject, model, menu)
     return answers
 
 
+def _digest(answers: list[str]) -> str:
+    return hashlib.sha256("\n".join(answers).encode()).hexdigest()
+
+
 def test_engine_answers_keep_their_exact_evidence():
-    digest = hashlib.sha256("\n".join(engine_answers()).encode()).hexdigest()
-    assert digest == ENGINE_DIGEST
+    assert _digest(engine_answers()) == ENGINE_DIGEST
+
+
+def test_engine_answers_keep_their_verdicts():
+    assert _digest(engine_answers(_verdict)) == ENGINE_VERDICT_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Membership and Lambda_o from the kept rays of a PosiCone's hull dual
+
+
+def _oracle_member(cone: PosiCone, v: Vector) -> bool:
+    """Semantic membership of a nonzero v by Farkas duality, each LP over the
+    d coefficients of a functional and solved by ``oracles.brute_force_lp``.
+
+    v is in posi(columns) iff ``min f(v)`` over the functionals nonnegative
+    on the columns is 0, not unbounded.  Under strict dominance v - p is
+    strictly positive for some p in posi(generators) iff every y >= 0
+    nonnegative on the generators with ``sum y = 1`` has ``y(v) > 0``
+    (Gordan), which holds when there is no such y."""
+    d = v.dim
+    units = [unit_vector(d, i) for i in range(d)]
+
+    def least_at_v(columns, *rows):
+        rows = tuple(lp.Constraint(c, lp.GE, Fraction(0)) for c in columns) + rows
+        return brute_force_lp(lp.LpProblem(d, rows, lp.Objective("min", v)))
+
+    if cone.space.background is Background.POINTWISE:
+        return least_at_v([*cone.generators, *units])[0] == "optimal"
+    if cone.generators and least_at_v(cone.generators)[0] == "optimal":
+        return True
+    status, least = least_at_v([*cone.generators, *units], lp.Constraint(ones(d), lp.EQ, Fraction(1)))
+    return status == "infeasible" or least > 0
+
+
+def test_facet_membership_and_lambda_o_agree_with_the_oracles(monkeypatch):
+    # Random PosiCones in dims 2-5 under both backgrounds.  Each option u
+    # gives one on a facet of the closed hull, w = u - Lambda_o(u) u_o with
+    # Lambda_o(w) = 0, and w + u_o / 2 inside and w - u_o / 2 outside it;
+    # membership agrees with the brute-force oracle and Lambda_o with the
+    # hull LP.  The oracle's vertex enumeration grows fast with the
+    # dimension, so 5 dims get one generator and the facet option alone.  Once a cone's rays are kept, an option inside or outside
+    # solves at most the one LP of its combination, and one on a facet under
+    # strict dominance at most the one LP over the generators tight on the
+    # active ray.
+    rng = random.Random(26)
+    solves = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda problem: solves.append(problem) or solve(problem))
+    checked = boundary_lps = 0
+    for d, m in ((2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1)):
+        for background in Background:
+            space = OptionSpace(d, background, rand_positive_vector(rng, d, 2))
+            generators = tuple(rand_vector(rng, d, 2) for _ in range(m))
+            cone = PosiCone(generators, space)
+            u = rand_vector(rng, d, 2)
+            lam = hull_lambda_o_lp(generators, space, u)
+            if lam is None:
+                continue
+            assert arch.lambda_o(cone, u) == lam
+            w = u - space.u_o.scale(lam)
+            for shift in (Fraction(0), Fraction(1, 2), Fraction(-1, 2))[: 1 if d == 5 else 3]:
+                option = w + space.u_o.scale(shift)
+                if option.is_zero():
+                    continue
+                solves.clear()
+                verdict = member(cone, option)
+                assert verdict == _oracle_member(cone, option), (cone, option)
+                assert len(solves) <= 1, (cone, option)
+                boundary_lps += shift == 0 and background is Background.STRICT and len(solves)
+                assert arch.lambda_o(cone, option) == hull_lambda_o_lp(generators, space, option)
+                checked += 1
+    assert checked >= 20 and boundary_lps >= 1, (checked, boundary_lps)
+
+
+@pytest.mark.parametrize(
+    "generators, option, verdict",
+    [
+        ((vec(0, "-3/2"), vec("3/2", 2)), vec(0, "5/4"), False),
+        ((vec(1, "2/3"), vec(0, "-4/3")), vec(0, "-3/4"), True),
+    ],
+)
+def test_strict_boundary_membership_solves_one_lp(monkeypatch, st2, generators, option, verdict):
+    # Under strict dominance these options lie on the closed hull's facet
+    # x = 0 (Lambda_o = 0), where no strictly positive residual can reach
+    # them: one LP over the generators tight on the facet's ray decides them,
+    # where the two systems of the LP path took two.
+    cone = PosiCone(generators, st2)
+    assert arch.lambda_o(cone, option) == 0
+    solves = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda problem: solves.append(problem) or solve(problem))
+    assert member(cone, option) is verdict
+    assert len(solves) == 1 and solves[0].n_vars == 1
+    monkeypatch.setattr(cone_module, "DD_RAY_CAP", 0)
+    solves.clear()
+    assert member(PosiCone(generators, st2), option) is verdict
+    assert len(solves) == 2
+
+
+def _active_ray_dropped(cone: PosiCone, u: Vector) -> bool:
+    """Drop the ray attaining Lambda_o(u) from the cone's kept list when the
+    min over the rest is larger, so the list misses that ray; False when no
+    ray can be dropped so."""
+    rays = cone_module.hull_dual(cone)
+    u_o = cone.space.u_o
+    active = min(rays, key=lambda r: r.eval(u) / r.eval(u_o))
+    rest = tuple(r for r in rays if r != active)
+    if rest and min(r.eval(u) / r.eval(u_o) for r in rest) == active.eval(u) / active.eval(u_o):
+        return False
+    vars(cone)["hull_dual"] = rest
+    return True
+
+
+def test_a_ray_missing_from_the_kept_list_is_refused(d_sector):
+    # Mutation: with the ray that attains Lambda_o dropped from the kept
+    # list, Lambda_o reads too large and member would answer True for a
+    # non-member, but no combination reaches u - Lambda_o u_o and both
+    # refuse through lp.verified.  This is a RuntimeError, not an assert,
+    # so it holds under python -O.
+    for u, verdict in ((vec(2, -1), False), (vec(2, "-1/2"), True)):
+        assert member(replace(d_sector), u) is verdict
+        for query in (member, arch.lambda_o):
+            cone = replace(d_sector)
+            assert _active_ray_dropped(cone, u)
+            with pytest.raises(RuntimeError, match="Lambda_o combination"):
+                query(cone, u)
+    rng = random.Random(27)
+    refused = 0
+    for _ in range(200):
+        d = rng.randint(2, 4)
+        space = OptionSpace(d, rng.choice(list(Background)), rand_positive_vector(rng, d, 2))
+        cone = PosiCone(tuple(rand_vector(rng, d, 2) for _ in range(rng.randint(1, 3))), space)
+        u = rand_vector(rng, d, 2)
+        if cone_module._kept_rays(cone) and _active_ray_dropped(cone, u):
+            with pytest.raises(RuntimeError, match="combination"):
+                arch.lambda_o(cone, u)
+            refused += 1
+    assert refused > 50, refused
+
+
+def test_a_perturbed_combination_coefficient_is_refused(monkeypatch, d_sector):
+    # Mutation: every kept Lambda_o combination passes its check, and each
+    # one with a coefficient moved fails it.  A solve that returns a moved
+    # coefficient makes the query refuse, under python -O too.
+    rng = random.Random(28)
+    perturbed = 0
+    for _ in range(100):
+        d = rng.randint(2, 4)
+        space = OptionSpace(d, rng.choice(list(Background)), rand_positive_vector(rng, d, 2))
+        cone = PosiCone(tuple(rand_vector(rng, d, 2) for _ in range(rng.randint(1, 3))), space)
+        u = rand_vector(rng, d, 2)
+        try:
+            lam = arch.lambda_o(cone, u)
+        except ValueError:
+            continue
+        combination = cone.record(u).combination
+        w = u - space.u_o.scale(lam)
+        assert combination_reaches(combination, w)
+        for k, (column, coeff) in enumerate(combination):
+            for moved in (coeff + Fraction(1, 7), coeff / 2, -coeff):
+                terms = list(combination)
+                terms[k] = (column, moved)
+                assert not combination_reaches(terms, w), (cone, u, k)
+                perturbed += 1
+    assert perturbed > 100, perturbed
+    solve_in_span = cone_module.solve_in_span
+
+    def moved_solve(columns, target):
+        x = solve_in_span(columns, target)
+        return None if x is None else tuple(a * 2 for a in x)
+
+    monkeypatch.setattr(cone_module, "solve_in_span", moved_solve)
+    with pytest.raises(RuntimeError, match="Lambda_o combination"):
+        arch.lambda_o(replace(d_sector), vec(2, "-1/2"))

@@ -690,7 +690,7 @@ def test_broken_invariants_raise_runtime_errors(monkeypatch):
             id="posi_mixing_witness",
         ),
         pytest.param(
-            "cone._extreme_in_dual = lambda ray, generators: False",
+            "cone._in_dual = lambda ray, generators: False",
             "archimedean.lambda_o(cone.PosiCone((vec(3, -1), vec(-1, 3)), space), vec(1, 0))",
             "dual ray",
             id="dual_ray",

@@ -14,6 +14,7 @@ from conechoice.numeric import (
     format_rational,
     parse_rational,
     rank_of,
+    solve_in_span,
     row_kernel,
     unit_vector,
     vec,
@@ -199,6 +200,34 @@ def matrices_with_planted_dependence(draw):
 @given(matrices_with_planted_dependence())
 def test_integer_rank_agrees_with_rational_row_reduction(rows):
     assert rank_of(rows) == rank_by_fractions(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_with_planted_dependence(), st.data())
+def test_solve_in_span_agrees_with_rational_row_reduction(columns, data):
+    # A target in the span is reached, with zeros off the least-index basis
+    # of the columns; one outside it gives None.
+    dim = columns[0].dim
+    if data.draw(st.booleans()):
+        target = zero_vector(dim)
+        for column in columns:
+            target = target + column.scale(data.draw(rank_entries))
+    else:
+        target = Vector(tuple(data.draw(st.lists(rank_entries, min_size=dim, max_size=dim))))
+    x = solve_in_span(columns, target)
+    in_span = rank_by_fractions([*columns, target]) == rank_by_fractions(columns)
+    assert (x is not None) == in_span
+    if x is not None:
+        total = zero_vector(dim)
+        for column, coeff in zip(columns, x):
+            total = total + column.scale(coeff)
+        assert total == target
+        basis = []
+        for k, column in enumerate(columns):
+            if rank_by_fractions([*basis, column]) > len(basis):
+                basis.append(column)
+            else:
+                assert x[k] == 0, k
 
 
 def test_unit_vectors():

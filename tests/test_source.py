@@ -1,4 +1,5 @@
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -73,3 +74,25 @@ def test_no_engine_module_reaches_into_another_ones_private_names():
             if alias.name.startswith("_") and not alias.name.startswith("__")
         ]
     assert not found, found
+
+
+def test_every_traced_function_exists_in_its_home_module():
+    # perfbench/tracing.py wraps engine functions by name in a traced run;
+    # a renamed or moved function would only show there, in CI's traced
+    # smokes.  Read its WRAPPED list (without importing perfbench) and
+    # check that each conechoice.<home>.<func> exists.
+    tracing = SOURCE.parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(), filename=str(tracing))
+    wrapped = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets)
+    )
+    assert wrapped
+    missing = [
+        f"{home}.{func}"
+        for home, func in wrapped
+        if not callable(getattr(importlib.import_module(f"conechoice.{home}"), func, None))
+    ]
+    assert not missing, missing
