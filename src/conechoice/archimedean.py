@@ -145,10 +145,10 @@ def lambda_o_functional(cone: DesirCone) -> Functional:
 
     Its pieces are the generators of ``lambda_o`` normalised to 1 at u_o
     (``functional.nml``), each kept once: an open-dual cone's pieces, a
-    lexicographic cone's first level, a PosiCone's ``cone.hull_dual`` rays.
-    It raises ``lambda_o``'s errors, and one more past ``cone.DD_RAY_CAP``
-    rays, where there is no closed form and ``lambda_o`` solves one LP per
-    option.
+    lexicographic cone's first level, a PosiCone's extreme rays of the dual
+    of its closed hull (``cone.dual_generators``).  It raises ``lambda_o``'s
+    errors, and one more past ``cone.DD_RAY_CAP`` rays, where there is no
+    closed form and ``lambda_o`` solves one LP per option.
     """
     generators = dual_generators(cone)
     if generators is None:

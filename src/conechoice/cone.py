@@ -39,11 +39,11 @@ Lambda_o, sup{alpha : u - alpha u_o in D}, is for every cone class the min
 of r(u) / r(u_o) over the generators r of the dual of the cone's closure
 (``dual_generators``), evaluated by one routine (``hull_lambda_o``): an
 open-dual cone's pieces, a lexicographic cone's first level, and a
-PosiCone's primitive integer extreme rays of the dual of its closed hull
-(``hull_dual``).  Those rays are found once per cone object by the
-double-description method, in integers, each checked where it is made to
-lie in that dual; a dual with more than ``DD_RAY_CAP`` rays on
-the way keeps none, and its Lambda_o is one LP per option.
+PosiCone's primitive integer extreme rays of the dual of its closed hull.
+Those rays are found once per cone object by the double-description
+method, in integers, each checked where it is made to lie in that dual; a
+dual with more than ``DD_RAY_CAP`` rays on the way keeps none, and its
+Lambda_o is one LP per option.
 
 A PosiCone's Lambda_o is certified from both sides where it is made: the
 least-index ray r* attaining the min lies in the dual, which bounds it from
@@ -53,11 +53,14 @@ r* is zero reaches ``u - Lambda_o(u) u_o``, which bounds it from below
 impossible, and the answer is refused rather than given.  The same rays
 answer a PosiCone's other questions for a nonzero option v, built at the
 cone's first such question: membership is the sign of Lambda_o(v), with r*
-as the functional excluding a non-member and the combination showing a
+as the functional excluding a non-member and a combination showing a
 member (``_facet_membership``); the option-free separation is the sum of
 the rays when it separates (``_cone_separation``); and a hull that is all
 of V holds every nonzero option, shown by one kept combination reaching
--u_o (``_all_of_v``).  Past the cap, and for v = 0, the LPs answer.
+-u_o (``_all_of_v``).  Every such combination comes from one routine,
+``_reach``: an exact solve over a least-index basis of its columns, one LP
+over them only when that solve has a negative coefficient, and a check by
+substitution.  Past the cap, and for v = 0, the membership LPs answer.
 ``archimedean.lambda_o_functional`` is the one reader of the rays whose
 list is not certified: each of its pieces lies in the dual, but no
 combination shows that it misses no ray.
@@ -86,7 +89,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from typing import Any, Callable, Optional, Sequence, Union
 
 from . import lp
@@ -123,7 +126,7 @@ class OptionRecord:
     of the hull dual, or the certificate of a failed membership solve.
     ``separation`` is the option's separation evidence, once some query has
     made it (``option_separation``).  For a PosiCone with kept rays
-    (``hull_dual``), ``active`` is Lambda_o at the option and the
+    (``dual_generators``), ``active`` is Lambda_o at the option and the
     least-index ray r* attaining it, and ``combination`` the checked terms
     reaching ``option - Lambda_o u_o`` over the columns tight on r*
     (``_hull_combination``).
@@ -349,7 +352,7 @@ def member(cone: DesirCone, v: Vector) -> bool:
       strictly positive on every member (``separates``).
 
     Any other nonzero option is decided from the kept rays of the hull dual
-    (``hull_dual``, built here on the cone's first such question) by
+    (``dual_generators``, built here on the cone's first such question) by
     ``_facet_membership``: a closed hull that is all of V keeps no ray and
     answers True by its kept combination reaching -u_o (``_all_of_v``).
     Past ``DD_RAY_CAP``, or for v = 0, ``_membership``'s LP decides.  The
@@ -398,9 +401,11 @@ def _facet_membership(cone: PosiCone, record: OptionRecord, rays: Sequence[Linea
       ``r*(p + s) >= r*(s) > 0`` for p in H and s strictly positive.  So v
       is a member iff v is in posi(generators), and a combination reaching v
       can use only the generators tight on r*, since ``r*(v) = 0`` and r* is
-      nonnegative on every generator: one LP over those, whose checked
-      witness shows a member.  A non-member keeps no ``farkas``: its
-      certificate is nonnegative only on the tight generators.
+      nonnegative on every generator.  ``_reach`` over those decides, by
+      its exact solve or, when that has a negative coefficient, one LP, and
+      its checked combination shows a member.  A non-member keeps no
+      ``farkas``: neither solve gives a functional nonnegative on every
+      generator.
     * No ray, so H is all of V: True, by the kept combination reaching
       ``-u_o = p + o``, p over the generators and o >= 0 over the units
       (``_all_of_v``).  Under pointwise dominance v is a nonzero member of
@@ -420,18 +425,14 @@ def _facet_membership(cone: PosiCone, record: OptionRecord, rays: Sequence[Linea
         _hull_combination(cone, record)
         return True
     tight = [g for g in cone.generators if ray.sign_at(g) == 0]
-    return bool(tight) and isinstance(lp.solve(_posi_problem(tight, v)), lp.Feasible)
+    return _reach(tight, v, "boundary combination") is not None
 
 
-def _membership(
-    cone: PosiCone, v: Vector
-) -> tuple[Optional[Callable[[], Combination]], Optional[LinearF]]:
-    """A call that builds the nonzero (vector, coefficient) terms of a
-    combination reaching v from the witness found, or None; and for a
-    non-member, the Farkas functional of a failed solve when it is
-    nonnegative on every member and negative at v (``_excludes_by``).  A
-    verdict reads only whether there is a combination, so only
-    ``_membership_combination`` makes the call.
+def _membership(cone: PosiCone, v: Vector) -> tuple[Optional[Combination], Optional[LinearF]]:
+    """The nonzero (vector, coefficient) terms of a combination reaching v,
+    or None; and for a non-member, the Farkas functional of a failed solve
+    when it is nonnegative on every member and negative at v
+    (``_excludes_by``).  It serves v = 0 and cones past ``DD_RAY_CAP``.
 
     Pointwise dominance solves one system over the generators and the unit
     vectors, and its certificate always qualifies.  Strict dominance has two
@@ -446,7 +447,7 @@ def _membership(
     if not generators:
         # The semantic set is the open orthant.
         if cone.space.background_strictly_positive(v):
-            return (lambda: ((v, Fraction(1)),)), None
+            return ((v, Fraction(1)),), None
         return None, None
     posi = (_posi_problem, 0, _posi_terms)
     residual = (_residual_problem, 1, _residual_terms)
@@ -454,17 +455,11 @@ def _membership(
     for problem, first, terms in systems:
         result = lp.solve(problem(generators, v))
         if isinstance(result, lp.Feasible):
-            return partial(terms, generators, v, result.witness), None
+            return terms(generators, v, result.witness), None
         y = LinearF(Vector(result.certificate[first : first + v.dim]))
         if _excludes_by(y, cone, v):
             return None, y
     return None, None
-
-
-def _membership_combination(cone: PosiCone, v: Vector) -> Optional[Combination]:
-    """The nonzero (vector, coefficient) terms of a combination reaching v, or None."""
-    combination = _membership(cone, v)[0]
-    return None if combination is None else combination()
 
 
 def _excludes_by(y: LinearF, cone: PosiCone, v: Vector) -> bool:
@@ -490,7 +485,7 @@ def natural_extension(
     combination that reaches 0.
     """
     cone = PosiCone(tuple(assessment), space)
-    combination = _membership_combination(cone, zero_vector(space.dim))
+    combination = _membership(cone, zero_vector(space.dim))[0]
     if combination is not None:
         lp.verified(verify_inconsistency_combination(combination), "inconsistency combination")
         return cone, ConsistencyReport(consistent=False, combination=combination)
@@ -844,39 +839,31 @@ def dual_generators(cone: DesirCone) -> Optional[tuple[LinearF, ...]]:
       alpha < piece(u) / piece(u_o) for every piece, each positive at u_o.
     * A lexicographic cone's is its first level: u - alpha u_o is a member
       when that level is positive there, and not when it is negative.
-    * A PosiCone's are the extreme rays of the dual of its closed hull
-      (``hull_dual``), found once per cone object and kept on it.
+    * A PosiCone's are the extreme rays of the dual of its closed hull, as
+      primitive integer functionals (``_kept_rays``).  The closed hull is
+      H = posi(generators plus units) under both background orders, and its
+      dual H* = {f : f >= 0, f(g) >= 0 for every generator g} lies in the
+      nonnegative orthant, so it is pointed and is the positive hull of its
+      extreme rays: the facet normals of H.  Since H is closed, u is in H
+      iff r(u) >= 0 for every extreme ray r, and so
+
+          Lambda_o(u) = sup{alpha : u - alpha u_o in H} = min_r r(u) / r(u_o),
+
+      with r(u_o) > 0, as r is nonnegative and nonzero and u_o is strictly
+      positive.  No ray, H* = {0}, means H is all of V, where Lambda_o is
+      +infinity: that raises ``ValueError``, once the checked combination
+      reaching -u_o (``_all_of_v``) confirms it.  Each ray is checked to lie
+      in H*, so the min over them is at least Lambda_o(u).  That the list
+      misses no ray is checked at each answer the cone module reads from it,
+      by the combination that reaches ``u - Lambda_o(u) u_o``
+      (``_hull_combination``); it is not checked for
+      ``archimedean.lambda_o_functional``, which returns the rays themselves
+      as its envelope's pieces.
     """
     if isinstance(cone, OpenDualCone):
         return cone.pieces
     if isinstance(cone, LexCone):
         return cone.levels[:1]
-    return hull_dual(cone)
-
-
-def hull_dual(cone: PosiCone) -> Optional[tuple[LinearF, ...]]:
-    """The extreme rays of the dual of the cone's closed hull, as primitive
-    integer functionals; None past ``DD_RAY_CAP``.
-
-    The closed hull is H = posi(generators plus units) under both background
-    orders, and its dual H* = {f : f >= 0, f(g) >= 0 for every generator g}
-    lies in the nonnegative orthant, so it is pointed and is the positive
-    hull of its extreme rays: the facet normals of H.  Since H is closed, u
-    is in H iff r(u) >= 0 for every extreme ray r, and so
-
-        Lambda_o(u) = sup{alpha : u - alpha u_o in H} = min_r r(u) / r(u_o),
-
-    with r(u_o) > 0, as r is nonnegative and nonzero and u_o is strictly
-    positive.  No ray, H* = {0}, means H is all of V, where Lambda_o is
-    +infinity: that raises ``ValueError``, once the checked combination
-    reaching -u_o (``_all_of_v``) confirms it.  The rays are found once per
-    cone object and kept on it.  Each is checked to lie in H*, so the min
-    over them is at least Lambda_o(u).  That the list misses no ray is
-    checked at each answer the cone module reads from it, by the combination
-    that reaches ``u - Lambda_o(u) u_o`` (``_hull_combination``); it is not
-    checked for ``archimedean.lambda_o_functional``, which returns the rays
-    themselves as its envelope's pieces.
-    """
     rays = _kept_rays(cone)
     if rays == ():
         _all_of_v(cone)
@@ -885,30 +872,24 @@ def hull_dual(cone: PosiCone) -> Optional[tuple[LinearF, ...]]:
 
 
 def _kept_rays(cone: PosiCone) -> Optional[tuple[LinearF, ...]]:
-    """``hull_dual``'s rays, found on first need and kept on the cone: None
-    past ``DD_RAY_CAP``, and () when the closed hull is all of V."""
+    """The extreme rays of H* (``dual_generators``), found on first need and
+    kept on the cone under "hull_dual": None past ``DD_RAY_CAP``, and ()
+    when the closed hull is all of V."""
     return cone.kept("hull_dual", _double_description)
 
 
 def _all_of_v(cone: PosiCone) -> Combination:
     """A checked combination of the generators and units reaching -u_o, the
     evidence that the closed hull H is all of V where the double description
-    kept no ray: one LP over ``_hull_columns``, solved once per cone object
-    and kept (``_reach_minus_u_o``).  H holds the nonnegative orthant, so
+    kept no ray: ``_reach`` over ``_hull_columns``, at most one LP per cone
+    object, kept.  H holds the nonnegative orthant, so
     ``u = (u + t u_o) + t (-u_o)`` is in H for every u, once t makes
     ``u + t u_o`` nonnegative."""
-    return cone.kept("all_of_v", _reach_minus_u_o)
-
-
-def _reach_minus_u_o(cone: PosiCone) -> Combination:
-    columns = _hull_columns(cone)
-    minus_u_o = -cone.space.u_o
-    result = lp.solve(_posi_problem(columns, minus_u_o))
-    terms = (
-        _posi_terms(columns, minus_u_o, result.witness) if isinstance(result, lp.Feasible) else ()
+    combination = cone.kept(
+        "all_of_v", lambda c: _reach(_hull_columns(c), -c.space.u_o, "all-of-V combination")
     )
-    lp.verified(bool(terms) and combination_reaches(terms, minus_u_o), "all-of-V combination")
-    return terms
+    lp.verified(combination is not None, "all-of-V combination")
+    return combination
 
 
 def _hull_columns(cone: PosiCone) -> list[Vector]:
@@ -988,7 +969,7 @@ def hull_lambda_o(cone: DesirCone, u: Vector) -> Fraction:
     (``_hull_combination``); both are kept in its record of u.  A generator
     nonpositive at u_o, an open-dual piece or a first level, raises
     ``ValueError``, as does a PosiCone whose closed hull is all of V
-    (``hull_dual``).  A PosiCone past ``DD_RAY_CAP`` keeps no rays and
+    (``dual_generators``).  A PosiCone past ``DD_RAY_CAP`` keeps no rays and
     solves one LP per u over its closed hull, which is unbounded exactly
     when -u_o lies in the hull: the hull holds the nonnegative orthant,
     whose interior holds u_o, so it is then all of V.
@@ -1042,53 +1023,48 @@ def _active_ray(
 def _hull_combination(cone: PosiCone, record: OptionRecord) -> Combination:
     """The nonnegative combination of the generators and units tight on the
     active ray r* that reaches ``w = u - Lambda u_o``, u the record's option
-    and Lambda its ``_active_ray`` value, checked by substitution
-    (``combination_reaches``) and kept in the record.
+    and Lambda its ``_active_ray`` value, found and checked by ``_reach``
+    and kept in the record.
 
     With r* in H*, ``r*(u - alpha u_o) >= 0`` bounds every alpha with
     ``u - alpha u_o`` in H by Lambda; the combination puts w in H, so
     Lambda_o(u) = Lambda exactly.  Where w is in H, any combination reaching
-    it uses only columns T on which r* is zero, as ``r*(w) = 0`` and r* is
-    nonnegative on every column.  So one exact solve over the least-index
-    basis of T (``numeric.solve_in_span``) is tried first; w outside the
-    span of T is outside H, and one LP over T alone decides when the
-    solution has a negative coefficient.  A ray that the kept list misses
-    makes Lambda too large and w fall outside H, so no combination exists
-    and ``lp.verified`` refuses to answer.
+    it uses only columns on which r* is zero, as ``r*(w) = 0`` and r* is
+    nonnegative on every column, so ``_reach`` runs over those alone.  A ray
+    that the kept list misses makes Lambda too large and w fall outside H,
+    so no combination exists and ``lp.verified`` refuses to answer.
     """
     if record.combination is None:
         lam, ray = record.active
         w = record.option - cone.space.u_o.scale(lam)
-        columns = _hull_columns(cone)
-        x = _reach_over_tight(columns, ray, w)
-        combination = None if x is None else tuple((c, a) for c, a in zip(columns, x) if a)
-        lp.verified(
-            combination is not None and combination_reaches(combination, w), "Lambda_o combination"
-        )
+        tight = [c for c in _hull_columns(cone) if ray.sign_at(c) == 0]
+        combination = _reach(tight, w, "Lambda_o combination")
+        lp.verified(combination is not None, "Lambda_o combination")
         record.combination = combination
     return record.combination
 
 
-def _reach_over_tight(
-    columns: Sequence[Vector], ray: LinearF, w: Vector
-) -> Optional[list[Fraction]]:
-    """Nonnegative coefficients over the columns, zero off the columns T on
-    which the ray is zero, that reach w; None when the LP over T finds
-    none.  One exact solve over the least-index basis of T
-    (``numeric.solve_in_span``) gives them when it has no negative
-    coefficient, and one LP over T alone otherwise."""
-    tight = [j for j, c in enumerate(columns) if ray.sign_at(c) == 0]
-    t_columns = [columns[j] for j in tight]
-    y = solve_in_span(t_columns, w)
-    if y is not None and any(a < 0 for a in y):
-        result = lp.solve(_posi_problem(t_columns, w))
-        y = result.witness.entries if isinstance(result, lp.Feasible) else None
-    if y is None:
+def _reach(columns: Sequence[Vector], target: Vector, what: str) -> Optional[Combination]:
+    """The nonzero terms of a nonnegative combination of the columns that
+    reaches the target, or None when there is none: the one search behind
+    every combination that certifies a PosiCone answer read from its rays.
+
+    One exact solve over the least-index basis of the columns
+    (``numeric.solve_in_span``) gives the terms when it has no negative
+    coefficient, and a target outside the span of the columns is outside
+    their positive hull.  Otherwise one LP over the columns decides.  The
+    terms found are checked by substitution (``combination_reaches``), and
+    ``lp.verified`` refuses, naming ``what``, when the check fails.
+    """
+    x = solve_in_span(columns, target)
+    if x is not None and any(a < 0 for a in x):
+        result = lp.solve(_posi_problem(columns, target))
+        x = result.witness.entries if isinstance(result, lp.Feasible) else None
+    if x is None:
         return None
-    x = [Fraction(0)] * len(columns)
-    for j, a in zip(tight, y):
-        x[j] = a
-    return x
+    combination = tuple((c, a) for c, a in zip(columns, x) if a)
+    lp.verified(combination_reaches(combination, target), what)
+    return combination
 
 
 def _hull_lambda_o_lp(cone: PosiCone, u: Vector) -> Fraction:

@@ -254,7 +254,8 @@ def test_lambda_o_of_a_posi_cone_below_the_cap_solves_no_hull_lp(monkeypatch, d_
     # combination is one exact solve over the tight columns, and one
     # feasibility LP only where that solve has a negative coefficient.  A
     # cone whose hull is all of V keeps no ray, and its "+infinity" error is
-    # confirmed by one feasibility LP per cone reaching -u_o.  Past
+    # confirmed once per cone by a combination reaching -u_o, found the same
+    # way: of the 16 such cones, 9 need the LP.  Past
     # DD_RAY_CAP a cone keeps no rays and solves the hull LP for each option,
     # with the same values and the same "+infinity" error.
     rng = random.Random(25)
@@ -263,7 +264,7 @@ def test_lambda_o_of_a_posi_cone_below_the_cap_solves_no_hull_lp(monkeypatch, d_
     solves = _spy(monkeypatch, lp, "solve")
     below = [[_answer(lambda_o, cone, u) for u in us] for cone, us in zip(cones, options)]
     whole = sum(cone.kept("hull_dual") == () for cone in cones)
-    assert whole == 16 and len(solves) == 27 + whole
+    assert whole == 16 and len(solves) == 27 + 9
     assert all(problem.objective is None for problem in solves)
     solves.clear()
     monkeypatch.setattr(cone_module, "DD_RAY_CAP", 0)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -15,7 +16,7 @@ from conechoice.cone import (
     MixingResult,
     OpenDualCone,
     PosiCone,
-    _membership_combination,
+    _membership,
     background_generators,
     combination_reaches,
     is_coherent,
@@ -343,7 +344,7 @@ def test_background_positive_options_are_members_with_no_lp(monkeypatch):
             solves.clear()
             assert member(cone, v), (cone, v)
             assert solves == []
-            combination = _membership_combination(cone, v)
+            combination = _membership(cone, v)[0]
             assert combination is not None, (cone, v)
             total = zero_vector(d)
             for vector, coeff in combination:
@@ -622,15 +623,16 @@ def test_facet_membership_and_lambda_o_agree_with_the_oracles(monkeypatch):
     # Lambda_o(w) = 0, and w + u_o / 2 inside and w - u_o / 2 outside it;
     # membership agrees with the brute-force oracle and Lambda_o with the
     # hull LP.  The oracle's vertex enumeration grows fast with the
-    # dimension, so 5 dims get one generator and the facet option alone.  Once a cone's rays are kept, an option inside or outside
-    # solves at most the one LP of its combination, and one on a facet under
-    # strict dominance at most the one LP over the generators tight on the
-    # active ray.
+    # dimension, so 5 dims get one generator and the facet option alone.
+    # Once a cone's rays are kept, an option inside or outside solves at
+    # most the one LP of its combination, and one on a facet under strict
+    # dominance at most the one LP over the generators tight on the active
+    # ray; some of the options checked are of that last kind.
     rng = random.Random(26)
     solves = []
     solve = lp.solve
     monkeypatch.setattr(lp, "solve", lambda problem: solves.append(problem) or solve(problem))
-    checked = boundary_lps = 0
+    checked = strict_facet = 0
     for d, m in ((2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1)):
         for background in Background:
             space = OptionSpace(d, background, rand_positive_vector(rng, d, 2))
@@ -650,10 +652,10 @@ def test_facet_membership_and_lambda_o_agree_with_the_oracles(monkeypatch):
                 verdict = member(cone, option)
                 assert verdict == _oracle_member(cone, option), (cone, option)
                 assert len(solves) <= 1, (cone, option)
-                boundary_lps += shift == 0 and background is Background.STRICT and len(solves)
+                strict_facet += shift == 0 and background is Background.STRICT
                 assert arch.lambda_o(cone, option) == hull_lambda_o_lp(generators, space, option)
                 checked += 1
-    assert checked >= 20 and boundary_lps >= 1, (checked, boundary_lps)
+    assert checked >= 20 and strict_facet >= 1, (checked, strict_facet)
 
 
 @pytest.mark.parametrize(
@@ -661,20 +663,26 @@ def test_facet_membership_and_lambda_o_agree_with_the_oracles(monkeypatch):
     [
         ((vec(0, "-3/2"), vec("3/2", 2)), vec(0, "5/4"), False),
         ((vec(1, "2/3"), vec(0, "-4/3")), vec(0, "-3/4"), True),
+        ((vec(1, 0), vec(-1, 0)), vec(-2, 0), True),
     ],
 )
 def test_strict_boundary_membership_solves_one_lp(monkeypatch, st2, generators, option, verdict):
-    # Under strict dominance these options lie on the closed hull's facet
-    # x = 0 (Lambda_o = 0), where no strictly positive residual can reach
-    # them: one LP over the generators tight on the facet's ray decides them,
-    # where the two systems of the LP path took two.
+    # Under strict dominance these options lie on a facet of the closed hull
+    # (Lambda_o = 0), where no strictly positive residual can reach them.
+    # The generators tight on the facet's ray decide them, where the two
+    # systems of the LP path took two LPs: by one exact solve when it has no
+    # negative coefficient (no LP), else by one LP over those generators.
+    # In the first case the one tight generator reaches v only with a
+    # negative coefficient; in the last the least-index basis of the tight
+    # pair (1, 0), (-1, 0) is (1, 0), which reaches (-2, 0) only so.
+    lp_sizes = {vec(0, "5/4"): [1], vec(0, "-3/4"): [], vec(-2, 0): [2]}[option]
     cone = PosiCone(generators, st2)
     assert arch.lambda_o(cone, option) == 0
     solves = []
     solve = lp.solve
     monkeypatch.setattr(lp, "solve", lambda problem: solves.append(problem) or solve(problem))
     assert member(cone, option) is verdict
-    assert len(solves) == 1 and solves[0].n_vars == 1
+    assert [problem.n_vars for problem in solves] == lp_sizes
     monkeypatch.setattr(cone_module, "DD_RAY_CAP", 0)
     solves.clear()
     assert member(PosiCone(generators, st2), option) is verdict
@@ -685,7 +693,7 @@ def _active_ray_dropped(cone: PosiCone, u: Vector) -> bool:
     """Drop the ray attaining Lambda_o(u) from the cone's kept list when the
     min over the rest is larger, so the list misses that ray; False when no
     ray can be dropped so."""
-    rays = cone_module.hull_dual(cone)
+    rays = cone_module.dual_generators(cone)
     u_o = cone.space.u_o
     active = min(rays, key=lambda r: r.eval(u) / r.eval(u_o))
     rest = tuple(r for r in rays if r != active)
@@ -756,3 +764,61 @@ def test_a_perturbed_combination_coefficient_is_refused(monkeypatch, d_sector):
     monkeypatch.setattr(cone_module, "solve_in_span", moved_solve)
     with pytest.raises(RuntimeError, match="Lambda_o combination"):
         arch.lambda_o(replace(d_sector), vec(2, "-1/2"))
+    # A strict-dominance member on a facet of the closed hull, shown by the
+    # exact solve over the generators tight there, and a hull that is all
+    # of V, shown by the exact solve reaching -u_o = (-1, -1).
+    strict = OptionSpace(2, Background.STRICT, vec(1, 1))
+    boundary = PosiCone((vec(1, "2/3"), vec(0, "-4/3")), strict)
+    with pytest.raises(RuntimeError, match="boundary combination"):
+        member(boundary, vec(0, "-3/4"))
+    whole = PosiCone((vec(-1, -1),), d_sector.space)
+    with pytest.raises(RuntimeError, match="all-of-V combination"):
+        member(whole, vec(-1, 0))
+
+
+def test_reach_finds_a_combination_exactly_when_the_oracle_does(monkeypatch):
+    # cone._reach against oracles.brute_force_lp in dual form: a nonzero
+    # target is in posi(columns) iff min f(target) over the functionals f
+    # nonnegative on every column is 0, not unbounded.  Columns in dims 1-4
+    # include zero vectors, repeats and g, -g pairs; the targets are
+    # positive combinations of all the columns, of one or two of them (often
+    # on the boundary of their positive hull), and random vectors.  Both the
+    # exact solve and the LP decide some of them.
+    rng = random.Random(29)
+    solves = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda problem: solves.append(problem) or solve(problem))
+    branches = Counter()
+    for _ in range(100):
+        d = rng.randint(1, 4)
+        columns: list[Vector] = []
+        for _ in range(rng.randint(0, 5 if d < 4 else 3)):
+            draw = rng.random()
+            if draw < 0.1:
+                columns.append(zero_vector(d))
+            elif draw < 0.25 and columns:
+                columns.append(rng.choice(columns))
+            elif draw < 0.45 and columns:
+                columns.append(-rng.choice(columns))
+            else:
+                columns.append(rand_vector(rng, d, 2))
+        picks = [columns, rng.sample(columns, min(len(columns), rng.randint(1, 2)))]
+        targets = [rand_vector(rng, d, 2)] + [
+            sum((c.scale(a) for c, a in zip(pick, rand_positive_vector(rng, len(pick), 2))),
+                zero_vector(d))
+            for pick in picks
+            if pick
+        ]
+        for target in targets:
+            if target.is_zero():
+                continue
+            solves.clear()
+            combination = cone_module._reach(columns, target, "test combination")
+            rows = tuple(lp.Constraint(c, lp.GE, Fraction(0)) for c in columns)
+            status, _ = brute_force_lp(lp.LpProblem(d, rows, lp.Objective("min", target)))
+            assert (combination is not None) == (status == "optimal"), (columns, target)
+            if combination is not None:
+                assert all(c in columns and a > 0 for c, a in combination)
+                assert combination_reaches(combination, target)
+            branches["lp" if solves else "exact", combination is not None] += 1
+    assert all(branches[key] for key in product(("exact", "lp"), (True, False))), branches

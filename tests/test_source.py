@@ -96,3 +96,59 @@ def test_every_traced_function_exists_in_its_home_module():
         if not callable(getattr(importlib.import_module(f"conechoice.{home}"), func, None))
     ]
     assert not missing, missing
+
+
+def test_only_the_listed_functions_call_the_lp_solver():
+    # Every LP the engine solves is one of these call sites; a new one fails
+    # here until it is listed on purpose.  A call is `<alias>.solve(...)`
+    # with <alias> bound by `from . import lp [as alias]`, or a name bound by
+    # `from .lp import solve [as name]`, and it counts for the module-level
+    # function or method it sits in.
+    expected = {
+        "cone.posi_member",
+        "cone._membership",
+        "cone._reach",
+        "cone._solve_separation",
+        "cone._open_dual_mixing",
+        "cone._hull_lambda_o_lp",
+        "functional.dominating_polytope",
+    }
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        aliases = {
+            alias.asname or alias.name
+            for node in imports
+            if node.level == 1 and node.module is None
+            for alias in node.names
+            if alias.name == "lp"
+        }
+        names = {
+            alias.asname or alias.name
+            for node in imports
+            if node.level == 1 and node.module == "lp"
+            for alias in node.names
+            if alias.name == "solve"
+        }
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        functions += [
+            item
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef)
+        ]
+        for function in functions:
+            for node in ast.walk(function):
+                if not isinstance(node, ast.Call):
+                    continue
+                call = node.func
+                if (
+                    isinstance(call, ast.Attribute)
+                    and call.attr == "solve"
+                    and isinstance(call.value, ast.Name)
+                    and call.value.id in aliases
+                ) or (isinstance(call, ast.Name) and call.id in names):
+                    found.add(f"{path.stem}.{function.name}")
+    assert found == expected, (sorted(found - expected), sorted(expected - found))
