@@ -12,8 +12,16 @@ No single representation can express all three shapes (closed sectors, open
 half-spaces, lexicographic cones), which is why all three exist.
 
 Separation -- a background-positive linear functional strictly positive on
-the cone -- is one strict homogeneous solve (``separation_evidence``), with
-rows per class, unless a PosiCone's kept rays decide it first (below):
+the cone -- is one strict homogeneous system (``separation_evidence``), with
+rows per class.  The cone's own data answer it first where they can
+(``_cone_separation``): the sum of a PosiCone's kept rays, the Farkas
+certificate of a PosiCone whose closed hull is all of V from its kept
+combination reaching -u_o, and the sum of an OpenDualCone's pieces or one
+piece alone.  For an option v, the functional ``y + t f`` is built from the
+cone's kept f and a functional y excluding v (``option_separation``).  Each
+functional so found passes ``separates`` and each certificate
+``lp.verify_infeasibility_certificate``; the LP solves only what they leave
+undecided.  Per class:
 
 * PosiCone: a functional is strictly positive on the cone iff it is strictly
   positive on the finitely many generators and background-positive.
@@ -57,10 +65,12 @@ as the functional excluding a non-member and a combination showing a
 member (``_facet_membership``); the option-free separation is the sum of
 the rays when it separates (``_cone_separation``); and a hull that is all
 of V holds every nonzero option, shown by one kept combination reaching
--u_o (``_all_of_v``).  Every such combination comes from one routine,
-``_reach``: an exact solve over a least-index basis of its columns, one LP
-over them only when that solve has a negative coefficient, and a check by
-substitution.  Past the cap, and for v = 0, the membership LPs answer.
+-u_o (``_all_of_v``), which also certifies that no functional separates
+the cone (``_all_of_v_certificate``).  Every such combination comes from
+one routine, ``_reach``: an exact solve over a least-index basis of its
+columns, one LP over them only when that solve has a negative
+coefficient, and a check by substitution.  Past the cap, and for v = 0,
+the membership LPs answer.
 ``archimedean.lambda_o_functional`` is the one reader of the rays whose
 list is not certified: each of its pieces lies in the dual, but no
 combination shows that it misses no ray.
@@ -247,17 +257,28 @@ def verify_inconsistency_combination(
 
 def combination_reaches(combination: Sequence[tuple[Vector, Fraction]], target: Vector) -> bool:
     """Are the coefficients nonnegative and the sum of the terms the target?
-    Checked by substitution."""
+    Checked by substitution, in integers over one common denominator.
+
+    With the coefficients ``a_k = A_k / D`` and each vector ``v_k = V_k /
+    s_k`` in integers (``integer_form``), and L the lcm of the s_k, the sum
+    is ``sum_k A_k (L / s_k) V_k`` over ``D L``, compared with the target's
+    integers ``T / s`` by cross-multiplying."""
     if not combination:
         return target.is_zero()
-    coeffs = Vector(tuple(coeff for _, coeff in combination))
-    if any(coeff < 0 for coeff in coeffs):
+    if any(coeff < 0 for _, coeff in combination):
         return False
-    for i, value in enumerate(target):
-        num, den = coeffs.dot_ratio(Vector(tuple(v[i] for v, _ in combination)))
-        if num * value.denominator != value.numerator * den:
-            return False
-    return True
+    D, A = integer_form([coeff for _, coeff in combination])
+    forms = [integer_form(v.entries) for v, _ in combination]
+    L = math.lcm(*(s for s, _ in forms))
+    total = [0] * target.dim
+    for a, (s, V) in zip(A, forms):
+        k = a * (L // s)
+        if k:
+            for i, x in enumerate(V):
+                total[i] += k * x
+    s, T = integer_form(target.entries)
+    DL = D * L
+    return all(x * s == t * DL for x, t in zip(total, T))
 
 
 def _posi_problem(generators: Sequence[Vector], v: Vector) -> lp.LpProblem:
@@ -606,36 +627,92 @@ def separation_evidence(cone: DesirCone) -> Union[LinearF, lp.Infeasible]:
     Returns a background-positive linear functional strictly positive on the
     cone, re-verified before it is returned, or the ``lp.Infeasible`` whose
     Farkas certificate, checked too, shows that no such functional exists.
-    It is found once per cone object and then kept (``_Cone.kept``): for a
-    PosiCone with kept rays without an LP (``_cone_separation``), and
+    It is found once per cone object and then kept (``_Cone.kept``): from
+    the cone's own data where they decide it (``_cone_separation``), and
     otherwise by one solve.  The system for an option v adds the row
-    ``f(v) <= 0`` and is solved only by ``option_separation``, where v's
-    membership left no functional.
+    ``f(v) <= 0`` and is solved only by ``option_separation``, where no
+    ``y + t f`` separated v.
     """
     return cone.kept("separation", _cone_separation)
 
 
 def _cone_separation(cone: DesirCone) -> Union[LinearF, lp.Infeasible]:
-    """The sum of a PosiCone's kept rays, when ``separates`` passes it, else
-    the solve of the option-free system.
+    """The option-free answer from the cone's own data where that decides
+    it, else the solve of the option-free system.
 
-    The rays generate H*, the dual of the closed hull, so a functional f
-    that separates is ``sum_r mu_r r`` with every ``mu_r >= 0``.  Where f is
-    positive, at a generator or a unit, so is some ray, and so is the sum of
-    the rays, which is nonnegative everywhere on H: it separates whenever
-    any functional does.  It is scaled to the LP's normalisation: its least
-    value on the system's strict rows is 1.  The LP is left for cones past
-    ``DD_RAY_CAP``, for a hull that is all of V (no ray), and for every
-    ``lp.Infeasible`` answer, whose certificate only it gives.
+    * A PosiCone with kept rays: the sum of the rays, when ``separates``
+      passes it.  The rays generate H*, the dual of the closed hull, so a
+      functional f that separates is ``sum_r mu_r r`` with every
+      ``mu_r >= 0``.  Where f is positive, at a generator or a unit, so is
+      some ray, and so is the sum of the rays, which is nonnegative
+      everywhere on H: it separates whenever any functional does.
+    * A PosiCone whose closed hull is all of V (no ray): no functional
+      separates, and the kept combination reaching -u_o gives the Farkas
+      certificate (``_all_of_v_certificate``).
+    * An OpenDualCone: a functional separates iff it is a background-positive
+      nonnegative combination of the pieces, some weight positive (Farkas:
+      the LP runs over the weights).  The sum of the pieces, then each piece
+      alone, is tried, and the first that ``separates`` passes is the answer.
+
+    A functional found so is scaled to the LP's normalisation: its least
+    value on the system's strict rows is 1, an open-dual cone's sum of
+    weights counted among them.  The LP is left for a LexCone, for cones
+    past ``DD_RAY_CAP``, and for open-dual cones that no candidate decides,
+    every ``lp.Infeasible`` one among them, whose certificate only it gives.
     """
     rays = _kept_rays(cone) if isinstance(cone, PosiCone) else None
+    if rays == ():
+        return _all_of_v_certificate(cone)
+    strict = [c.coeffs for c in strict_background_rows(cone.space)[0]]
+    # (functional, the strict rows read on the option space, the sum of weights)
+    candidates: list[tuple[Vector, Sequence[Vector], tuple[Fraction, ...]]] = []
     if rays:
-        total = Vector(tuple(map(sum, zip(*(r.coeffs.entries for r in rays)))))
-        if separates(LinearF(total), cone):
-            strict, _ = strict_background_rows(cone.space)
-            least = min(s.dot(total) for s in (*cone.generators, *(c.coeffs for c in strict)))
-            return LinearF(total.scale(1 / least))
+        candidates.append((_sum([r.coeffs for r in rays]), [*cone.generators, *strict], ()))
+    elif isinstance(cone, OpenDualCone):
+        pieces = [p.coeffs for p in cone.pieces]
+        candidates.append((_sum(pieces), strict, (Fraction(len(pieces)),)))
+        if len(pieces) > 1:
+            candidates += [(p, strict, (Fraction(1),)) for p in pieces]
+    for f, rows, weights in candidates:
+        if separates(LinearF(f), cone):
+            least = min([*(s.dot(f) for s in rows), *weights])
+            return LinearF(f.scale(1 / least))
     return _solve_separation(cone)
+
+
+def _sum(vectors: Sequence[Vector]) -> Vector:
+    return Vector(tuple(map(sum, zip(*(v.entries for v in vectors)))))
+
+
+def _all_of_v_certificate(cone: PosiCone) -> lp.Infeasible:
+    """The Farkas certificate of the option-free separation system of a
+    PosiCone whose closed hull is all of V, read from the kept combination
+    ``-u_o = sum_k lam_k g_k + sum_i o_i e_i`` (``_all_of_v``) and checked
+    against the system's rows (``_separation_rows``).
+
+    The generator rows ``f(g_k) >= 1`` take lam_k and the unit rows
+    ``f(e_i) >= 1`` (pointwise) or ``f(e_i) >= 0`` (strict) take
+    ``o_i + u_o[i]``; under strict dominance the sum row takes 0.  The
+    rows' left sides then cancel, ``sum lam_k g_k + sum (o_i + u_o[i]) e_i
+    = -u_o + u_o = 0``, while their right sides sum to a positive number:
+    under pointwise dominance each ``u_o[i] > 0`` counts, and under strict
+    dominance some lam_k is positive, as -u_o is not nonnegative.
+    """
+    space = cone.space
+    weights: dict[Vector, Fraction] = {}
+    for column, a in _all_of_v(cone):
+        weights[column] = weights.get(column, 0) + a
+    # A column repeated, among the generators or as a unit, takes its
+    # weight at its first row: the left sides still cancel, and the right
+    # sides' sum can only grow.
+    certificate = [weights.pop(g, Fraction(0)) for g in cone.generators]
+    if space.background is Background.STRICT:
+        certificate.append(Fraction(0))
+    certificate += [weights.pop(e, 0) + u for e, u in zip(background_generators(space), space.u_o)]
+    rows = _separation_rows(cone)[0]
+    problem = lp.LpProblem(space.dim, tuple(rows))
+    lp.verified(lp.verify_infeasibility_certificate(problem, certificate), "all-of-V certificate")
+    return lp.Infeasible(tuple(certificate))
 
 
 def _solve_separation(
@@ -669,23 +746,33 @@ def option_separation(cone: DesirCone, v: Vector) -> Optional[LinearF]:
       functional strictly positive on the cone at the other.  This needs no
       LP for v: membership is an evaluation for an OpenDualCone or a
       LexCone, and a PosiCone keeps its verdict in its record of v.
-    * Otherwise v is a non-member.  Where the record holds a functional y
-      nonnegative on every member and negative at v (``_excludes_by``),
+    * Otherwise v is a non-member.  Where there is a functional y
+      nonnegative on every member and nonpositive at v (``_excluding``),
 
           f' = y + t f,  t = -y(v) / f(v)
 
-      separates v with no LP: ``y >= 0`` and ``f > 0`` on every member and
-      on the background, so ``f' > 0`` there; ``y(v) < 0 < f(v)``, so
-      ``t > 0``; and ``f'(v) = y(v) + t f(v) = 0``.  A PosiCone with kept
-      rays gives the active ray, negative at every non-member off the
-      closed hull (``_facet_membership``).  On the LP path a
-      pointwise-dominance certificate always qualifies; under strict
-      dominance a nonzero v tries the strictly positive residual first,
-      whose certificate is nonnegative with ``y(v) <= 0``, then the
-      generators alone (``_membership``).  Only where no functional
-      qualified (an open-dual or lexicographic non-member, or a
-      strict-dominance one on the closed hull's boundary) is the system for
-      v solved.
+      is strictly positive on every member and zero at v: ``y >= 0`` and
+      ``f > 0`` on every member, ``y(v) <= 0 < f(v)``, so ``t >= 0``, and
+      ``f'(v) = y(v) + t f(v) = 0``.
+
+      - A PosiCone's y is the record's ``farkas``, nonnegative and
+        negative at v (``_excludes_by``), so f' is background-positive too
+        and separates v with no LP.  A PosiCone with kept rays gives the
+        active ray, negative at every non-member off the closed hull
+        (``_facet_membership``).  On the LP path a pointwise-dominance
+        certificate always qualifies; under strict dominance a nonzero v
+        tries the strictly positive residual first, whose certificate is
+        nonnegative with ``y(v) <= 0``, then the generators alone
+        (``_membership``).
+      - An open-dual cone's y is the first piece p with ``p(v) <= 0``, one
+        that v's non-membership shows.  f' is a nonnegative combination of
+        the pieces, as f is, but p need not be background-positive, so f'
+        may fail ``separates``.
+
+      Only where no functional y qualified (a strict-dominance non-member
+      on the closed hull's boundary), or an open-dual f' failed, is the
+      system for v solved.  A LexCone never gets this far: its f is a
+      positive multiple of its one level, so ``f(v) > 0`` makes v a member.
 
     A functional made here is checked where it is made (``separates``) and
     kept in the record of v, so membership, the closure and separation of
@@ -694,7 +781,7 @@ def option_separation(cone: DesirCone, v: Vector) -> Optional[LinearF]:
     member, so ``f(v) <= 0`` excludes v, and a functional made for v passed
     ``separates`` at v after v's membership came out False.  Only the kept f
     of an open-dual or lexicographic cone, whose ``separates`` check reads
-    its LP rows rather than its members, is checked here, by membership.
+    its rows rather than its members, is checked here, by membership.
     """
     if v.dim != cone.space.dim:
         raise ValueError("dimension mismatch")
@@ -709,14 +796,16 @@ def option_separation(cone: DesirCone, v: Vector) -> Optional[LinearF]:
         return None
     record = cone.record(v)
     if record.separation is None:
-        y = record.farkas
-        if y is None:
-            record.separation = _solve_separation(cone, (v,))
-        else:
+        y = _excluding(cone, record)
+        made = None
+        if y is not None:
             t = -y.eval(v) / f.eval(v)
             made = LinearF(y.coeffs + f.coeffs.scale(t))
-            lp.verified(separates(made, cone, (v,)), "separation witness")
-            record.separation = made
+            if not separates(made, cone, (v,)):
+                # Only an open-dual piece may leave y + t f not background-positive.
+                lp.verified(isinstance(cone, OpenDualCone), "separation witness")
+                made = None
+        record.separation = _solve_separation(cone, (v,)) if made is None else made
     evidence = record.separation
     return None if isinstance(evidence, lp.Infeasible) else evidence
 
@@ -727,6 +816,16 @@ class MixingResult:
 
     status: Optional[bool]
     witness: Optional[tuple[Vector, Vector]] = None
+
+
+def _excluding(cone: DesirCone, record: OptionRecord) -> Optional[LinearF]:
+    """A functional y nonnegative on every member and negative or zero at
+    the record's option v, a non-member, for ``option_separation``'s
+    ``y + t f``: the first open-dual piece nonpositive at v, else the
+    record's ``farkas`` (a LexCone never asks)."""
+    if isinstance(cone, OpenDualCone):
+        return next(p for p in cone.pieces if p.sign_at(record.option) <= 0)
+    return record.farkas
 
 
 def _positively_proportional(a: Vector, b: Vector) -> bool:

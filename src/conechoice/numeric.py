@@ -288,7 +288,9 @@ def solve_in_span(columns: Sequence[Vector], target: Vector) -> Optional[tuple[F
 
     Each equation (one coordinate) is scaled into integers on its own
     (``integer_form``), which keeps its solutions, then eliminated
-    (``_echelon``) and solved back over the pivot columns.
+    (``_echelon``) and solved back over the pivot columns in integers, as
+    numerators over one common denominator, the product of the pivots; one
+    Fraction is built per nonzero coefficient, at the end.
 
     >>> solve_in_span([vec(1, 1), vec(2, 2), vec(0, 1)], vec(3, 5))
     (Fraction(3, 1), Fraction(0, 1), Fraction(2, 1))
@@ -300,11 +302,16 @@ def solve_in_span(columns: Sequence[Vector], target: Vector) -> Optional[tuple[F
     matrix, pivots = _echelon(rows)
     if pivots and pivots[-1] == m:
         return None
-    x = [Fraction(0)] * m
+    # x = X / den throughout: solving row for x[col] multiplies den by the
+    # pivot, so the numerators found so far are multiplied by it too.
+    X, den = [0] * m, 1
     for row, col in zip(reversed(matrix), reversed(pivots)):
-        rest = sum(row[j] * x[j] for j in range(col + 1, m))
-        x[col] = (row[m] - rest) / Fraction(row[col])
-    return tuple(x)
+        rest = sum(row[j] * X[j] for j in range(col + 1, m) if X[j])
+        pivot = row[col]
+        X = [a * pivot for a in X]
+        X[col] = row[m] * den - rest
+        den *= pivot
+    return tuple(Fraction(a, den) if a else _ZERO for a in X)
 
 
 def row_kernel(row: Vector) -> list[Vector]:

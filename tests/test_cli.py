@@ -469,6 +469,22 @@ def test_lp_solves_per_coin_query(monkeypatch):
     )} == {"D_H.arch_consistent": 1, "K_hot.is_binary": 1, "hot_membership": 0, "D_sector.mixing": 0}
 
 
+def test_coin_open_dual_cones_are_consistent_with_no_lp(monkeypatch):
+    # D_I, D_half and D_third are Archimedean-consistent by the sum of their
+    # pieces, scaled to the LP's normalisation: (1, 1), as tests/golden
+    # records, with no LP.
+    calls = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda problem: calls.append(problem) or solve(problem))
+    model = load_model(COIN)
+    names = ("D_I.arch_consistent", "D_half.arch_consistent", "D_third.arch_consistent")
+    records = [run_query(model, q) for q in check_queries(model) if q["name"] in names]
+    assert [record["name"] for record in records] == list(names)
+    for record in records:
+        assert record["answer"] is True and record["witness"] == ["1", "1"], record
+    assert calls == []
+
+
 def test_arch_member_solves_no_lp_for_a_non_member(tmp_path, capsys, monkeypatch):
     # The closure query reads the sector's option-free separation, the sum
     # of its hull dual's rays, and the membership of (2, -1), whose active

@@ -498,7 +498,7 @@ def test_cone_construction_validation(pw2):
 # or "ValueError: <message>": every verdict, witness and certificate the cone,
 # Archimedean and choice layers give them.  A refactor keeps it; a change to
 # an answer or a piece of evidence changes it on purpose and records the new one.
-ENGINE_DIGEST = "f4bb7db15fbad2c52ad0ef7ba7a36d8472c380f2e956acc85114a2711eb3f834"
+ENGINE_DIGEST = "de7541f4812e44e0203cb7c4490daefd635d6896bbf0f812f03370cdba026d1c"
 
 # The SHA-256 of the same answers reduced to what they decide (``_verdict``):
 # verdicts, values, rejection sets and error messages, with no evidence.  A
@@ -666,7 +666,9 @@ def test_facet_membership_and_lambda_o_agree_with_the_oracles(monkeypatch):
         ((vec(1, 0), vec(-1, 0)), vec(-2, 0), True),
     ],
 )
-def test_strict_boundary_membership_solves_one_lp(monkeypatch, st2, generators, option, verdict):
+def test_strict_boundary_membership_solves_at_most_one_lp(
+    monkeypatch, st2, generators, option, verdict
+):
     # Under strict dominance these options lie on a facet of the closed hull
     # (Lambda_o = 0), where no strictly positive residual can reach them.
     # The generators tight on the facet's ray decide them, where the two
@@ -822,3 +824,97 @@ def test_reach_finds_a_combination_exactly_when_the_oracle_does(monkeypatch):
                 assert combination_reaches(combination, target)
             branches["lp" if solves else "exact", combination is not None] += 1
     assert all(branches[key] for key in product(("exact", "lp"), (True, False))), branches
+
+
+# ---------------------------------------------------------------------------
+# Separation answered from the cone's own data before any LP
+
+
+def test_open_dual_separation_agrees_with_the_lp(monkeypatch):
+    # Random open-dual cones with 1-4 pieces in dims 2-4, under both
+    # backgrounds.  The option-free answer (the sum of the pieces, a single
+    # piece, or the LP) and the answer for each option (the kept f, y + t f
+    # from a piece nonpositive there, or the LP for the option) agree in
+    # verdict with the separation LP itself, and every functional given is a
+    # nonnegative combination of the pieces that passes ``separates``.
+    rng = random.Random(30)
+    lp_calls = []
+    solve_separation = cone_module._solve_separation
+
+    def spy(cone, options=()):
+        lp_calls.append(options)
+        return solve_separation(cone, options)
+
+    monkeypatch.setattr(cone_module, "_solve_separation", spy)
+    branches = Counter()
+    for _ in range(150):
+        d = rng.randint(2, 4)
+        space = OptionSpace(d, rng.choice(list(Background)), rand_positive_vector(rng, d, 2))
+        pieces = tuple(LinearF(rand_vector(rng, d, 2)) for _ in range(rng.randint(1, 4)))
+        if any(p.coeffs.is_zero() for p in pieces):
+            continue
+        cone = OpenDualCone(pieces, space)
+        columns = [p.coeffs for p in pieces]
+        lp_calls.clear()
+        f = separation_evidence(cone)
+        expected = solve_separation(cone)
+        assert isinstance(f, LinearF) == isinstance(expected, LinearF), cone
+        if lp_calls:
+            branches["lp"] += 1
+        elif cone_module._positively_proportional(cone_module._sum(columns), f.coeffs):
+            branches["sum"] += 1
+        else:
+            assert any(cone_module._positively_proportional(p, f.coeffs) for p in columns)
+            branches["piece"] += 1
+        if isinstance(f, LinearF):
+            assert separates(f, cone) and posi_member(columns, f.coeffs), cone
+        for _ in range(3):
+            v = rand_vector(rng, d, 2)
+            lp_calls.clear()
+            made = cone_module.option_separation(cone, v)
+            expected = solve_separation(cone, (v,))
+            assert (made is None) == isinstance(expected, lp.Infeasible), (cone, v)
+            if made is None:
+                continue
+            assert separates(made, cone, (v,)) and posi_member(columns, made.coeffs), (cone, v)
+            if made is not f:
+                branches["option lp" if lp_calls else "y + t f"] += 1
+    assert all(branches[key] for key in ("sum", "piece", "lp", "y + t f", "option lp")), branches
+
+
+@pytest.mark.parametrize("background", list(Background))
+def test_a_hull_equal_to_v_separates_from_its_kept_combination(monkeypatch, background):
+    # A PosiCone whose closed hull is all of V: after its first membership
+    # the option-free system's Farkas certificate is read from the kept
+    # combination reaching -u_o, with no LP, and it checks against the LP's
+    # rows.  A moved coefficient of that combination makes the certificate
+    # fail and the query refuse through lp.verified, under python -O too.
+    space = OptionSpace(2, background, vec(1, 2))
+    for generators in (
+        (vec(-1, -1),),
+        (vec(1, -3), vec(-2, 1)),
+        (vec(-1, 0), vec(0, -1), vec(-1, 0)),
+        (vec(1, 0), vec(-1, -1)),
+    ):
+        cone = PosiCone(generators, space)
+        assert member(cone, vec(-1, 0))
+        assert cone_module._kept_rays(cone) == ()
+        solves = []
+        solve = lp.solve
+        monkeypatch.setattr(lp, "solve", lambda problem: solves.append(problem) or solve(problem))
+        evidence = separation_evidence(cone)
+        assert solves == [] and isinstance(evidence, lp.Infeasible)
+        rows = cone_module._separation_rows(cone)[0]
+        problem = lp.LpProblem(2, tuple(rows))
+        assert lp.verify_infeasibility_certificate(problem, evidence.certificate)
+        assert isinstance(solve(problem), lp.Infeasible)
+        monkeypatch.setattr(lp, "solve", solve)
+        combination = cone_module._all_of_v(cone)
+        for k, (column, coeff) in enumerate(combination):
+            moved = replace(cone)
+            assert member(moved, vec(-1, 0))
+            terms = list(combination)
+            terms[k] = (column, coeff + Fraction(1, 7))
+            vars(moved)["all_of_v"] = tuple(terms)
+            with pytest.raises(RuntimeError, match="all-of-V certificate"):
+                separation_evidence(moved)
