@@ -50,27 +50,32 @@ open-dual cone's pieces, a lexicographic cone's first level, and a
 PosiCone's primitive integer extreme rays of the dual of its closed hull.
 Those rays are found once per cone object by the double-description
 method, in integers, each checked where it is made to lie in that dual; a
-dual with more than ``DD_RAY_CAP`` rays on the way keeps none, and its
-Lambda_o is one LP per option.
+dual with more than ``DD_RAY_CAP`` rays on the way keeps none.
 
-A PosiCone's Lambda_o is certified from both sides where it is made: the
-least-index ray r* attaining the min lies in the dual, which bounds it from
-above, and a nonnegative combination of the generators and units on which
-r* is zero reaches ``u - Lambda_o(u) u_o``, which bounds it from below
-(``_hull_combination``).  A ray the list missed makes that combination
-impossible, and the answer is refused rather than given.  The same rays
-answer a PosiCone's other questions for a nonzero option v, built at the
-cone's first such question: membership is the sign of Lambda_o(v), with r*
-as the functional excluding a non-member and a combination showing a
-member (``_facet_membership``); the option-free separation is the sum of
-the rays when it separates (``_cone_separation``); and a hull that is all
-of V holds every nonzero option, shown by one kept combination reaching
--u_o (``_all_of_v``), which also certifies that no functional separates
-the cone (``_all_of_v_certificate``).  Every such combination comes from
-one routine, ``_reach``: an exact solve over a least-index basis of its
-columns, one LP over them only when that solve has a negative
-coefficient, and a check by substitution.  Past the cap, and for v = 0,
-the membership LPs answer.
+A PosiCone answers Lambda_o, and membership of a nonzero option v, from
+one record of v at every size (``_active_ray``): Lambda_o(v), a functional
+r* of the dual attaining it, and a nonnegative combination of the
+generators and units reaching ``v - Lambda_o(v) u_o``.  Below the cap r* is
+the least-index kept ray attaining the min, and the combination runs over
+the columns on which r* is zero (``_hull_combination``); past it, one LP
+gives the value, its witness the combination, and its checked dual r*
+(``_hull_lambda_o_lp``).  So Lambda_o is certified from both sides where
+it is made: r* lies in the dual, which bounds it from above, and the
+combination bounds it from below.  A ray the list missed makes that
+combination impossible, and the answer is refused rather than given.
+Membership is the sign of Lambda_o(v), with r* as the functional
+excluding a non-member and a combination showing a member
+(``_facet_membership``).  A hull that is all of V holds every nonzero
+option, shown by one kept combination reaching -u_o (``_minus_u_o``): the
+one the double description's empty ray list asks for, or an unbounded
+LP's ray past the cap.  The same combination certifies that no functional
+separates the cone (``_all_of_v_certificate``), and under strict dominance
+it answers the second half of the v = 0 question (``_zero_combination``).
+Below the cap the option-free separation is the sum of the rays when it
+separates (``_cone_separation``).  Every combination found from the rays
+comes from one routine, ``_reach``: an exact solve over a least-index
+basis of its columns, one LP over them only when that solve has a
+negative coefficient, and a check by substitution.
 ``archimedean.lambda_o_functional`` is the one reader of the rays whose
 list is not certified: each of its pieces lies in the dual, but no
 combination shows that it misses no ray.
@@ -82,10 +87,10 @@ the cone (``separates``), a PosiCone's hull dual, and, for a selection's
 extension in :mod:`conechoice.choice`, its consistency.
 Beside the store sits a record of the last option v the object was asked
 about (``OptionRecord``): v's membership verdict, a PosiCone's functional
-y excluding a non-member v (the active ray, or the Farkas functional of a
-failed membership solve), Lambda_o(v) with its active ray and combination,
-and v's separation evidence.  Every entry is a function of the cone and v
-alone, so no answer depends on what was asked before.
+y excluding a non-member v (the active functional r*), Lambda_o(v) with r*
+and its combination, and v's separation evidence.  Every entry is a
+function of the cone and v alone, so no answer depends on what was asked
+before.
 
 Every Archimedean answer for an option -- separation, closure membership,
 and an assessment's Archimedean membership -- comes from one routine,
@@ -132,14 +137,16 @@ class OptionRecord:
     ``member`` is the verdict of a PosiCone's membership question (None
     until one is asked; the other classes decide membership by evaluation).
     ``farkas`` is, for a PosiCone non-member, a checked functional y that is
-    nonnegative on every member and negative at the option: the active ray
-    of the hull dual, or the certificate of a failed membership solve.
-    ``separation`` is the option's separation evidence, once some query has
-    made it (``option_separation``).  For a PosiCone with kept rays
-    (``dual_generators``), ``active`` is Lambda_o at the option and the
-    least-index ray r* attaining it, and ``combination`` the checked terms
-    reaching ``option - Lambda_o u_o`` over the columns tight on r*
-    (``_hull_combination``).
+    nonnegative on every member and negative at the option: the active
+    functional r* of the hull dual.  ``separation`` is the option's
+    separation evidence, once some query has made it
+    (``option_separation``).  For a PosiCone whose closed hull is not all of
+    V, ``active`` is Lambda_o at the option and r*, and ``combination`` the
+    checked terms reaching ``option - Lambda_o u_o`` over the columns tight
+    on r* (``_active_ray``): below ``DD_RAY_CAP`` r* is the least-index kept
+    ray attaining Lambda_o and ``_hull_combination`` finds the terms, and
+    past it both come from one LP's checked dual and witness
+    (``_hull_lambda_o_lp``).
     """
 
     option: Vector
@@ -306,45 +313,18 @@ def posi_member(generators: Sequence[Vector], v: Vector) -> bool:
     return bool(generators) and isinstance(lp.solve(_posi_problem(generators, v)), lp.Feasible)
 
 
-def _residual_problem(generators: Sequence[Vector], v: Vector) -> lp.LpProblem:
-    """The rows of lambda >= 0 with v - sum lambda_k g_k strictly positive.
-
-    Homogenised with a scale x0 (Motzkin): one strict homogeneous system over
-    (lambda, x0) with x0 > 0, x0 v_i - sum_k lambda_k g_k[i] > 0 for every i,
-    and lambda >= 0.  A solution divided by its x0 (>= 1 by its own row) is
-    the lambda sought (``_residual_terms``).  A Farkas certificate puts a
-    multiplier a >= 0 on the row of x0, then one y_i >= 0 on each row i: the
-    functional y is nonnegative, ``y(g_k) >= 0`` for every k, and
-    ``y(v) = -a <= 0``.
-    """
-    m = len(generators)
-    n = m + 1
-    rows = [lp.strict_unit_rows(n)[m]]  # x0 > 0
-    rows += [
-        lp.strict_row(Vector(tuple(-g[i] for g in generators) + (v[i],)))
-        for i in range(v.dim)
-    ]
-    rows += lp.nonneg_rows(n)[:m]
-    return lp.LpProblem(n, tuple(rows))
+def _posi_terms(columns: Sequence[Vector], x: Vector) -> Combination:
+    """The nonzero terms ``(column, x_k)``, x read over the columns' count."""
+    return tuple((c, a) for c, a in zip(columns, x.entries) if a != 0)
 
 
-def _posi_terms(generators: Sequence[Vector], v: Vector, witness: Vector) -> Combination:
-    return tuple((g, lam) for g, lam in zip(generators, witness.entries) if lam != 0)
-
-
-def _residual_terms(generators: Sequence[Vector], v: Vector, witness: Vector) -> Combination:
-    """The generators' terms plus the strictly positive residual, with coefficient 1."""
-    x0 = witness[len(generators)]
-    lambdas = tuple(lam / x0 for lam in witness.entries[:-1])
-    residual = v - _combine(generators, lambdas)
-    return _posi_terms(generators, v, Vector(lambdas)) + ((residual, Fraction(1)),)
-
-
-def _combine(generators: Sequence[Vector], lambdas: Sequence[Fraction]) -> Vector:
-    total = zero_vector(generators[0].dim)
-    for g, lam in zip(generators, lambdas):
-        total = total + g.scale(lam)
-    return total
+def _combine(vectors: Sequence[Vector], weights: Optional[Sequence[Fraction]] = None) -> Vector:
+    """``sum_k weights[k] vectors[k]`` over a nonempty list, every weight 1
+    when none are given."""
+    columns = zip(*(v.entries for v in vectors))
+    if weights is None:
+        return Vector(tuple(map(sum, columns)))
+    return Vector(tuple(sum(map(operator.mul, column, weights)) for column in columns))
 
 
 def lex_sign(values: Sequence[Union[int, Fraction]]) -> int:
@@ -372,13 +352,15 @@ def member(cone: DesirCone, v: Vector) -> bool:
       (member never solves it), ``f(v) <= 0`` answers False, since f is
       strictly positive on every member (``separates``).
 
-    Any other nonzero option is decided from the kept rays of the hull dual
-    (``dual_generators``, built here on the cone's first such question) by
-    ``_facet_membership``: a closed hull that is all of V keeps no ray and
-    answers True by its kept combination reaching -u_o (``_all_of_v``).
-    Past ``DD_RAY_CAP``, or for v = 0, ``_membership``'s LP decides.  The
-    verdict and the functional y excluding a non-member go into the cone's
-    record of v, so a repeat, or a separation query on v, solves nothing.
+    Any other nonzero option is decided by ``_facet_membership`` from the
+    cone's record of v, the same at every size: Lambda_o(v), a functional r*
+    of the hull dual attaining it, and a combination reaching
+    ``v - Lambda_o(v) u_o`` (``_active_ray``).  They come from the kept rays
+    of the hull dual (``dual_generators``, built here on the cone's first
+    such question) below ``DD_RAY_CAP``, and from one LP past it.  v = 0,
+    the consistency question, is ``_zero_combination``'s.  The verdict and
+    the functional y excluding a non-member go into the cone's record of v,
+    so a repeat, or a separation query on v, solves nothing.
     """
     if v.dim != cone.space.dim:
         raise ValueError("dimension mismatch")
@@ -393,24 +375,22 @@ def member(cone: DesirCone, v: Vector) -> bool:
         return False
     record = cone.record(v)
     if record.member is None:
-        rays = None if v.is_zero() else _kept_rays(cone)
-        if rays is None:
-            combination, record.farkas = _membership(cone, v)
-            record.member = combination is not None
+        if v.is_zero():
+            record.member = _zero_combination(cone) is not None
         else:
-            record.member = _facet_membership(cone, record, rays)
+            record.member = _facet_membership(cone, record)
     return record.member
 
 
-def _facet_membership(cone: PosiCone, record: OptionRecord, rays: Sequence[LinearF]) -> bool:
+def _facet_membership(cone: PosiCone, record: OptionRecord) -> bool:
     """Membership of a nonzero v, the record's option, from the sign of
-    Lambda_o(v) over the kept rays of the closed hull H's dual, with the
-    active ray r* (``_active_ray``).  D lies in H, and H in the closure of D.
+    Lambda_o(v) and the active functional r* in the dual H* of the closed
+    hull H (``_active_ray``).  D lies in H, and H in the closure of D.
 
     * Lambda_o(v) < 0: False.  r* is negative at v, and it was checked
-      where the double description made it to be nonnegative and
-      nonnegative on the generators, as ``_excludes_by`` asks, so it is
-      kept as the record's ``farkas``.
+      where it was made (by the double description or by the LP's dual) to
+      be nonnegative and nonnegative on the generators, so it is
+      nonnegative on every member and is kept as the record's ``farkas``.
     * Lambda_o(v) > 0: True, by the checked combination
       ``v = Lambda_o(v) u_o + sum_c lambda_c c`` over generators and units
       (``_hull_combination``).  Under strict dominance ``Lambda_o(v) u_o``
@@ -427,18 +407,17 @@ def _facet_membership(cone: PosiCone, record: OptionRecord, rays: Sequence[Linea
       its checked combination shows a member.  A non-member keeps no
       ``farkas``: neither solve gives a functional nonnegative on every
       generator.
-    * No ray, so H is all of V: True, by the kept combination reaching
-      ``-u_o = p + o``, p over the generators and o >= 0 over the units
-      (``_all_of_v``).  Under pointwise dominance v is a nonzero member of
-      H.  Under strict dominance p is nonzero, as -u_o is not nonnegative,
-      and ``v = t p + (v + t u_o + t o)``, whose second term is strictly
-      positive once t > 0 is large enough.
+    * No active functional, so H is all of V: True, by the kept combination
+      reaching ``-u_o = p + o``, p over the generators and o >= 0 over the
+      units (``_minus_u_o``).  Under pointwise dominance v is a nonzero
+      member of H.  Under strict dominance p is nonzero, as -u_o is not
+      nonnegative, and ``v = t p + (v + t u_o + t o)``, whose second term
+      is strictly positive once t > 0 is large enough.
     """
-    if not rays:
-        _all_of_v(cone)
+    active = _active_ray(cone, record)
+    if active is None:
         return True
-    v = record.option
-    lam, ray = _active_ray(cone, record, rays)
+    lam, ray = active
     if lam < 0:
         record.farkas = ray
         return False
@@ -446,54 +425,39 @@ def _facet_membership(cone: PosiCone, record: OptionRecord, rays: Sequence[Linea
         _hull_combination(cone, record)
         return True
     tight = [g for g in cone.generators if ray.sign_at(g) == 0]
-    return _reach(tight, v, "boundary combination") is not None
+    return _reach(tight, record.option, "boundary combination") is not None
 
 
-def _membership(cone: PosiCone, v: Vector) -> tuple[Optional[Combination], Optional[LinearF]]:
-    """The nonzero (vector, coefficient) terms of a combination reaching v,
-    or None; and for a non-member, the Farkas functional of a failed solve
-    when it is nonnegative on every member and negative at v
-    (``_excludes_by``).  It serves v = 0 and cones past ``DD_RAY_CAP``.
+def _zero_combination(cone: PosiCone) -> Optional[Combination]:
+    """The nonzero (vector, coefficient) terms of a combination of members
+    reaching 0, or None: is 0 in the cone?  This is the consistency
+    question, the one membership question no record of a nonzero option
+    answers.
 
-    Pointwise dominance solves one system over the generators and the unit
-    vectors, and its certificate always qualifies.  Strict dominance has two
-    systems: the generators alone, and the generators plus one strictly
-    positive residual, which enters with coefficient 1.  A nonzero v tries
-    the residual system first and stops at a certificate that qualifies; its
-    certificate fails to qualify only when ``y(v) = 0``.  For v = 0 (the
-    consistency question) the generators alone come first.
+    Under pointwise dominance it is one LP: a nonzero nonnegative
+    combination of the generators and units summing to 0
+    (``_posi_problem``).  Under strict dominance 0 is a member iff it is a
+    nonzero nonnegative combination of the generators (one LP over them), or
+    ``0 = p + s`` with p in posi(generators) and s strictly positive.  The
+    second holds iff -u_o is in the closed hull H (``_minus_u_o``):
+    ``-u_o = p + o`` with o >= 0 over the units gives the residual
+    ``s = u_o + o = -p``, which enters with coefficient 1, and conversely
+    ``-u_o = t p + (t s - u_o)``, whose second term is nonnegative once t is
+    large.  A unit that is also a generator counts as a generator in p.
     """
     pointwise = cone.space.background is Background.POINTWISE
-    generators = _hull_columns(cone) if pointwise else list(cone.generators)
-    if not generators:
-        # The semantic set is the open orthant.
-        if cone.space.background_strictly_positive(v):
-            return ((v, Fraction(1)),), None
-        return None, None
-    posi = (_posi_problem, 0, _posi_terms)
-    residual = (_residual_problem, 1, _residual_terms)
-    systems = (posi,) if pointwise else (posi, residual) if v.is_zero() else (residual, posi)
-    for problem, first, terms in systems:
-        result = lp.solve(problem(generators, v))
+    columns = _hull_columns(cone) if pointwise else list(cone.generators)
+    if columns:
+        result = lp.solve(_posi_problem(columns, zero_vector(cone.space.dim)))
         if isinstance(result, lp.Feasible):
-            return terms(generators, v, result.witness), None
-        y = LinearF(Vector(result.certificate[first : first + v.dim]))
-        if _excludes_by(y, cone, v):
-            return None, y
-    return None, None
-
-
-def _excludes_by(y: LinearF, cone: PosiCone, v: Vector) -> bool:
-    """Is y nonnegative on every member of the cone and negative at v?
-    Checked by substitution: every coefficient and ``y(g)`` for every
-    generator g are nonnegative, so y is nonnegative on the unit vectors, the
-    open orthant and the generators, hence on every nonnegative combination
-    of them."""
-    return (
-        y.sign_at(v) < 0
-        and all(c >= 0 for c in y.coeffs.entries)
-        and all(y.sign_at(g) >= 0 for g in cone.generators)
-    )
+            return _posi_terms(columns, result.witness)
+    # With no generators H is the orthant, which misses -u_o.
+    minus_u_o = None if pointwise or not columns else _minus_u_o(cone)
+    if minus_u_o is None:
+        return None
+    p = tuple((g, a) for g, a in minus_u_o if g in cone.generators)
+    vectors, weights = zip(*p)
+    return p + ((-_combine(vectors, weights), Fraction(1)),)
 
 
 def natural_extension(
@@ -506,7 +470,7 @@ def natural_extension(
     combination that reaches 0.
     """
     cone = PosiCone(tuple(assessment), space)
-    combination = _membership(cone, zero_vector(space.dim))[0]
+    combination = _zero_combination(cone)
     if combination is not None:
         lp.verified(verify_inconsistency_combination(combination), "inconsistency combination")
         return cone, ConsistencyReport(consistent=False, combination=combination)
@@ -534,7 +498,7 @@ def is_coherent(cone: DesirCone) -> bool:
     if isinstance(cone, PosiCone):
         # Posi-closure and background inclusion hold by construction;
         # only the exclusion of 0 can fail.
-        return _membership(cone, zero_vector(space.dim))[0] is None
+        return _zero_combination(cone) is None
     if isinstance(cone, OpenDualCone):
         # 0 is never a member (every piece evaluates to 0 there).
         return all(is_positive(p, space) for p in cone.pieces)
@@ -667,10 +631,10 @@ def _cone_separation(cone: DesirCone) -> Union[LinearF, lp.Infeasible]:
     # (functional, the strict rows read on the option space, the sum of weights)
     candidates: list[tuple[Vector, Sequence[Vector], tuple[Fraction, ...]]] = []
     if rays:
-        candidates.append((_sum([r.coeffs for r in rays]), [*cone.generators, *strict], ()))
+        candidates.append((_combine([r.coeffs for r in rays]), [*cone.generators, *strict], ()))
     elif isinstance(cone, OpenDualCone):
         pieces = [p.coeffs for p in cone.pieces]
-        candidates.append((_sum(pieces), strict, (Fraction(len(pieces)),)))
+        candidates.append((_combine(pieces), strict, (Fraction(len(pieces)),)))
         if len(pieces) > 1:
             candidates += [(p, strict, (Fraction(1),)) for p in pieces]
     for f, rows, weights in candidates:
@@ -678,10 +642,6 @@ def _cone_separation(cone: DesirCone) -> Union[LinearF, lp.Infeasible]:
             least = min([*(s.dot(f) for s in rows), *weights])
             return LinearF(f.scale(1 / least))
     return _solve_separation(cone)
-
-
-def _sum(vectors: Sequence[Vector]) -> Vector:
-    return Vector(tuple(map(sum, zip(*(v.entries for v in vectors)))))
 
 
 def _all_of_v_certificate(cone: PosiCone) -> lp.Infeasible:
@@ -755,15 +715,11 @@ def option_separation(cone: DesirCone, v: Vector) -> Optional[LinearF]:
       ``f > 0`` on every member, ``y(v) <= 0 < f(v)``, so ``t >= 0``, and
       ``f'(v) = y(v) + t f(v) = 0``.
 
-      - A PosiCone's y is the record's ``farkas``, nonnegative and
-        negative at v (``_excludes_by``), so f' is background-positive too
-        and separates v with no LP.  A PosiCone with kept rays gives the
-        active ray, negative at every non-member off the closed hull
-        (``_facet_membership``).  On the LP path a pointwise-dominance
-        certificate always qualifies; under strict dominance a nonzero v
-        tries the strictly positive residual first, whose certificate is
-        nonnegative with ``y(v) <= 0``, then the generators alone
-        (``_membership``).
+      - A PosiCone's y is the record's ``farkas``: at every size the
+        active functional r* of the hull dual, nonnegative, nonnegative on
+        the generators and negative at every non-member off the closed
+        hull (``_facet_membership``).  So f' is background-positive too
+        and separates v with no LP.
       - An open-dual cone's y is the first piece p with ``p(v) <= 0``, one
         that v's non-membership shows.  f' is a nonnegative combination of
         the pieces, as f is, but p need not be background-positive, so f'
@@ -920,8 +876,9 @@ def _posi_mixing(cone: PosiCone) -> Optional[tuple[Vector, Vector]]:
 
 
 # The double description's budget on exponential work: a PosiCone whose ray
-# list grows past this many rays keeps no description, and ``hull_lambda_o``
-# solves its LP.  Timed on random cones in dims 2-8, a description within it
+# list grows past this many rays keeps no description, and its record of an
+# option comes from one LP (``_hull_lambda_o_lp``).  Timed on random cones
+# in dims 2-8, a description within it
 # cost at most about one LP solve in the median, and past it up to 13.  It
 # only bounds exponential work: no benchmark workload reaches it.
 DD_RAY_CAP = 64
@@ -977,16 +934,23 @@ def _kept_rays(cone: PosiCone) -> Optional[tuple[LinearF, ...]]:
     return cone.kept("hull_dual", _double_description)
 
 
-def _all_of_v(cone: PosiCone) -> Combination:
-    """A checked combination of the generators and units reaching -u_o, the
-    evidence that the closed hull H is all of V where the double description
-    kept no ray: ``_reach`` over ``_hull_columns``, at most one LP per cone
-    object, kept.  H holds the nonnegative orthant, so
-    ``u = (u + t u_o) + t (-u_o)`` is in H for every u, once t makes
-    ``u + t u_o`` nonnegative."""
-    combination = cone.kept(
+def _minus_u_o(cone: PosiCone) -> Optional[Combination]:
+    """Is -u_o in the closed hull H?  A checked combination of the
+    generators and units reaching -u_o, or None: ``_reach`` over
+    ``_hull_columns``, at most one LP per cone object, kept under
+    "all_of_v", where an unbounded Lambda_o LP past ``DD_RAY_CAP`` keeps its
+    ray's combination too (``_hull_lambda_o_lp``).  H holds the nonnegative
+    orthant, so -u_o is in H iff H is all of V: ``u = (u + t u_o) + t
+    (-u_o)`` is in H for every u, once t makes ``u + t u_o`` nonnegative."""
+    return cone.kept(
         "all_of_v", lambda c: _reach(_hull_columns(c), -c.space.u_o, "all-of-V combination")
     )
+
+
+def _all_of_v(cone: PosiCone) -> Combination:
+    """The combination reaching -u_o (``_minus_u_o``), the evidence that H
+    is all of V where the double description kept no ray."""
+    combination = _minus_u_o(cone)
     lp.verified(combination is not None, "all-of-V combination")
     return combination
 
@@ -1063,27 +1027,25 @@ def hull_lambda_o(cone: DesirCone, u: Vector) -> Fraction:
     cone class: the min of r(u) / r(u_o) over the cone's ``dual_generators``
     (``_least_ratio``).
 
-    A PosiCone's value is certified from both sides: the minimising ray lies
-    in the dual, and a checked combination reaches ``u - Lambda_o(u) u_o``
-    (``_hull_combination``); both are kept in its record of u.  A generator
-    nonpositive at u_o, an open-dual piece or a first level, raises
-    ``ValueError``, as does a PosiCone whose closed hull is all of V
-    (``dual_generators``).  A PosiCone past ``DD_RAY_CAP`` keeps no rays and
-    solves one LP per u over its closed hull, which is unbounded exactly
-    when -u_o lies in the hull: the hull holds the nonnegative orthant,
-    whose interior holds u_o, so it is then all of V.
+    A PosiCone's value is its record of u at every size (``_active_ray``),
+    certified from both sides: the active functional r* lies in the dual,
+    and a checked combination reaches ``u - Lambda_o(u) u_o``
+    (``_hull_combination``).  Below ``DD_RAY_CAP`` they come from the kept
+    rays, past it from one LP whose optimum and dual are checked
+    (``_hull_lambda_o_lp``).  A generator nonpositive at u_o, an open-dual
+    piece or a first level, raises ``ValueError``, as does a PosiCone whose
+    closed hull is all of V.
     """
     if u.dim != cone.space.dim:
         raise ValueError("dimension mismatch")
-    generators = dual_generators(cone)
-    if generators is None:
-        return _hull_lambda_o_lp(cone, u)
     if isinstance(cone, PosiCone):
         record = cone.record(u)
-        lam = _active_ray(cone, record, generators)[0]
+        active = _active_ray(cone, record)
+        if active is None:
+            raise ValueError(_ALL_OF_V)
         _hull_combination(cone, record)
-        return lam
-    return _least_ratio(generators, u, cone.space.u_o)[0]
+        return active[0]
+    return _least_ratio(dual_generators(cone), u, cone.space.u_o)[0]
 
 
 def _least_ratio(
@@ -1107,23 +1069,36 @@ def _least_ratio(
     return Fraction(best_num, best_den), best
 
 
-def _active_ray(
-    cone: PosiCone, record: OptionRecord, rays: Sequence[LinearF]
-) -> tuple[Fraction, LinearF]:
-    """Lambda_o at the record's option over the kept rays, and the
-    least-index ray r* attaining it, kept in the record.  Each ray was
-    checked to lie in H*, so this is an upper bound on Lambda_o
-    (``_hull_combination`` gives the lower one)."""
-    if record.active is None:
-        record.active = _least_ratio(rays, record.option, cone.space.u_o)
+def _active_ray(cone: PosiCone, record: OptionRecord) -> Optional[tuple[Fraction, LinearF]]:
+    """Lambda_o at the record's option u and a functional r* in H* with
+    ``r*(u) / r*(u_o)`` equal to it, kept in the record; None when the
+    closed hull H is all of V, shown by the kept combination reaching -u_o
+    (``_minus_u_o``).
+
+    Below ``DD_RAY_CAP`` r* is the least-index kept ray attaining the min of
+    ``r(u) / r(u_o)``.  Each ray was checked to lie in H*, so this is an
+    upper bound on Lambda_o, and ``_hull_combination`` gives the lower one.
+    Past the cap one LP gives the value, r* and the combination, each
+    checked by the LP (``_hull_lambda_o_lp``).  A cone whose hull is all of
+    V, once known, solves nothing more.
+    """
+    if record.active is None and cone.kept("all_of_v") is None:
+        rays = _kept_rays(cone)
+        if rays is None:
+            _hull_lambda_o_lp(cone, record)
+        elif rays:
+            record.active = _least_ratio(rays, record.option, cone.space.u_o)
+        else:
+            _all_of_v(cone)
     return record.active
 
 
 def _hull_combination(cone: PosiCone, record: OptionRecord) -> Combination:
     """The nonnegative combination of the generators and units tight on the
     active ray r* that reaches ``w = u - Lambda u_o``, u the record's option
-    and Lambda its ``_active_ray`` value, found and checked by ``_reach``
-    and kept in the record.
+    and Lambda its ``_active_ray`` value: the LP's witness past
+    ``DD_RAY_CAP``, and below it found and checked by ``_reach``, and kept
+    in the record.
 
     With r* in H*, ``r*(u - alpha u_o) >= 0`` bounds every alpha with
     ``u - alpha u_o`` in H by Lambda; the combination puts w in H, so
@@ -1166,18 +1141,34 @@ def _reach(columns: Sequence[Vector], target: Vector, what: str) -> Optional[Com
     return combination
 
 
-def _hull_lambda_o_lp(cone: PosiCone, u: Vector) -> Fraction:
-    """Lambda_o at u as one LP over the closed hull, past ``DD_RAY_CAP``."""
+def _hull_lambda_o_lp(cone: PosiCone, record: OptionRecord) -> None:
+    """Lambda_o at the record's option u past ``DD_RAY_CAP``, as one LP over
+    the hull columns c: max alpha with ``u = sum_c lambda_c c + alpha u_o``
+    and lambda >= 0.
+
+    An optimum fills the record as the kept rays do below the cap.  Its
+    value is Lambda_o(u), and its witness's terms are the combination
+    reaching ``u - Lambda_o(u) u_o``.  Its dual's multipliers of the d
+    equality rows are r*: the dual, checked by ``lp.verify_optimality``,
+    weighs each sign row ``lambda_c >= 0`` by ``r*(c) >= 0``, so r* lies in
+    H*, and it combines the rows into ``alpha <= Lambda_o(u)``, so
+    ``r*(u_o) = 1`` and ``r*(u) = Lambda_o(u)``.  An unbounded LP's checked
+    ray ``(lambda', alpha')`` has ``alpha' > 0`` and ``sum_c lambda'_c c =
+    -alpha' u_o``: its terms over alpha' reach -u_o, so H is all of V, and
+    they are kept as ``_minus_u_o``'s combination.
+    """
     u_o = cone.space.u_o
     hull = _hull_columns(cone)
-    m = len(hull)
-    n = m + 1  # lambda_1..lambda_m, alpha
-    rows = lp.combination_rows(hull + [u_o], u)
-    rows += lp.nonneg_rows(n)[:m]
+    n = len(hull) + 1  # lambda_c for each column c, then alpha
+    rows = lp.combination_rows(hull + [u_o], record.option)
+    rows += lp.nonneg_rows(n)[:-1]
     result = lp.solve(lp.LpProblem(n, tuple(rows), _maximize_last(n)))
-    if not isinstance(result, lp.Optimal):
-        raise ValueError(_ALL_OF_V)
-    return result.value
+    if isinstance(result, lp.Optimal):
+        record.active = result.value, LinearF(Vector(result.dual[: u_o.dim]))
+        record.combination = _posi_terms(hull, result.witness)
+    else:
+        ray = result.ray
+        cone.kept("all_of_v", lambda c: _posi_terms(hull, ray.scale(1 / ray[-1])))
 
 
 @cache

@@ -26,21 +26,27 @@ column; only the other variables are split as ``p - q``.  Rows that read
 with their slack basic, and only the remaining rows get an artificial, so a
 system without any skips phase 1.
 
-Negative answers carry checkable evidence:
+Every answer carries checkable evidence:
 
 * infeasibility comes with a Farkas multiplier vector, read off the final
   phase-1 tableau (the duals of the starting columns, and for sign rows the
   reduced costs of their variables) and re-verified by substitution before
   being returned;
+* an optimum comes with its witness and its dual, read off the final phase-2
+  tableau by the same routine (with no artificial cost there), and
+  re-verified the same way (:func:`verify_optimality`): the witness attains
+  the value, and the dual bounds every feasible point's objective by it
+  (weak duality, Chvatal 1983, ch. 5);
 * unboundedness comes with an improving ray read off the final tableau and
   re-verified the same way.
 
 The checks run in integers with the same exact predicates.  A witness or ray
 is read as an integer vector X over one denominator d, and each row is tested
-as ``a.X REL b.d`` on its integer row.  A certificate weighs each integer row
-by its multiplier over the row's scale, all over one common denominator.  The
-checks read each row as written, sign rows included, and never the tableau's
-layout, so a wrong layout cannot pass its own evidence.
+as ``a.X REL b.d`` on its integer row.  A certificate or a dual weighs each
+integer row by its multiplier over the row's scale, all over one common
+denominator (``_row_combination``).  The checks read each row as written,
+sign rows included, and never the tableau's layout, so a wrong layout cannot
+pass its own evidence.
 
 :func:`solve` is the one entry point, and every problem takes the same path
 through it, a problem without rows included.
@@ -48,11 +54,9 @@ through it, a problem without rows included.
 Strict inequalities never appear in an ``LpProblem``.  Every strict system
 is homogeneous and is decided by one :func:`solve`: its strict rows
 ``row . x > 0`` are built by :func:`strict_row` as ``row . x >= 1`` (valid
-by homogeneity).  A caller whose system has constants homogenises it first,
-as in Motzkin's transposition theorem: the constants move into a column of
-one scale variable ``x0`` with the strict row ``x0 > 0``, and a solution
-divided by its ``x0`` solves the original system.  So a strict system answers
-either with a checked solution or with a Farkas certificate.
+by homogeneity).  No engine system has constants beside its strict rows, so
+none is homogenised first.  A strict system answers either with a checked
+solution or with a Farkas certificate.
 """
 
 from __future__ import annotations
@@ -173,8 +177,12 @@ class Feasible:
 
 @dataclass(frozen=True)
 class Optimal:
+    """An optimal witness, its value, and the dual: one multiplier per row of
+    the normalized problem, as a certificate's (:func:`verify_optimality`)."""
+
     witness: Vector
     value: Fraction
+    dual: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -225,46 +233,74 @@ def verify_witness(problem: LpProblem, x: Vector) -> bool:
     return _holds_all(problem, *_integer_vector(problem, x))
 
 
+def _row_combination(
+    problem: LpProblem, multipliers: Sequence[Fraction]
+) -> Optional[tuple[list[int], int]]:
+    """``(C, d)`` with ``C / d`` the sum of the normalized problem's rows
+    ``(a, b)``, each oriented as "<=" and weighed by its multiplier; None
+    when there is not one multiplier per row or an inequality row's is
+    negative.  For ">=" rows the multiplier applies to the negated row.
+
+    The combination is formed in integers: multiplier ``y = p / q`` of a row
+    with integer form ``scale * (a, b)`` weighs that form by the integer ``p``
+    over ``q * scale``, and all weights are brought over one common
+    denominator d.  A sign row is weighed like any other row.
+    """
+    constraints = problem.normalized().constraints
+    if len(multipliers) != len(constraints):
+        return None
+    # (numerator, denominator, row) of each weighted row.
+    weighted: list[tuple[int, int, Sequence[int]]] = []
+    for mult, c in zip(multipliers, constraints):
+        if c.relation != EQ and mult < 0:
+            return None
+        if mult == 0:
+            continue
+        scale, row = c.integer_row
+        p = -mult.numerator if c.relation == GE else mult.numerator
+        weighted.append((p, mult.denominator * scale, row))
+    d = math.lcm(*(q for _, q, _ in weighted))
+    combo = [0] * (problem.n_vars + 1)
+    for p, q, row in weighted:
+        k = p * (d // q)
+        for j, a in enumerate(row):
+            if a:
+                combo[j] += k * a
+    return combo, d
+
+
 def verify_infeasibility_certificate(
     problem: LpProblem, certificate: Sequence[Fraction]
 ) -> bool:
     """Check a Farkas certificate by pure arithmetic.
 
     Multiplier r applies to constraint r of the normalized problem, oriented
-    as "<=" (for ">=" rows the multiplier applies to the negated row).  A valid
-    certificate has nonnegative multipliers on inequality rows and combines the
-    rows into the contradiction 0 <= negative, i.e. 0 >= positive.
-
-    The combination is formed in integers: multiplier ``y = p / q`` of a row
-    with integer form ``scale * (a, b)`` weighs that form by the integer ``p``
-    over ``q * scale``, and all weights are brought over one common
-    denominator.  A sign row is weighed like any other row.  The weights need
-    not be in lowest terms: the test reads only zeros and a sign, which a
-    positive common factor keeps.
+    as "<=".  A valid certificate has nonnegative multipliers on inequality
+    rows and combines the rows (``_row_combination``) into the contradiction
+    0 <= negative, i.e. 0 >= positive.  The test reads only zeros and a sign,
+    which the combination's positive denominator keeps.
     """
-    constraints = problem.normalized().constraints
-    if len(certificate) != len(constraints):
+    combined = _row_combination(problem, certificate)
+    return combined is not None and not any(combined[0][:-1]) and combined[0][-1] < 0
+
+
+def verify_optimality(problem: LpProblem, result: Optimal) -> bool:
+    """Check an optimum by pure arithmetic: the witness satisfies every row
+    and attains the value, and the dual combines the rows, oriented as "<="
+    with nonnegative multipliers on inequality rows (``_row_combination``),
+    into ``c.x <= value`` for a max problem and ``-c.x <= -value`` for a
+    min problem.  Every feasible x then has ``c.x`` at most (at least) the
+    value, so the witness is optimal."""
+    objective = problem.normalized().objective
+    combined = _row_combination(problem, result.dual)
+    if objective is None or combined is None or not verify_witness(problem, result.witness):
         return False
-    n = problem.n_vars
-    # (numerator, denominator, row) of each weighted row.
-    weighted: list[tuple[int, int, Sequence[int]]] = []
-    for mult, c in zip(certificate, constraints):
-        if c.relation != EQ and mult < 0:
-            return False
-        if mult == 0:
-            continue
-        scale, row = c.integer_row
-        # The multiplier of a ">=" row applies to the row negated into "<=".
-        p = -mult.numerator if c.relation == GE else mult.numerator
-        weighted.append((p, mult.denominator * scale, row))
-    d = math.lcm(*(q for _, q, _ in weighted))
-    combo = [0] * (n + 1)
-    for p, q, row in weighted:
-        k = p * (d // q)
-        for j, a in enumerate(row):
-            if a:
-                combo[j] += k * a
-    return not any(combo[:n]) and combo[n] < 0
+    combo, d = combined
+    sign = 1 if objective.direction == "max" else -1
+    target = (*objective.coeffs.entries, result.value)
+    return objective.coeffs.dot(result.witness) == result.value and all(
+        x * t.denominator == sign * d * t.numerator for x, t in zip(combo, target)
+    )
 
 
 def verify_ray(problem: LpProblem, ray: Vector) -> bool:
@@ -453,7 +489,7 @@ class _Tableau:
         if entering is not None:
             raise RuntimeError("internal error: phase 1, bounded above by 0, came out unbounded")
         if self.obj[self.n_cols] < 0:  # the phase-1 optimum, as obj_scale > 0
-            return self._certificate()
+            return self._certificate(phase_one=True)
         # Drive any remaining artificial out of the basis, or drop its row.
         for i in range(len(self.basis) - 1, -1, -1):
             if self.basis[i] >= self.art_start:
@@ -466,27 +502,31 @@ class _Tableau:
         self.n_entering = self.art_start
         return None
 
-    def _certificate(self) -> tuple[Fraction, ...]:
-        """The Farkas multipliers of a phase 1 that ended negative.
+    def _certificate(self, phase_one: bool) -> tuple[Fraction, ...]:
+        """The multipliers of the rows, read off the final objective row: the
+        Farkas multipliers of a phase 1 that ended negative, or the dual of
+        a phase-2 optimum.
 
-        For the phase-1 duals y (per unscaled kept row), a starting column has
-        reduced cost ``y_r + 1`` for an artificial (cost -1) and ``y_r`` for a
-        slack (cost 0), as it is ``scale[r]`` times the unit vector in the
-        scaled row.  Nonnegative reduced costs on the other columns give
-        ``y.A = 0`` on split variables, ``y.A >= 0`` on signed ones, and the
-        right sign on every inequality row; ``y.b`` is the negative optimum.
-        The first sign row of a signed x_j, oriented as ``-|a| x_j <= 0``, takes
-        the reduced cost of column j over ``|a|`` and so cancels it; further
-        sign rows of x_j take 0.  Rhs sign flips are undone and ``>=`` rows are
-        oriented as ``<=``.  Each multiplier is formed as an integer numerator
-        over ``obj_scale`` and leaves as one Fraction.
+        For the duals y (per unscaled kept row), a starting column has
+        reduced cost ``y_r - cost`` (``y_r + 1`` for a phase-1 artificial,
+        of cost -1, and ``y_r`` for a slack, or for an artificial in phase
+        2), as it is ``scale[r]`` times the unit vector in the scaled row.
+        Nonnegative reduced costs on the other columns give ``y.A = c`` on
+        split variables, ``y.A >= c`` on signed ones (c = 0 in phase 1), and
+        the right sign on every inequality row; ``y.b`` is the optimum,
+        negative at the end of an infeasible phase 1.  The first sign row of
+        a signed x_j, oriented as ``-|a| x_j <= 0``, takes the reduced cost
+        of column j over ``|a|`` and so brings ``y.A`` down to c there;
+        further sign rows of x_j take 0.  Rhs sign flips are undone and
+        ``>=`` rows are oriented as ``<=``.  Each multiplier is formed as an
+        integer numerator over ``obj_scale`` and leaves as one Fraction.
         """
         certificate = []
         for r in range(len(self.problem.constraints)):
             if r in self.start:
                 col, flip = self.start[r]
                 y = self.obj[col]
-                if col >= self.art_start:
+                if phase_one and col >= self.art_start:
                     y -= self.obj_scale
                 certificate.append(Fraction(-y if flip else y, self.obj_scale))
             elif r in self.sign_rows:
@@ -565,8 +605,9 @@ def solve(problem: LpProblem) -> LpResult:
         return Unbounded(ray=ray, witness=witness)
     sign = 1 if problem.objective.direction == "max" else -1
     value = Fraction(sign * t.obj[t.n_cols], t.obj_scale)
-    verified(problem.objective.coeffs.dot(witness) == value, "optimal value")
-    return Optimal(witness, value)
+    result = Optimal(witness, value, t._certificate(phase_one=False))
+    verified(verify_optimality(problem, result), "optimality certificate")
+    return result
 
 
 def combination_rows(columns: Sequence[Vector], target: Vector) -> list[Constraint]:

@@ -19,9 +19,17 @@ from conechoice.archimedean import (
     separation_evidence,
     verify_separation_witness,
 )
-from conechoice.cone import LexCone, OpenDualCone, PosiCone, is_mixing, member, natural_extension
+from conechoice.cone import (
+    LexCone,
+    OpenDualCone,
+    PosiCone,
+    combination_reaches,
+    is_mixing,
+    member,
+    natural_extension,
+)
 from conechoice.functional import LinearF, SuperlinF, is_positive
-from conechoice.numeric import Background, OptionSpace, Vector, vec, zero_vector
+from conechoice.numeric import Background, OptionSpace, Vector, unit_vector, vec, zero_vector
 
 from conftest import expectation, rand_positive_vector, rand_vector
 from oracles import cone2_member, grid_2d, hull_lambda_o_lp, separation_direction_2d, units_2d
@@ -257,7 +265,9 @@ def test_lambda_o_of_a_posi_cone_below_the_cap_solves_no_hull_lp(monkeypatch, d_
     # confirmed once per cone by a combination reaching -u_o, found the same
     # way: of the 16 such cones, 9 need the LP.  Past
     # DD_RAY_CAP a cone keeps no rays and solves the hull LP for each option,
-    # with the same values and the same "+infinity" error.
+    # with the same values and the same "+infinity" error, except that a
+    # cone whose hull is all of V keeps its first LP's ray, the combination
+    # reaching -u_o, and solves nothing for its other two options.
     rng = random.Random(25)
     cones = [_random_posi_cone(rng) for _ in range(60)] + [d_sector]
     options = [[rand_vector(rng, c.space.dim, 3) for _ in range(3)] for c in cones]
@@ -271,7 +281,7 @@ def test_lambda_o_of_a_posi_cone_below_the_cap_solves_no_hull_lp(monkeypatch, d_
     fresh = [replace(cone) for cone in cones]
     past = [[_answer(lambda_o, cone, u) for u in us] for cone, us in zip(fresh, options)]
     assert past == below
-    assert len(solves) == sum(map(len, options))
+    assert len(solves) == sum(map(len, options)) - 2 * whole
     assert all("hull_dual" in vars(cone) and cone.kept("hull_dual") is None for cone in fresh)
     with pytest.raises(ValueError, match="DD_RAY_CAP"):
         lambda_o_functional(fresh[-1])
@@ -281,7 +291,10 @@ def test_lambda_o_past_the_cap_solves_one_lp_per_option(monkeypatch):
     # A space of DD_RAY_CAP + 1 dimensions keeps no double description, whose
     # ray list would start with more rays than the cap: each option's
     # Lambda_o is one hull LP, equal to the oracle's, and there is no closed
-    # form.
+    # form.  The option's record holds the LP's checked dual as r*: it is
+    # nonnegative at every column of the closed hull, so it lies in the
+    # hull's dual, with r*(u_o) = 1 and r*(u) = Lambda_o(u); and the LP's
+    # witness as the combination reaching u - Lambda_o(u) u_o.
     rng = random.Random(26)
     d = cone_module.DD_RAY_CAP + 1
     space = OptionSpace(d, Background.POINTWISE, rand_positive_vector(rng, d, 2))
@@ -290,8 +303,18 @@ def test_lambda_o_past_the_cap_solves_one_lp_per_option(monkeypatch):
     references = [hull_lambda_o_lp(cone.generators, space, u) for u in options]
     assert None not in references
     solves = _spy(monkeypatch, lp, "solve")
-    assert [lambda_o(cone, u) for u in options] == references
+    columns = [*cone.generators, *(unit_vector(d, i) for i in range(d))]
+    for u, reference in zip(options, references):
+        assert lambda_o(cone, u) == reference
+        record = cone.record(u)
+        lam, ray = record.active
+        assert lam == reference
+        assert all(ray.eval(c) >= 0 for c in columns)
+        assert ray.eval(space.u_o) == 1 and ray.eval(u) == lam
+        assert all(c in columns for c, _ in record.combination)
+        assert combination_reaches(record.combination, u - space.u_o.scale(lam))
     assert len(solves) == len(options)
+    assert all(problem.objective is not None for problem in solves)
     assert "hull_dual" in vars(cone) and cone.kept("hull_dual") is None
     with pytest.raises(ValueError, match="DD_RAY_CAP"):
         lambda_o_functional(cone)
@@ -666,7 +689,7 @@ def test_posi_separation_does_not_depend_on_earlier_queries(monkeypatch):
     assert witnesses == 417  # of the 960 options asked
 
 
-def test_one_separation_solve_decides_a_non_member(monkeypatch, d_sector, d_interval):
+def test_a_non_member_is_separated_with_no_lp(monkeypatch, d_sector, d_interval):
     # The cone's kept functional answers separate, and then the closure
     # query, with no LP: the sector's is the sum of its hull dual's rays,
     # the interval's the sum of its pieces.  A background-positive option,
@@ -724,21 +747,15 @@ def test_repeat_queries_build_only_the_rows_of_their_data(monkeypatch, backgroun
     # With the hull dual's rays kept, its membership is read from them and
     # builds no row, and its separation is built from the active ray, with
     # no row either.  Past DD_RAY_CAP, rows that depend only on a size (sign
-    # rows, background rows) are built once and shared, so a repeat query
-    # builds only the rows of its membership solve that hold its option or
-    # the cone's generators, and its separation is built from that solve's
-    # Farkas functional.
+    # rows) are built once and shared, so a repeat query builds only the
+    # equality rows of its Lambda_o LP, which hold its option, the cone's
+    # generators, the units and u_o, and its separation is built from that
+    # LP's dual, under either background order.
     g1, g2 = vec("3/4", "-1/4"), vec("-1/4", "3/4")
     space = OptionSpace(2, background, vec(1, 1))
     v = vec(2, -1)
-    if background is Background.POINTWISE:
-        # One LP over the generators plus the unit vectors.
-        columns = [(g1[j], g2[j], Fraction(j == 0), Fraction(j == 1)) for j in range(2)]
-        lp_rows = [lp.Constraint(Vector(c), lp.EQ, v[j]) for j, c in enumerate(columns)]
-    else:
-        # The homogenised strictly positive residual, whose certificate is
-        # negative at v, so the generators alone are not tried.
-        lp_rows = [lp.Constraint(vec(-g1[i], -g2[i], v[i]), lp.GE, Fraction(1)) for i in range(2)]
+    columns = [(g1[j], g2[j], Fraction(j == 0), Fraction(j == 1), space.u_o[j]) for j in range(2)]
+    lp_rows = [lp.Constraint(Vector(c), lp.EQ, v[j]) for j, c in enumerate(columns)]
     built = _spy(monkeypatch, lp.Constraint, "__post_init__")
     for cap, member_rows in ((cone_module.DD_RAY_CAP, []), (0, lp_rows)):
         monkeypatch.setattr(cone_module, "DD_RAY_CAP", cap)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conechoice import cone as cone_module
 from conechoice import lp
 from conechoice.cli import (
     EXIT_DATA,
@@ -686,3 +687,33 @@ def test_lambda_o_output_matches_golden(capsys):
         code, out, _ = run(capsys, "report", model, *flags)
         assert code == EXIT_PRECONDITION
         assert out == (GOLDEN / f"lambda_o_report.{suffix}").read_text()
+
+
+def test_past_cap_output_matches_golden_and_the_answers_read_from_rays(capsys, monkeypatch):
+    # A 65-dimensional strict-dominance model, one dimension more than
+    # DD_RAY_CAP, keeps no double description, so each PosiCone answer takes
+    # the past-cap path: the Lambda_o LP's record for member (inside, on a
+    # facet of the closed hull and in posi(generators), on one and not in
+    # it, and outside), arch_member and lambda_o, an unbounded LP's ray for
+    # a hull that is all of V, and the -u_o question for an inconsistent
+    # extension.  The generators are sparse, so with the cap raised to 128
+    # the double description stays small and answers the same queries with
+    # no LP that has an objective, and every answer is the same.
+    model = str(GOLDEN / "past_cap.json")
+    for flags, suffix in ((("--json",), "json"), ((), "txt")):
+        code, out, _ = run(capsys, "report", model, *flags)
+        assert code == EXIT_OK
+        assert out == (GOLDEN / f"past_cap_report.{suffix}").read_text()
+    solve = lp.solve
+    objectives = []
+    monkeypatch.setattr(lp, "solve", lambda p: objectives.append(p.objective) or solve(p))
+    answers = []
+    for cap in (cone_module.DD_RAY_CAP, 128):
+        monkeypatch.setattr(cone_module, "DD_RAY_CAP", cap)
+        objectives.clear()
+        code, records = run_json(capsys, "report", model)
+        assert code == EXIT_OK
+        answers.append({name: record["answer"] for name, record in records.items()})
+        assert any(objectives) == (cap < 128)
+    assert answers[0] == answers[1]
+    assert set(answers[0].values()) == {True, False, "1/2", "-1"}

@@ -16,7 +16,6 @@ from conechoice.cone import (
     MixingResult,
     OpenDualCone,
     PosiCone,
-    _membership,
     background_generators,
     combination_reaches,
     is_coherent,
@@ -324,8 +323,10 @@ def _background_positive(rng: random.Random, space: OptionSpace) -> Vector:
 
 def test_background_positive_options_are_members_with_no_lp(monkeypatch):
     # Every background-positive option is a member of every PosiCone, even an
-    # incoherent one, with no LP; the LP path reaches each such option too,
-    # by a combination that substitution confirms.
+    # incoherent one, with no LP.  Past DD_RAY_CAP the record of each such
+    # option, from the Lambda_o LP, shows it too: Lambda_o >= 0, and the
+    # combination of hull columns plus Lambda_o u_o reaches it, or the hull
+    # is all of V, shown by the kept combination reaching -u_o.
     rng = random.Random(31)
     solves = []
     solve = lp.solve
@@ -344,19 +345,20 @@ def test_background_positive_options_are_members_with_no_lp(monkeypatch):
             solves.clear()
             assert member(cone, v), (cone, v)
             assert solves == []
-            combination = _membership(cone, v)[0]
-            assert combination is not None, (cone, v)
-            total = zero_vector(d)
-            for vector, coeff in combination:
-                assert coeff > 0
-                reachable = vector in cone.generators or (
-                    vector in background_generators(space)
-                    if space.background is Background.POINTWISE
-                    else coeff == 1 and space.background_strictly_positive(vector)
-                )
-                assert reachable, (cone, v, vector)
-                total = total + vector.scale(coeff)
-            assert total == v, (cone, v)
+            past = replace(cone)
+            with monkeypatch.context() as m:
+                m.setattr(cone_module, "DD_RAY_CAP", 0)
+                record = past.record(v)
+                assert cone_module._facet_membership(past, record), (cone, v)
+            columns = cone_module._hull_columns(past)
+            if record.active is None:
+                combination, target = past.kept("all_of_v"), -space.u_o
+            else:
+                lam = record.active[0]
+                assert lam >= 0, (cone, v)
+                combination, target = record.combination, v - space.u_o.scale(lam)
+            assert all(c in columns for c, _ in combination), (cone, v)
+            assert combination_reaches(combination, target), (cone, v)
 
 
 def _sparse_vector(rng: random.Random, d: int) -> Vector:
@@ -498,7 +500,7 @@ def test_cone_construction_validation(pw2):
 # or "ValueError: <message>": every verdict, witness and certificate the cone,
 # Archimedean and choice layers give them.  A refactor keeps it; a change to
 # an answer or a piece of evidence changes it on purpose and records the new one.
-ENGINE_DIGEST = "de7541f4812e44e0203cb7c4490daefd635d6896bbf0f812f03370cdba026d1c"
+ENGINE_DIGEST = "fdbf77099d68a3749287e3e37df1161ea18bf9f63ed1cbc29d1da51aff9af01e"
 
 # The SHA-256 of the same answers reduced to what they decide (``_verdict``):
 # verdicts, values, rejection sets and error messages, with no evidence.  A
@@ -676,7 +678,9 @@ def test_strict_boundary_membership_solves_at_most_one_lp(
     # negative coefficient (no LP), else by one LP over those generators.
     # In the first case the one tight generator reaches v only with a
     # negative coefficient; in the last the least-index basis of the tight
-    # pair (1, 0), (-1, 0) is (1, 0), which reaches (-2, 0) only so.
+    # pair (1, 0), (-1, 0) is (1, 0), which reaches (-2, 0) only so.  Past
+    # DD_RAY_CAP the Lambda_o LP gives the record, and its checked dual the
+    # same tight generators, so membership takes that one LP more.
     lp_sizes = {vec(0, "5/4"): [1], vec(0, "-3/4"): [], vec(-2, 0): [2]}[option]
     cone = PosiCone(generators, st2)
     assert arch.lambda_o(cone, option) == 0
@@ -688,7 +692,7 @@ def test_strict_boundary_membership_solves_at_most_one_lp(
     monkeypatch.setattr(cone_module, "DD_RAY_CAP", 0)
     solves.clear()
     assert member(PosiCone(generators, st2), option) is verdict
-    assert len(solves) == 2
+    assert len(solves) == 1 + len(lp_sizes)
 
 
 def _active_ray_dropped(cone: PosiCone, u: Vector) -> bool:
@@ -861,7 +865,7 @@ def test_open_dual_separation_agrees_with_the_lp(monkeypatch):
         assert isinstance(f, LinearF) == isinstance(expected, LinearF), cone
         if lp_calls:
             branches["lp"] += 1
-        elif cone_module._positively_proportional(cone_module._sum(columns), f.coeffs):
+        elif cone_module._positively_proportional(cone_module._combine(columns), f.coeffs):
             branches["sum"] += 1
         else:
             assert any(cone_module._positively_proportional(p, f.coeffs) for p in columns)

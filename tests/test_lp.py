@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from conechoice.lp import (
     solve,
     strict_row,
     verify_infeasibility_certificate,
+    verify_optimality,
     verify_ray,
     verify_witness,
 )
@@ -438,13 +440,24 @@ def _misread_as_x0_nonnegative(coeffs: Vector) -> Constraint:
             "improving ray",
             id="ray",
         ),
+        pytest.param(
+            LpProblem(
+                2,
+                (_misread_as_x0_nonnegative(vec(1, -1)), Constraint(vec(0, 1), GE, Fraction(-1))),
+                Objective("max", vec(-1, 0)),
+            ),
+            "optimality certificate",
+            id="optimum",
+        ),
     ],
 )
 def test_checks_read_each_row_not_its_sign_row_classification(problem, what):
     # The tableau lays the tampered row out as x0 >= 0 and so solves another
     # problem: (0, 1) breaks x0 - x1 >= 0, (1, 1) certifies a problem that
-    # (-1, -1) solves, and the ray (0, 1) breaks x0 - x1 >= 0.  The checks
-    # read each row as written and refuse all three.
+    # (-1, -1) solves, and the ray (0, 1) breaks x0 - x1 >= 0.  In the last
+    # the witness (0, 0) satisfies every row, but its value 0 is not the
+    # optimum, 1 at (-1, -1), and its dual does not combine the rows into
+    # -x0 <= 0.  The checks read each row as written and refuse all four.
     with pytest.raises(RuntimeError, match=f"emitted {what} failed re-verification"):
         solve(problem)
 
@@ -507,7 +520,7 @@ def test_sign_rows_agree_with_vertex_enumeration_oracle():
 # piece of evidence the solver gives them, which its pivot path decides.  A
 # refactor of the solver keeps it; a new pivot rule changes it on purpose and
 # records the new one.
-EVIDENCE_DIGEST = "507c6d50bbe7c4dbc0407583f3c8c230b4432c51aff80cc60a31d0484894f4c9"
+EVIDENCE_DIGEST = "5436de010f936eb628e07c4e3fd6c1c419149eab5b0325bdc17457abd52dc868"
 
 
 def test_random_problems_keep_their_exact_evidence():
@@ -516,6 +529,35 @@ def test_random_problems_keep_their_exact_evidence():
     problems += [_random_signed_problem(signed_rng) for _ in range(1000)]
     reprs = "\n".join(repr(solve(problem)) for problem in problems)
     assert hashlib.sha256(reprs.encode()).hexdigest() == EVIDENCE_DIGEST
+
+
+def test_optimal_duals_certify_the_oracles_optimum():
+    # Every optimum carries a dual that verify_optimality accepts, and its
+    # value is the one vertex enumeration finds.  Mutation: the value moved
+    # by 1, a dual entry of a nonzero row moved by 1/7, or a dual one entry
+    # too long or too short, is refused, and so is a problem without an
+    # objective.
+    rng = random.Random(31)
+    optimal = moved = 0
+    for i in range(240):
+        problem = (_random_problem if i % 2 else _random_signed_problem)(rng)
+        result = solve(problem)
+        if not isinstance(result, Optimal):
+            continue
+        optimal += 1
+        assert verify_optimality(problem, result)
+        assert brute_force_lp(problem) == ("optimal", result.value)
+        assert not verify_optimality(problem, replace(result, value=result.value + 1))
+        for dual in (result.dual + (Fraction(0),), result.dual[:-1]):
+            assert not verify_optimality(problem, replace(result, dual=dual))
+        for r, c in enumerate(problem.normalized().constraints):
+            if any(c.integer_row[1]):
+                dual = list(result.dual)
+                dual[r] += Fraction(1, 7)
+                assert not verify_optimality(problem, replace(result, dual=tuple(dual)))
+                moved += 1
+    assert optimal >= 40 and moved >= 150, (optimal, moved)
+    assert not verify_optimality(LpProblem(1, ()), Optimal(vec(0), Fraction(0), ()))
 
 
 def _huge_fraction(rng: random.Random) -> Fraction:
@@ -688,6 +730,18 @@ def test_broken_invariants_raise_runtime_errors(monkeypatch):
             "cone.is_mixing(cone.PosiCone((vec(3, -1), vec(-1, 3)), space))",
             "mixing witness",
             id="posi_mixing_witness",
+        ),
+        pytest.param(
+            # The phase-2 dual's first multiplier moved by 1/7.
+            "read = lp._Tableau._certificate\n"
+            "lp._Tableau._certificate = lambda t, phase_one: tuple(\n"
+            "    y + Fraction(k == 0 and not phase_one, 7)\n"
+            "    for k, y in enumerate(read(t, phase_one))\n"
+            ")",
+            "lp.solve(lp.LpProblem(1, (lp.Constraint(vec(1), lp.LE, Fraction(1)),),"
+            " lp.Objective('max', vec(1))))",
+            "optimality certificate",
+            id="optimality_certificate",
         ),
         pytest.param(
             "cone._in_dual = lambda ray, generators: False",

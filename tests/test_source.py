@@ -106,7 +106,7 @@ def test_only_the_listed_functions_call_the_lp_solver():
     # function or method it sits in.
     expected = {
         "cone.posi_member",
-        "cone._membership",
+        "cone._zero_combination",
         "cone._reach",
         "cone._solve_separation",
         "cone._open_dual_mixing",
