@@ -3,7 +3,10 @@
     python3 scripts/ab_interleaved.py PARENT_TREE CHANGE_TREE \
         --workload {grid,models} --seed N [--seconds 45]
 
-Each tree is a source checkout (``src``, ``tests`` and ``perfbench``).  One
+Each tree is a source checkout: ``src``, ``tests``, ``perfbench`` and
+``models/coin.json``, which the ``models`` workload reads.  A tree missing
+a file that ``perfbench/run.py`` needs is refused before any worker starts
+(exit 2, naming the file).  One
 long-lived worker process per tree imports that tree's engine and its
 ``perfbench/run.py``, builds the workload once, and runs the first three
 requests to warm up.  The measured requests are the ones ``run.py --seconds``
@@ -35,6 +38,10 @@ import sys
 import tempfile
 
 CHUNK = {"grid": 50, "models": 10}
+# What perfbench/run.py reads from a tree: the engine, the oracles its
+# checks use, and coin.json.
+REQUIRED = ("src/conechoice/__init__.py", "tests/oracles.py", "perfbench/run.py",
+            "models/coin.json")
 
 
 def worker(tree: str, workload: str, seed: int, seconds: int) -> int:
@@ -99,6 +106,10 @@ def main() -> int:
         return worker(os.path.abspath(args.worker), args.workload, args.seed, args.seconds)
     if len(args.trees) != 2:
         parser.error("give PARENT_TREE and CHANGE_TREE")
+    for tree in args.trees:
+        for name in REQUIRED:
+            if not os.path.isfile(os.path.join(tree, name)):
+                parser.error(f"{tree} has no {name}")
     sides = ("parent", "change")
     procs = [_start(os.path.abspath(tree), args) for tree in args.trees]
     try:

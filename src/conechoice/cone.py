@@ -72,10 +72,12 @@ LP's ray past the cap.  The same combination certifies that no functional
 separates the cone (``_all_of_v_certificate``), and under strict dominance
 it answers the second half of the v = 0 question (``_zero_combination``).
 Below the cap the option-free separation is the sum of the rays when it
-separates (``_cone_separation``).  Every combination found from the rays
-comes from one routine, ``_reach``: an exact solve over a least-index
-basis of its columns, one LP over them only when that solve has a
-negative coefficient, and a check by substitution.
+separates (``_cone_separation``).  Every positive combination the module
+looks for -- ``posi_member``, the v = 0 question, and each combination
+found from the rays -- comes from one routine, ``lp.positive_combination``:
+an exact solve over a least-index basis of its columns (none for a zero
+target), one LP over them only when that solve has a negative
+coefficient, and a check by substitution.
 ``archimedean.lambda_o_functional`` is the one reader of the rays whose
 list is not certified: each of its pieces lies in the dual, but no
 combination shows that it misses no ray.
@@ -108,6 +110,7 @@ from functools import cache
 from typing import Any, Callable, Optional, Sequence, Union
 
 from . import lp
+from .lp import Combination, combination_reaches
 from .functional import NONPOSITIVE_AT_U_O, Functional, LinearF, is_positive, pieces_of
 from .numeric import (
     Background,
@@ -116,7 +119,6 @@ from .numeric import (
     integer_form,
     rank_of,
     row_kernel,
-    solve_in_span,
     unit_vector,
     zero_vector,
 )
@@ -127,31 +129,26 @@ def background_generators(space: OptionSpace) -> list[Vector]:
     return [unit_vector(space.dim, i) for i in range(space.dim)]
 
 
-Combination = tuple[tuple[Vector, Fraction], ...]
-
-
 @dataclass
 class OptionRecord:
     """What a cone object has learnt about one option.
 
     ``member`` is the verdict of a PosiCone's membership question (None
     until one is asked; the other classes decide membership by evaluation).
-    ``farkas`` is, for a PosiCone non-member, a checked functional y that is
-    nonnegative on every member and negative at the option: the active
-    functional r* of the hull dual.  ``separation`` is the option's
-    separation evidence, once some query has made it
-    (``option_separation``).  For a PosiCone whose closed hull is not all of
-    V, ``active`` is Lambda_o at the option and r*, and ``combination`` the
-    checked terms reaching ``option - Lambda_o u_o`` over the columns tight
-    on r* (``_active_ray``): below ``DD_RAY_CAP`` r* is the least-index kept
-    ray attaining Lambda_o and ``_hull_combination`` finds the terms, and
-    past it both come from one LP's checked dual and witness
-    (``_hull_lambda_o_lp``).
+    ``separation`` is the option's separation evidence, once some query has
+    made it (``option_separation``).  For a PosiCone whose closed hull is
+    not all of V, ``active`` is Lambda_o at the option and r*, and
+    ``combination`` the checked terms reaching ``option - Lambda_o u_o``
+    over the columns tight on r* (``_active_ray``): below ``DD_RAY_CAP`` r*
+    is the least-index kept ray attaining Lambda_o and ``_hull_combination``
+    finds the terms, and past it both come from one LP's checked dual and
+    witness (``_hull_lambda_o_lp``).  Where Lambda_o is negative, r* is
+    the checked functional nonnegative on every member and negative at the
+    option that excludes it (``_excluding``).
     """
 
     option: Vector
     member: Optional[bool] = None
-    farkas: Optional[LinearF] = None
     separation: Union[LinearF, lp.Infeasible, None] = None
     active: Optional[tuple[Fraction, LinearF]] = None
     combination: Optional[Combination] = None
@@ -262,60 +259,10 @@ def verify_inconsistency_combination(
     )
 
 
-def combination_reaches(combination: Sequence[tuple[Vector, Fraction]], target: Vector) -> bool:
-    """Are the coefficients nonnegative and the sum of the terms the target?
-    Checked by substitution, in integers over one common denominator.
-
-    With the coefficients ``a_k = A_k / D`` and each vector ``v_k = V_k /
-    s_k`` in integers (``integer_form``), and L the lcm of the s_k, the sum
-    is ``sum_k A_k (L / s_k) V_k`` over ``D L``, compared with the target's
-    integers ``T / s`` by cross-multiplying."""
-    if not combination:
-        return target.is_zero()
-    if any(coeff < 0 for _, coeff in combination):
-        return False
-    D, A = integer_form([coeff for _, coeff in combination])
-    forms = [integer_form(v.entries) for v, _ in combination]
-    L = math.lcm(*(s for s, _ in forms))
-    total = [0] * target.dim
-    for a, (s, V) in zip(A, forms):
-        k = a * (L // s)
-        if k:
-            for i, x in enumerate(V):
-                total[i] += k * x
-    s, T = integer_form(target.entries)
-    DL = D * L
-    return all(x * s == t * DL for x, t in zip(total, T))
-
-
-def _posi_problem(generators: Sequence[Vector], v: Vector) -> lp.LpProblem:
-    """The rows of v = sum lambda_k g_k, lambda >= 0, some lambda_k > 0: one
-    equality row per coordinate, then the sign rows.
-
-    A Farkas certificate's first ``v.dim`` multipliers are a functional y with
-    ``y(g_k) >= 0`` for every k (the multiplier of sign row k) and ``y(v) < 0``.
-    """
-    dim = generators[0].dim
-    if v.dim != dim:
-        raise ValueError("dimension mismatch")
-    m = len(generators)
-    rows = lp.combination_rows(generators, v)
-    rows += lp.nonneg_rows(m)
-    if v.is_zero():
-        # Any representation of a nonzero v already has a positive coefficient;
-        # for v = 0 the "some lambda_k > 0" clause needs the explicit row.
-        rows.append(lp.sum_to_one_row(m))
-    return lp.LpProblem(m, tuple(rows))
-
-
 def posi_member(generators: Sequence[Vector], v: Vector) -> bool:
-    """Is v a positive linear combination of the generators?"""
-    return bool(generators) and isinstance(lp.solve(_posi_problem(generators, v)), lp.Feasible)
-
-
-def _posi_terms(columns: Sequence[Vector], x: Vector) -> Combination:
-    """The nonzero terms ``(column, x_k)``, x read over the columns' count."""
-    return tuple((c, a) for c, a in zip(columns, x.entries) if a != 0)
+    """Is v a positive linear combination of the generators: nonnegative
+    coefficients, not all zero (``lp.positive_combination``)?"""
+    return lp.positive_combination(generators, v, "positive combination") is not None
 
 
 def _combine(vectors: Sequence[Vector], weights: Optional[Sequence[Fraction]] = None) -> Vector:
@@ -390,7 +337,7 @@ def _facet_membership(cone: PosiCone, record: OptionRecord) -> bool:
     * Lambda_o(v) < 0: False.  r* is negative at v, and it was checked
       where it was made (by the double description or by the LP's dual) to
       be nonnegative and nonnegative on the generators, so it is
-      nonnegative on every member and is kept as the record's ``farkas``.
+      nonnegative on every member; the record's ``active`` keeps it.
     * Lambda_o(v) > 0: True, by the checked combination
       ``v = Lambda_o(v) u_o + sum_c lambda_c c`` over generators and units
       (``_hull_combination``).  Under strict dominance ``Lambda_o(v) u_o``
@@ -402,11 +349,11 @@ def _facet_membership(cone: PosiCone, record: OptionRecord) -> bool:
       ``r*(p + s) >= r*(s) > 0`` for p in H and s strictly positive.  So v
       is a member iff v is in posi(generators), and a combination reaching v
       can use only the generators tight on r*, since ``r*(v) = 0`` and r* is
-      nonnegative on every generator.  ``_reach`` over those decides, by
-      its exact solve or, when that has a negative coefficient, one LP, and
-      its checked combination shows a member.  A non-member keeps no
-      ``farkas``: neither solve gives a functional nonnegative on every
-      generator.
+      nonnegative on every generator.  ``lp.positive_combination`` over
+      those decides, by its exact solve or, when that has a negative
+      coefficient, one LP, and its checked combination shows a member.  A
+      non-member has no excluding functional here: neither solve gives one
+      nonnegative on every generator.
     * No active functional, so H is all of V: True, by the kept combination
       reaching ``-u_o = p + o``, p over the generators and o >= 0 over the
       units (``_minus_u_o``).  Under pointwise dominance v is a nonzero
@@ -419,13 +366,12 @@ def _facet_membership(cone: PosiCone, record: OptionRecord) -> bool:
         return True
     lam, ray = active
     if lam < 0:
-        record.farkas = ray
         return False
     if lam > 0 or cone.space.background is Background.POINTWISE:
         _hull_combination(cone, record)
         return True
     tight = [g for g in cone.generators if ray.sign_at(g) == 0]
-    return _reach(tight, record.option, "boundary combination") is not None
+    return lp.positive_combination(tight, record.option, "boundary combination") is not None
 
 
 def _zero_combination(cone: PosiCone) -> Optional[Combination]:
@@ -434,10 +380,10 @@ def _zero_combination(cone: PosiCone) -> Optional[Combination]:
     question, the one membership question no record of a nonzero option
     answers.
 
-    Under pointwise dominance it is one LP: a nonzero nonnegative
-    combination of the generators and units summing to 0
-    (``_posi_problem``).  Under strict dominance 0 is a member iff it is a
-    nonzero nonnegative combination of the generators (one LP over them), or
+    Under pointwise dominance it is one positive combination of the
+    generators and units reaching 0 (``lp.positive_combination``, one LP,
+    its terms checked there).  Under strict dominance 0 is a member iff it
+    is a positive combination of the generators (one LP over them), or
     ``0 = p + s`` with p in posi(generators) and s strictly positive.  The
     second holds iff -u_o is in the closed hull H (``_minus_u_o``):
     ``-u_o = p + o`` with o >= 0 over the units gives the residual
@@ -447,10 +393,9 @@ def _zero_combination(cone: PosiCone) -> Optional[Combination]:
     """
     pointwise = cone.space.background is Background.POINTWISE
     columns = _hull_columns(cone) if pointwise else list(cone.generators)
-    if columns:
-        result = lp.solve(_posi_problem(columns, zero_vector(cone.space.dim)))
-        if isinstance(result, lp.Feasible):
-            return _posi_terms(columns, result.witness)
+    combination = lp.positive_combination(columns, zero_vector(cone.space.dim), "zero combination")
+    if combination is not None:
+        return combination
     # With no generators H is the orthant, which misses -u_o.
     minus_u_o = None if pointwise or not columns else _minus_u_o(cone)
     if minus_u_o is None:
@@ -715,10 +660,10 @@ def option_separation(cone: DesirCone, v: Vector) -> Optional[LinearF]:
       ``f > 0`` on every member, ``y(v) <= 0 < f(v)``, so ``t >= 0``, and
       ``f'(v) = y(v) + t f(v) = 0``.
 
-      - A PosiCone's y is the record's ``farkas``: at every size the
-        active functional r* of the hull dual, nonnegative, nonnegative on
-        the generators and negative at every non-member off the closed
-        hull (``_facet_membership``).  So f' is background-positive too
+      - A PosiCone's y is the record's active functional r* of the hull
+        dual, at every size: nonnegative, nonnegative on the generators and
+        negative at every non-member off the closed hull
+        (``_facet_membership``).  So f' is background-positive too
         and separates v with no LP.
       - An open-dual cone's y is the first piece p with ``p(v) <= 0``, one
         that v's non-membership shows.  f' is a nonnegative combination of
@@ -777,11 +722,14 @@ class MixingResult:
 def _excluding(cone: DesirCone, record: OptionRecord) -> Optional[LinearF]:
     """A functional y nonnegative on every member and negative or zero at
     the record's option v, a non-member, for ``option_separation``'s
-    ``y + t f``: the first open-dual piece nonpositive at v, else the
-    record's ``farkas`` (a LexCone never asks)."""
+    ``y + t f``: the first open-dual piece nonpositive at v, else a
+    PosiCone's active functional r* where Lambda_o(v) < 0, and None on the
+    boundary of the closed hull (``_facet_membership``; a LexCone never
+    asks)."""
     if isinstance(cone, OpenDualCone):
         return next(p for p in cone.pieces if p.sign_at(record.option) <= 0)
-    return record.farkas
+    lam, ray = record.active
+    return ray if lam < 0 else None
 
 
 def _positively_proportional(a: Vector, b: Vector) -> bool:
@@ -936,15 +884,15 @@ def _kept_rays(cone: PosiCone) -> Optional[tuple[LinearF, ...]]:
 
 def _minus_u_o(cone: PosiCone) -> Optional[Combination]:
     """Is -u_o in the closed hull H?  A checked combination of the
-    generators and units reaching -u_o, or None: ``_reach`` over
-    ``_hull_columns``, at most one LP per cone object, kept under
+    generators and units reaching -u_o, or None: ``lp.positive_combination``
+    over ``_hull_columns``, at most one LP per cone object, kept under
     "all_of_v", where an unbounded Lambda_o LP past ``DD_RAY_CAP`` keeps its
     ray's combination too (``_hull_lambda_o_lp``).  H holds the nonnegative
     orthant, so -u_o is in H iff H is all of V: ``u = (u + t u_o) + t
     (-u_o)`` is in H for every u, once t makes ``u + t u_o`` nonnegative."""
-    return cone.kept(
-        "all_of_v", lambda c: _reach(_hull_columns(c), -c.space.u_o, "all-of-V combination")
-    )
+    return cone.kept("all_of_v", lambda c: lp.positive_combination(
+        _hull_columns(c), -c.space.u_o, "all-of-V combination"
+    ))
 
 
 def _all_of_v(cone: PosiCone) -> Combination:
@@ -1097,48 +1045,29 @@ def _hull_combination(cone: PosiCone, record: OptionRecord) -> Combination:
     """The nonnegative combination of the generators and units tight on the
     active ray r* that reaches ``w = u - Lambda u_o``, u the record's option
     and Lambda its ``_active_ray`` value: the LP's witness past
-    ``DD_RAY_CAP``, and below it found and checked by ``_reach``, and kept
-    in the record.
+    ``DD_RAY_CAP``, and below it found and checked by
+    ``lp.positive_combination``, and kept in the record.
 
     With r* in H*, ``r*(u - alpha u_o) >= 0`` bounds every alpha with
     ``u - alpha u_o`` in H by Lambda; the combination puts w in H, so
     Lambda_o(u) = Lambda exactly.  Where w is in H, any combination reaching
     it uses only columns on which r* is zero, as ``r*(w) = 0`` and r* is
-    nonnegative on every column, so ``_reach`` runs over those alone.  A ray
-    that the kept list misses makes Lambda too large and w fall outside H,
-    so no combination exists and ``lp.verified`` refuses to answer.
+    nonnegative on every column, so the search runs over those alone.  w =
+    0 is reached by the empty combination, which this is the one caller to
+    accept: the search asks for a nonzero one.  A ray that the kept list
+    misses makes Lambda too large and w fall outside H, so no combination
+    exists and ``lp.verified`` refuses to answer.
     """
     if record.combination is None:
         lam, ray = record.active
         w = record.option - cone.space.u_o.scale(lam)
         tight = [c for c in _hull_columns(cone) if ray.sign_at(c) == 0]
-        combination = _reach(tight, w, "Lambda_o combination")
+        combination = () if w.is_zero() else lp.positive_combination(
+            tight, w, "Lambda_o combination"
+        )
         lp.verified(combination is not None, "Lambda_o combination")
         record.combination = combination
     return record.combination
-
-
-def _reach(columns: Sequence[Vector], target: Vector, what: str) -> Optional[Combination]:
-    """The nonzero terms of a nonnegative combination of the columns that
-    reaches the target, or None when there is none: the one search behind
-    every combination that certifies a PosiCone answer read from its rays.
-
-    One exact solve over the least-index basis of the columns
-    (``numeric.solve_in_span``) gives the terms when it has no negative
-    coefficient, and a target outside the span of the columns is outside
-    their positive hull.  Otherwise one LP over the columns decides.  The
-    terms found are checked by substitution (``combination_reaches``), and
-    ``lp.verified`` refuses, naming ``what``, when the check fails.
-    """
-    x = solve_in_span(columns, target)
-    if x is not None and any(a < 0 for a in x):
-        result = lp.solve(_posi_problem(columns, target))
-        x = result.witness.entries if isinstance(result, lp.Feasible) else None
-    if x is None:
-        return None
-    combination = tuple((c, a) for c, a in zip(columns, x) if a)
-    lp.verified(combination_reaches(combination, target), what)
-    return combination
 
 
 def _hull_lambda_o_lp(cone: PosiCone, record: OptionRecord) -> None:
@@ -1165,10 +1094,10 @@ def _hull_lambda_o_lp(cone: PosiCone, record: OptionRecord) -> None:
     result = lp.solve(lp.LpProblem(n, tuple(rows), _maximize_last(n)))
     if isinstance(result, lp.Optimal):
         record.active = result.value, LinearF(Vector(result.dual[: u_o.dim]))
-        record.combination = _posi_terms(hull, result.witness)
+        record.combination = lp.nonzero_terms(hull, result.witness)
     else:
         ray = result.ray
-        cone.kept("all_of_v", lambda c: _posi_terms(hull, ray.scale(1 / ray[-1])))
+        cone.kept("all_of_v", lambda c: lp.nonzero_terms(hull, ray.scale(1 / ray[-1])))
 
 
 @cache

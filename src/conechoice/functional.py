@@ -108,21 +108,22 @@ def dominating_polytope(f: SuperlinF) -> list[LinearF]:
     vector lies in this hull: hull members dominate term by term, and anything
     outside the hull is separated from it by some option u on which it drops
     below the envelope.  The envelope is the min over the returned vertices.
+
+    A point p is a vertex iff it is not a convex combination of the others,
+    that is iff ``(p, 1)`` is not a positive combination of their ``(q, 1)``
+    (``lp.positive_combination``, whose last row is ``sum x = 1``).
     """
     points = list(dict.fromkeys(piece.coeffs for piece in f.pieces))
     if len(points) == 1:
         return [LinearF(points[0])]
-    vertices: list[LinearF] = []
-    for idx, p in enumerate(points):
-        others = points[:idx] + points[idx + 1:]
-        m = len(others)
-        rows = lp.combination_rows(others, p)
-        rows.append(lp.sum_to_one_row(m))
-        rows += lp.nonneg_rows(m)
-        in_hull_of_others = isinstance(lp.solve(lp.LpProblem(m, tuple(rows))), lp.Feasible)
-        if not in_hull_of_others:
-            vertices.append(LinearF(p))
-    return vertices
+    lifted = [Vector((*p.entries, Fraction(1))) for p in points]
+    return [
+        LinearF(p)
+        for idx, p in enumerate(points)
+        if lp.positive_combination(
+            lifted[:idx] + lifted[idx + 1:], lifted[idx], "convex combination"
+        ) is None
+    ]
 
 
 def hahn_banach_witness(f: SuperlinF, u: Vector) -> LinearF:

@@ -51,6 +51,14 @@ pass its own evidence.
 :func:`solve` is the one entry point, and every problem takes the same path
 through it, a problem without rows included.
 
+Beside the checks sits the one combination search,
+:func:`positive_combination`: is the target (or 0) a positive combination
+of these columns?  Coherence, membership of a posi-generated cone,
+Lambda_o's certificates and the vertices of an envelope's hull all come
+down to it.  It tries one exact solve before any LP and checks the terms it
+returns by substitution (:func:`combination_reaches`), so every combination
+is checked where it is made, by the same check.
+
 Strict inequalities never appear in an ``LpProblem``.  Every strict system
 is homogeneous and is decided by one :func:`solve`: its strict rows
 ``row . x > 0`` are built by :func:`strict_row` as ``row . x >= 1`` (valid
@@ -68,7 +76,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional, Sequence, Union
 
-from .numeric import Vector, integer_form, ones, unit_vector
+from .numeric import Vector, integer_form, ones, solve_in_span, unit_vector
 
 LE = "<="
 EQ = "="
@@ -301,6 +309,41 @@ def verify_optimality(problem: LpProblem, result: Optimal) -> bool:
     return objective.coeffs.dot(result.witness) == result.value and all(
         x * t.denominator == sign * d * t.numerator for x, t in zip(combo, target)
     )
+
+
+Combination = tuple[tuple[Vector, Fraction], ...]
+
+
+def combination_reaches(combination: Sequence[tuple[Vector, Fraction]], target: Vector) -> bool:
+    """Are the coefficients nonnegative and the sum of the terms the target?
+    Checked by substitution, in integers over one common denominator.
+
+    With the coefficients ``a_k = A_k / D`` and each vector ``v_k = V_k /
+    s_k`` in integers (``integer_form``), and L the lcm of the s_k, the sum
+    is ``sum_k A_k (L / s_k) V_k`` over ``D L``, compared with the target's
+    integers ``T / s`` by cross-multiplying."""
+    if not combination:
+        return target.is_zero()
+    if any(coeff < 0 for _, coeff in combination):
+        return False
+    D, A = integer_form([coeff for _, coeff in combination])
+    forms = [integer_form(v.entries) for v, _ in combination]
+    L = math.lcm(*(s for s, _ in forms))
+    total = [0] * target.dim
+    for a, (s, V) in zip(A, forms):
+        k = a * (L // s)
+        if k:
+            for i, x in enumerate(V):
+                total[i] += k * x
+    s, T = integer_form(target.entries)
+    DL = D * L
+    return all(x * s == t * DL for x, t in zip(total, T))
+
+
+def nonzero_terms(columns: Sequence[Vector], x: Sequence[Fraction]) -> Combination:
+    """The terms ``(columns[k], x_k)`` with ``x_k != 0``, x read over the
+    columns' count."""
+    return tuple((c, a) for c, a in zip(columns, x) if a)
 
 
 def verify_ray(problem: LpProblem, ray: Vector) -> bool:
@@ -608,6 +651,47 @@ def solve(problem: LpProblem) -> LpResult:
     result = Optimal(witness, value, t._certificate(phase_one=False))
     verified(verify_optimality(problem, result), "optimality certificate")
     return result
+
+
+def positive_combination(
+    columns: Sequence[Vector], target: Vector, what: str
+) -> Optional[Combination]:
+    """The nonzero terms ``(column, x_k)`` of a positive combination of the
+    columns reaching the target -- nonnegative coefficients, not all zero --
+    or None when there is none, or no column: the one search behind every
+    positive combination the engine asks for.  (The Lambda_o LP past the
+    double description's cap reads its combination off its own witness.)
+
+    A nonzero target first takes one exact solve over the least-index basis
+    of the columns (``numeric.solve_in_span``): its terms are the answer
+    when no coefficient is negative, and a target outside the span of the
+    columns is outside their positive hull.  Otherwise, and always for a
+    zero target, where that solve gives only zeros, one LP decides: the rows
+    of ``target = sum_k x_k columns[k]`` (:func:`combination_rows`), the
+    sign rows, and for a zero target ``sum x = 1``, which rules out the
+    empty combination.  The terms found are checked by substitution
+    (:func:`combination_reaches`), and :func:`verified` refuses, naming
+    ``what``, when the check fails.
+    """
+    if not columns:
+        return None
+    m = len(columns)
+    if target.dim != columns[0].dim:
+        raise ValueError("dimension mismatch")
+    zero = target.is_zero()
+    x = None if zero else solve_in_span(columns, target)
+    if zero or (x is not None and any(a < 0 for a in x)):
+        rows = combination_rows(columns, target)
+        rows += nonneg_rows(m)
+        if zero:
+            rows.append(sum_to_one_row(m))
+        result = solve(LpProblem(m, tuple(rows)))
+        x = result.witness.entries if isinstance(result, Feasible) else None
+    if x is None:
+        return None
+    combination = nonzero_terms(columns, x)
+    verified(bool(combination) and combination_reaches(combination, target), what)
+    return combination
 
 
 def combination_rows(columns: Sequence[Vector], target: Vector) -> list[Constraint]:

@@ -761,13 +761,13 @@ def test_a_perturbed_combination_coefficient_is_refused(monkeypatch, d_sector):
                 assert not combination_reaches(terms, w), (cone, u, k)
                 perturbed += 1
     assert perturbed > 100, perturbed
-    solve_in_span = cone_module.solve_in_span
+    solve_in_span = lp.solve_in_span
 
     def moved_solve(columns, target):
         x = solve_in_span(columns, target)
         return None if x is None else tuple(a * 2 for a in x)
 
-    monkeypatch.setattr(cone_module, "solve_in_span", moved_solve)
+    monkeypatch.setattr(lp, "solve_in_span", moved_solve)
     with pytest.raises(RuntimeError, match="Lambda_o combination"):
         arch.lambda_o(replace(d_sector), vec(2, "-1/2"))
     # A strict-dominance member on a facet of the closed hull, shown by the
@@ -783,13 +783,18 @@ def test_a_perturbed_combination_coefficient_is_refused(monkeypatch, d_sector):
 
 
 def test_reach_finds_a_combination_exactly_when_the_oracle_does(monkeypatch):
-    # cone._reach against oracles.brute_force_lp in dual form: a nonzero
-    # target is in posi(columns) iff min f(target) over the functionals f
-    # nonnegative on every column is 0, not unbounded.  Columns in dims 1-4
-    # include zero vectors, repeats and g, -g pairs; the targets are
-    # positive combinations of all the columns, of one or two of them (often
-    # on the boundary of their positive hull), and random vectors.  Both the
-    # exact solve and the LP decide some of them.
+    # lp.positive_combination against oracles.brute_force_lp.  A nonzero
+    # target, in dual form: it is in posi(columns) iff min f(target) over
+    # the functionals f nonnegative on every column is 0, not unbounded.
+    # The zero target, in primal form: sum x_k c_k = 0, sum x = 1, x >= 0
+    # is feasible.  Columns in dims 1-4 include zero vectors, repeats and
+    # g, -g pairs; the targets are positive combinations of all the
+    # columns, of one or two of them (often on the boundary of their
+    # positive hull), random vectors, and 0 over the first three columns
+    # (the primal oracle enumerates C(3m + d + 1, m) bases, about 1 s at 5
+    # columns).  Both the exact solve and the LP decide some nonzero
+    # targets, and the zero target's LP both finds and refuses a
+    # combination.
     rng = random.Random(29)
     solves = []
     solve = lp.solve
@@ -815,19 +820,30 @@ def test_reach_finds_a_combination_exactly_when_the_oracle_does(monkeypatch):
             for pick in picks
             if pick
         ]
-        for target in targets:
-            if target.is_zero():
-                continue
+        queries = [(columns, t) for t in targets if not t.is_zero()]
+        for columns, target in queries + [(columns[:3], zero_vector(d))]:
             solves.clear()
-            combination = cone_module._reach(columns, target, "test combination")
-            rows = tuple(lp.Constraint(c, lp.GE, Fraction(0)) for c in columns)
-            status, _ = brute_force_lp(lp.LpProblem(d, rows, lp.Objective("min", target)))
-            assert (combination is not None) == (status == "optimal"), (columns, target)
+            combination = lp.positive_combination(columns, target, "test combination")
+            if target.is_zero():
+                m = len(columns)
+                found = bool(columns) and brute_force_lp(lp.LpProblem(m, (
+                    *lp.combination_rows(columns, target), lp.sum_to_one_row(m),
+                    *lp.nonneg_rows(m),
+                )))[0] == "feasible"
+                branch = "zero"
+            else:
+                rows = tuple(lp.Constraint(c, lp.GE, Fraction(0)) for c in columns)
+                status, _ = brute_force_lp(lp.LpProblem(d, rows, lp.Objective("min", target)))
+                found = status == "optimal"
+                branch = "lp" if solves else "exact"
+            assert (combination is not None) == found, (columns, target)
             if combination is not None:
-                assert all(c in columns and a > 0 for c, a in combination)
+                assert combination and all(c in columns and a > 0 for c, a in combination)
                 assert combination_reaches(combination, target)
-            branches["lp" if solves else "exact", combination is not None] += 1
-    assert all(branches[key] for key in product(("exact", "lp"), (True, False))), branches
+            branches[branch, combination is not None] += 1
+    assert all(
+        branches[key] for key in product(("exact", "lp", "zero"), (True, False))
+    ), branches
 
 
 # ---------------------------------------------------------------------------
@@ -922,3 +938,28 @@ def test_a_hull_equal_to_v_separates_from_its_kept_combination(monkeypatch, back
             vars(moved)["all_of_v"] = tuple(terms)
             with pytest.raises(RuntimeError, match="all-of-V certificate"):
                 separation_evidence(moved)
+
+
+def test_past_the_cap_a_hull_equal_to_v_separates_the_same_whatever_was_asked_first():
+    # tests/golden/past_cap.json's hull_is_V cone: 65 dimensions, one past
+    # DD_RAY_CAP, under strict dominance.  A membership query keeps the
+    # Lambda_o LP's combination reaching -u_o, from which
+    # _all_of_v_certificate would read a Farkas certificate with no LP, but
+    # not the LP's: it weighs rows 0, 1, 3, 4 (by 2) and 5 onward, the LP's
+    # rows 0, 1, 2 and 4.  Past the cap the option-free separation is the
+    # LP's on a fresh object and after member alike, so an arch_consistent
+    # certificate does not depend on what the object was asked before.
+    d = cone_module.DD_RAY_CAP + 1
+    space = OptionSpace(d, Background.STRICT, ones(d))
+    generators = (
+        Vector((Fraction(-1), Fraction(-1), *[Fraction(0)] * (d - 2))),
+        Vector((Fraction(0), *[Fraction(-1)] * (d - 1))),
+    )
+    fresh = separation_evidence(PosiCone(generators, space))
+    asked = PosiCone(generators, space)
+    assert member(asked, -unit_vector(d, 0))
+    assert asked.kept("all_of_v") is not None and cone_module._kept_rays(asked) is None
+    assert isinstance(fresh, lp.Infeasible)
+    assert separation_evidence(asked) == fresh
+    assert [k for k, y in enumerate(fresh.certificate) if y] == [0, 1, 2, 4]
+    assert cone_module._all_of_v_certificate(asked) != fresh

@@ -89,3 +89,22 @@ def test_ab_interleaved_runs_a_tree_against_itself():
     assert set(summary["parent"]) == set(summary["change"]) == {
         "queries_per_s", "query_gmean_ms", "query_tail_ms"
     }
+
+
+def test_ab_interleaved_refuses_a_tree_without_coin_json(tmp_path):
+    # A tree that lacks a file run.py reads is refused before any worker
+    # starts, with the file named, rather than failing in the workers.
+    tree = tmp_path / "tree"
+    for name in ("src/conechoice/__init__.py", "tests/oracles.py", "perfbench/run.py"):
+        (tree / name).parent.mkdir(parents=True, exist_ok=True)
+        (tree / name).write_text("")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_interleaved.py"), str(ROOT), str(tree),
+         "--workload", "models", "--seed", "1", "--seconds", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"{tree} has no models/coin.json" in proc.stderr
+    assert proc.stdout == ""
