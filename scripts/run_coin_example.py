@@ -15,6 +15,7 @@ from fractions import Fraction
 from conechoice import (
     AssessmentK,
     Background,
+    BinaryK,
     CredalK,
     LexCone,
     LinearF,
@@ -25,11 +26,9 @@ from conechoice import (
     SuperlinF,
     archimedean_consistent,
     choose,
-    e_admissible,
     is_coherent,
     is_essentially_archimedean,
     is_mixing,
-    maximal,
     member,
     natural_extension,
     nml,
@@ -102,14 +101,12 @@ def main() -> None:
         space,
     )
     menu = OptionSet((vec(1, 0), vec(0, 1), vec("1/2", "1/2")))
-    eadm = e_admissible(credal.functionals, menu)
-    print(f"  E-admissible: {[str(u) for u in eadm]}")
-    print(f"  choose(credal) agrees: {choose(credal, menu) == eadm}")
-    d_pair = OpenDualCone(
-        (expectation_functional(Fraction(1, 3)), expectation_functional(Fraction(2, 3))),
-        space,
-    )
-    print(f"  maximal: {[str(u) for u in maximal(d_pair, menu)]}")
+    # E-admissibility is choose over the credal model, and maximality is
+    # choose over the binary model of the open cone the same functionals give.
+    print(f"  E-admissible, choose(credal, menu): {[str(u) for u in choose(credal, menu)]}")
+    d_pair = OpenDualCone(credal.functionals, space)
+    print(f"  maximal, choose(BinaryK(d_pair), menu): "
+          f"{[str(u) for u in choose(BinaryK(d_pair), menu)]}")
 
 
 if __name__ == "__main__":

@@ -56,7 +56,6 @@ from .choice import (
     KModel,
     OptionSet,
     choose,
-    e_admissible,
     is_binary,
     km_check,
     maximal,

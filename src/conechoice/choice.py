@@ -24,6 +24,17 @@ extension (``cone.member``), so ``member`` passes every selection for it
 without solving the selection's consistency.  A selection known to be
 inconsistent is skipped by the Archimedean queries: no functional is
 strictly positive on a set holding 0.
+
+There is one choice rule, the rejection bridge: u in a menu A is rejected
+iff ``(A \\ {u}) - u`` is in the model (``reject``), and ``choose`` keeps
+the rest.  The paper's representation theorems characterise the classical
+rules as this choice from particular models.  Over a ``CredalK``,
+``(A \\ {u}) - u`` is a member iff every functional f of the credal set has
+some v in A with ``f(v) > f(u)``, so ``choose`` keeps the options that
+maximise expected value under at least one f: Levi's E-admissibility.  Over
+``BinaryK(D)`` it is a member iff some v in A has ``v - u`` in D, so
+``choose`` keeps the options that no v in A beats in D: Walley-Sen
+maximality, which ``maximal`` names.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import product
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 from . import archimedean as arch
 from . import lp
@@ -304,30 +315,17 @@ def reject(model: KModel, a: OptionSet) -> OptionSet:
 
 
 def choose(model: KModel, a: OptionSet) -> OptionSet:
+    """The options of A that ``reject`` keeps: A minus R(A).
+
+    Over a ``CredalK`` these are the E-admissible options, and over
+    ``BinaryK(cone)`` the maximal ones (see the module docstring).
+    """
     rejected = reject(model, a)
     return OptionSet(tuple(u for u in a if u not in rejected))
 
 
-def e_admissible(credal: Sequence[LinearF], a: OptionSet) -> OptionSet:
-    """Options maximizing expected value under at least one credal functional."""
-    if not credal:
-        raise ValueError("need a nonempty credal set")
-    chosen = []
-    for u in a:
-        for f in credal:
-            value = f.eval(u)
-            if all(value >= f.eval(v) for v in a):
-                chosen.append(u)
-                break
-    return OptionSet(tuple(chosen))
-
-
 def maximal(cone: DesirCone, a: OptionSet) -> OptionSet:
-    """Options not strictly dominated within the menu: no v with v - u in the cone."""
-    return OptionSet(
-        tuple(
-            u
-            for u in a
-            if not any(v != u and cone_member(cone, v - u) for v in a)
-        )
-    )
+    """Walley-Sen maximality: the options u of A with no v in A for which
+    v - u is in the cone.  That is ``choose`` over the binary model K_D,
+    since ``(A \\ {u}) - u`` meets the cone exactly when such a v exists."""
+    return choose(BinaryK(cone), a)

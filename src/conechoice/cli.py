@@ -185,12 +185,7 @@ def _choose_record(model: Model, rule: str, target_name: str, menu: choice.Optio
     if rule == "eadm":
         if not isinstance(target, choice.CredalK):
             raise UsageError("eadm needs a credal k-model")
-        chosen = choice.e_admissible(target.functionals, menu)
-        lp.verified(
-            chosen.options == choice.choose(target, menu).options,
-            "E-admissibility/choice agreement",
-        )
-        return _record(chosen)
+        return _record(choice.choose(target, menu))
     if rule == "reject":
         return _record(choice.reject(target, menu))
     raise UsageError(f"unknown rule {rule!r}")

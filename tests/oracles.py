@@ -8,14 +8,20 @@ of a posi-generated cone posed as the LP over its closed hull, which the
 engine solved before it read Lambda_o off the dual's extreme rays.  It calls
 the engine's simplex, a different algorithm from the double description it
 checks.
+
+The choice oracles decide by definition: ``e_admissible`` compares expected
+values under each credal functional, and ``maximal_by_definition`` asks, for
+every ordered pair of menu options, whether their difference lies in the cone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
+from conechoice.choice import OptionSet
+from conechoice.functional import LinearF
 from conechoice.lp import EQ, GE, LE, Constraint, LpProblem, Objective, Optimal, solve
 from conechoice.numeric import OptionSpace, Vector, unit_vector
 
@@ -225,3 +231,28 @@ def hull_lambda_o_lp(
     rows += [Constraint(unit_vector(n, k), GE, Fraction(0)) for k in range(n - 1)]
     result = solve(LpProblem(n, tuple(rows), Objective("max", unit_vector(n, n - 1))))
     return result.value if isinstance(result, Optimal) else None
+
+
+def e_admissible(credal: Sequence[LinearF], a: OptionSet) -> OptionSet:
+    """Options maximizing expected value under at least one credal functional."""
+    if not credal:
+        raise ValueError("need a nonempty credal set")
+    chosen = []
+    for u in a:
+        for f in credal:
+            value = f.eval(u)
+            if all(value >= f.eval(v) for v in a):
+                chosen.append(u)
+                break
+    return OptionSet(tuple(chosen))
+
+
+def maximal_by_definition(in_cone: Callable[[Vector], bool], a: OptionSet) -> tuple[Vector, ...]:
+    """The options u of A, in A's order, for which no other v in A has
+    ``in_cone(v - u)``."""
+    return tuple(u for u in a if not any(v != u and in_cone(v - u) for v in a))
+
+
+def open_dual_member(pieces: Sequence[Vector], v: Vector) -> bool:
+    """Is v in the open cone {v : p.v > 0 for every piece p}?"""
+    return all(p.dot(v) > 0 for p in pieces)

@@ -27,7 +27,6 @@ from conechoice.choice import (
     archimedean_member_evidence,
     choose,
     displaced,
-    e_admissible,
     km_check,
     maximal,
     member as k_member,
@@ -62,7 +61,7 @@ from conechoice.numeric import (
 )
 
 from conftest import expectation, rand_positive_vector, rand_vector
-from oracles import brute_force_lp, grid_2d, separation_direction_2d, units_2d
+from oracles import brute_force_lp, e_admissible, grid_2d, separation_direction_2d, units_2d
 from test_lp import _random_problem
 
 PW2 = OptionSpace(dim=2, background=Background.POINTWISE, u_o=vec(1, 1))
@@ -247,10 +246,10 @@ def test_criterion_10_rejection_bridge_and_e_admissibility():
 
 
 def test_criterion_11_e_admissibility_vs_maximality_gap():
-    credal = (expectation("1/3"), expectation("2/3"))
+    credal = CredalK((expectation("1/3"), expectation("2/3")), PW2)
     menu = option_set(vec(1, 0), vec(0, 1), vec("1/2", "1/2"))
-    assert e_admissible(credal, menu).options == (vec(0, 1), vec(1, 0))
-    cone = OpenDualCone(credal, PW2)
+    assert choose(credal, menu).options == (vec(0, 1), vec(1, 0))
+    cone = OpenDualCone(credal.functionals, PW2)
     assert maximal(cone, menu).options == (vec(0, 1), vec("1/2", "1/2"), vec(1, 0))
 
 

@@ -18,7 +18,6 @@ from conechoice.choice import (
     choose,
     consistent,
     displaced,
-    e_admissible,
     is_binary,
     km_check,
     maximal,
@@ -32,7 +31,14 @@ from conechoice.functional import LinearF, is_positive
 from conechoice.numeric import Background, OptionSpace, vec, zero_vector
 
 from conftest import expectation, rand_positive_vector, rand_vector
-from oracles import cone2_member, separation_direction_2d, units_2d
+from oracles import (
+    cone2_member,
+    e_admissible,
+    maximal_by_definition,
+    open_dual_member,
+    separation_direction_2d,
+    units_2d,
+)
 
 
 @pytest.fixture
@@ -195,6 +201,9 @@ def test_e_admissible_examples(k_credal):
     single = [expectation("2/3")]
     assert e_admissible(single, menu).options == (vec(1, 0),)
     assert e_admissible(single, option_set(vec(5, 5))).options == (vec(5, 5),)
+    # The engine's rule: E-admissibility is choose over a CredalK.
+    assert choose(k_credal, menu).options == (vec(0, 1), vec(1, 0))
+    assert choose(CredalK(tuple(single), k_credal.space), menu).options == (vec(1, 0),)
     with pytest.raises(ValueError, match="need a nonempty credal set"):
         e_admissible((), menu)
     with pytest.raises(ValueError, match="a credal set needs at least one functional"):
@@ -211,6 +220,13 @@ def test_maximal_examples(pw2, vacuous):
     chain = option_set(vec(1, 0), vec(2, 0), vec(3, 0))
     single_cone = OpenDualCone((expectation("2/3"),), pw2)
     assert maximal(single_cone, chain).options == (vec(3, 0),)
+
+
+def test_maximal_of_an_empty_menu_raises(vacuous):
+    # maximal is choose over BinaryK(cone), which refuses an empty menu as
+    # reject does.
+    with pytest.raises(ValueError, match="need a nonempty menu"):
+        maximal(vacuous, OptionSet(()))
 
 
 def test_rejection_bridge_and_rule_equivalences(pw2):
@@ -230,8 +246,21 @@ def test_rejection_bridge_and_rule_equivalences(pw2):
         eadm = e_admissible(credal.functionals, menu)
         assert choose(credal, menu) == eadm
         cone = OpenDualCone(credal.functionals, pw2)
-        assert maximal(cone, menu) == choose(BinaryK(cone), menu)
+        pieces = [f.coeffs for f in cone.pieces]
+        assert maximal(cone, menu).options == maximal_by_definition(
+            lambda w: open_dual_member(pieces, w), menu
+        )
         assert all(u in maximal(cone, menu) for u in eadm)
+    # Maximality relative to a 2-D PosiCone under pointwise dominance, whose
+    # members are the positive combinations of its generators and the units.
+    for _ in range(60):
+        generators = tuple(rand_vector(rng, 2) for _ in range(rng.randint(1, 3)))
+        cone = PosiCone(generators, pw2)
+        menu = OptionSet(tuple(rand_vector(rng, 2) for _ in range(rng.randint(1, 4))))
+        columns = [*generators, *units_2d()]
+        assert maximal(cone, menu).options == maximal_by_definition(
+            lambda w: cone2_member(columns, w), menu
+        )
 
 
 def test_k_axioms_on_fixtures(pw2, k_hot, k_credal, d_half):

@@ -163,7 +163,9 @@ def test_an_undecided_mixing_answer_carries_no_witness(tmp_path, capsys):
     assert records["q"] == {"name": "q", "kind": "mixing", "target": "L", "answer": "unknown"}
 
 
-def test_readme_cli_examples_exit_0(capsys, monkeypatch):
+def test_readme_cli_examples_exit_0(tmp_path, capsys, monkeypatch):
+    # Every command of the README's CLI block, then report and check on its
+    # example model file.
     readme = (ROOT / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     commands = [
@@ -171,6 +173,9 @@ def test_readme_cli_examples_exit_0(capsys, monkeypatch):
         if line.startswith("conechoice ")
     ]
     assert len(commands) == 8
+    model = tmp_path / "readme.json"
+    model.write_text(readme.split("## Model files", 1)[1].split("```json", 1)[1].split("```", 1)[0])
+    commands += [["conechoice", command, str(model)] for command in ("report", "check")]
     monkeypatch.chdir(ROOT)
     for argv in commands:
         code, out, err = run(capsys, *argv[1:])
@@ -455,7 +460,8 @@ def test_lp_solves_per_coin_query(monkeypatch):
     # D_sector.mixing reads its separation and its witness pair's membership
     # from the sector's hull dual, and K_hot.is_binary its members' too, so
     # neither solves a separation or a membership LP; Lambda_o at the kernel
-    # direction is certified by one exact solve.
+    # direction is certified by one exact solve.  The two choose records
+    # evaluate a credal set's functionals and an open-dual cone's pieces.
     calls = []
     solve = lp.solve
     monkeypatch.setattr(lp, "solve", lambda problem: calls.append(problem) or solve(problem))
@@ -466,8 +472,10 @@ def test_lp_solves_per_coin_query(monkeypatch):
         run_query(model, query)
         solves[query["name"]] = len(calls) - before
     assert {name: solves[name] for name in (
-        "D_H.arch_consistent", "K_hot.is_binary", "hot_membership", "D_sector.mixing"
-    )} == {"D_H.arch_consistent": 1, "K_hot.is_binary": 1, "hot_membership": 0, "D_sector.mixing": 0}
+        "D_H.arch_consistent", "K_hot.is_binary", "hot_membership", "D_sector.mixing",
+        "eadm_choice", "maximality_choice",
+    )} == {"D_H.arch_consistent": 1, "K_hot.is_binary": 1, "hot_membership": 0, "D_sector.mixing": 0,
+           "eadm_choice": 0, "maximality_choice": 0}
 
 
 def test_coin_open_dual_cones_are_consistent_with_no_lp(monkeypatch):
