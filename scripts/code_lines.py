@@ -2,9 +2,10 @@
 
     python scripts/code_lines.py
 
-For each module, and then in total, it prints the physical lines and the
-code lines: the lines that are not blank, not only a comment and not part of
-a docstring (of the module, a class or a function).
+For each module, and then in total, it prints the physical lines, the code
+lines (the lines that are not blank, not only a comment and not part of a
+docstring of the module, a class or a function) and the public names (the
+top-level functions and classes whose names do not start with ``_``).
 """
 
 from __future__ import annotations
@@ -32,26 +33,33 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def count(path: Path) -> tuple[int, int]:
-    """``(physical lines, code lines)`` of one module."""
+def count(path: Path) -> tuple[int, int, int]:
+    """``(physical lines, code lines, public names)`` of one module."""
     text = path.read_text(encoding="utf-8")
-    docstrings = docstring_lines(ast.parse(text))
+    tree = ast.parse(text)
+    docstrings = docstring_lines(tree)
     lines = text.splitlines()
     code = sum(
         1
         for number, line in enumerate(lines, 1)
         if number not in docstrings and line.strip() and not line.lstrip().startswith("#")
     )
-    return len(lines), code
+    public = sum(
+        1
+        for node in tree.body
+        if isinstance(node, _DOCUMENTED[1:])  # classes and functions
+        and not node.name.startswith("_")
+    )
+    return len(lines), code, public
 
 
 def main() -> None:
     rows = [(path.name, *count(path)) for path in sorted(PACKAGE.glob("*.py"))]
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
-    width = max(len(name) for name, _, _ in rows)
-    print(f"{'module':<{width}}  {'physical':>8}  {'code':>6}")
-    for name, physical, code in rows:
-        print(f"{name:<{width}}  {physical:>8}  {code:>6}")
+    rows.append(("total", *(sum(r[column] for r in rows) for column in (1, 2, 3))))
+    width = max(len(row[0]) for row in rows)
+    print(f"{'module':<{width}}  {'physical':>8}  {'code':>6}  {'public':>6}")
+    for name, physical, code, public in rows:
+        print(f"{name:<{width}}  {physical:>8}  {code:>6}  {public:>6}")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,8 @@ rules (:mod:`choice`), horse-lottery ingestion (:mod:`lottery`), and a CLI
 (:mod:`cli`).
 """
 
+from types import ModuleType as _ModuleType
+
 from .numeric import (
     Background,
     OptionSpace,
@@ -30,16 +32,7 @@ from .cone import (
     natural_extension,
     posi_member,
 )
-from .functional import (
-    LinearF,
-    SuperlinF,
-    dominating_polytope,
-    hahn_banach_witness,
-    is_positive,
-    nml,
-    operator_norm,
-    operator_norm_bound,
-)
+from .functional import LinearF, SuperlinF, is_positive, nml
 from .archimedean import (
     SeparationWitness,
     archimedean_closure_member,
@@ -57,12 +50,17 @@ from .choice import (
     OptionSet,
     choose,
     is_binary,
-    km_check,
     maximal,
     reject,
 )
-from .lottery import DiffOption, HorseLottery, embed_pref, mixture_independence_check, to_vector
+from .lottery import DiffOption, HorseLottery, embed_pref, to_vector
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The API names only: importing a name from a submodule also binds the
+# submodule itself here, and ``import *`` must not rebind a caller's ``lp``.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 __version__ = "0.1.0"

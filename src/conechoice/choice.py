@@ -40,7 +40,6 @@ maximality, which ``maximal`` names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import product
 from typing import Iterator, Optional, Union
@@ -53,7 +52,6 @@ from .cone import (
     member as cone_member,
     natural_extension,
     option_separation,
-    posi_member,
     separates,
 )
 from .functional import LinearF, SuperlinF, is_positive, nml
@@ -273,33 +271,11 @@ def archimedean_member_evidence(model: AssessmentK, b: OptionSet) -> Optional[Su
     return None
 
 
-def archimedean_member(model: AssessmentK, b: OptionSet) -> bool:
-    return archimedean_member_evidence(model, b) is None
-
-
 def is_binary(model: AssessmentK) -> bool:
     """Does every assessment set contain an option whose singleton is in the closure?"""
     return all(
         any(member(model, option_set(u)) for u in a.without_zero()) for a in model.assessment
     )
-
-
-class KmOutcome(Enum):
-    PASS = "pass"
-    VIOLATION = "violation"
-
-
-def km_check(model: KModel, b: OptionSet, b2: OptionSet) -> KmOutcome:
-    """Check the mixing axiom on one instance: B subset of B2 subset of posi(B)."""
-    if not all(u in b2 for u in b):
-        raise ValueError("precondition failed: B is not a subset of B2")
-    base = list(b.options)
-    for u in b2:
-        if u not in b and not posi_member(base, u):
-            raise ValueError("precondition failed: B2 is not inside posi(B)")
-    if member(model, b2) and not member(model, b):
-        return KmOutcome.VIOLATION
-    return KmOutcome.PASS
 
 
 def displaced(a: OptionSet, u: Vector) -> OptionSet:

@@ -3,8 +3,7 @@
 Superlinear functionals are restricted to finite min-envelopes of linear
 pieces: every bounded superlinear functional is a lower envelope of the linear
 functionals dominating it, and the finite-envelope fragment covers everything
-this engine constructs.  Conjugates are evaluated (max over pieces), never
-materialized as separate objects.
+this engine constructs.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from . import lp
 from .numeric import OptionSpace, Vector
 
 
@@ -33,10 +31,6 @@ class LinearF:
     def sign_at(self, u: Vector) -> int:
         """The sign of ``eval(u)``, -1, 0 or 1, with no Fraction built."""
         return self.coeffs.dot_sign(u)
-
-    def conjugate_eval(self, u: Vector) -> Fraction:
-        # Linear functionals are self-conjugate.
-        return self.coeffs.dot(u)
 
 
 @dataclass(frozen=True)
@@ -66,10 +60,6 @@ class SuperlinF:
         """The sign of ``eval(u)``: the least sign over the pieces."""
         return min(p.sign_at(u) for p in self.pieces)
 
-    def conjugate_eval(self, u: Vector) -> Fraction:
-        # conj(u) = -eval(-u) = max over pieces.
-        return max(p.eval(u) for p in self.pieces)
-
 
 Functional = Union[LinearF, SuperlinF]
 
@@ -89,46 +79,6 @@ def is_positive(f: Functional, space: OptionSpace) -> bool:
     rule for linear functionals (``OptionSpace.positive_functional``).
     """
     return all(space.positive_functional(piece.coeffs) for piece in pieces_of(f))
-
-
-def operator_norm(f: LinearF) -> Fraction:
-    """Exact operator norm under the sup-norm: sum of absolute coefficients."""
-    return sum((abs(c) for c in f.coeffs.entries), Fraction(0))
-
-
-def operator_norm_bound(f: SuperlinF) -> Fraction:
-    """A certified upper bound on the operator norm: max over the pieces' norms."""
-    return max(operator_norm(p) for p in f.pieces)
-
-
-def dominating_polytope(f: SuperlinF) -> list[LinearF]:
-    """Vertices of the convex hull of the piece coefficient vectors.
-
-    A linear functional dominates the envelope everywhere iff its coefficient
-    vector lies in this hull: hull members dominate term by term, and anything
-    outside the hull is separated from it by some option u on which it drops
-    below the envelope.  The envelope is the min over the returned vertices.
-
-    A point p is a vertex iff it is not a convex combination of the others,
-    that is iff ``(p, 1)`` is not a positive combination of their ``(q, 1)``
-    (``lp.positive_combination``, whose last row is ``sum x = 1``).
-    """
-    points = list(dict.fromkeys(piece.coeffs for piece in f.pieces))
-    if len(points) == 1:
-        return [LinearF(points[0])]
-    lifted = [Vector((*p.entries, Fraction(1))) for p in points]
-    return [
-        LinearF(p)
-        for idx, p in enumerate(points)
-        if lp.positive_combination(
-            lifted[:idx] + lifted[idx + 1:], lifted[idx], "convex combination"
-        ) is None
-    ]
-
-
-def hahn_banach_witness(f: SuperlinF, u: Vector) -> LinearF:
-    """A dominating linear functional agreeing with f at u: a least-index argmin piece."""
-    return min(f.pieces, key=lambda piece: piece.eval(u))
 
 
 def nml(f: Functional, u_o: Vector) -> Functional:

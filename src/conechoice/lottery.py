@@ -107,15 +107,6 @@ def embed_pref(h: HorseLottery, g: HorseLottery, alpha: Fraction) -> DiffOption:
     return DiffOption(h.states, h.rewards, _combine(alpha, h.table, -alpha, g.table))
 
 
-def mix(h: HorseLottery, z: HorseLottery, alpha: Fraction) -> HorseLottery:
-    """The state-wise mixture alpha * h + (1 - alpha) * z."""
-    alpha = as_rational(alpha)
-    if not 0 <= alpha <= 1:
-        raise ValueError("mixture coefficient must lie in [0, 1]")
-    _check_same_support(h, z)
-    return HorseLottery(h.states, h.rewards, _combine(alpha, h.table, 1 - alpha, z.table))
-
-
 def _reference_column(rewards: Sequence[str], reference_reward: str) -> int:
     if reference_reward not in rewards:
         raise ValueError(f"unknown reward label {reference_reward!r}")
@@ -150,19 +141,3 @@ def from_vector(
         rest = v.entries[start : start + per_state]
         table.append(rest[:r] + (-sum(rest, _ZERO),) + rest[r:])
     return DiffOption(tuple(states), tuple(rewards), tuple(table))
-
-
-def mixture_independence_check(
-    h: HorseLottery, g: HorseLottery, z: HorseLottery, alpha: Fraction
-) -> bool:
-    """Embedding the mixed preference equals scaling the plain one by alpha.
-
-    This collinearity is what makes the preference-to-option correspondence
-    independent of the mixing level.
-    """
-    alpha = as_rational(alpha)
-    if not 0 < alpha <= 1:
-        raise ValueError("mixture coefficient must lie in (0, 1]")
-    mixed = embed_pref(mix(h, z, alpha), mix(g, z, alpha), Fraction(1))
-    plain = embed_pref(h, g, Fraction(1)).scale(alpha)
-    return mixed == plain

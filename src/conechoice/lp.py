@@ -53,11 +53,11 @@ through it, a problem without rows included.
 
 Beside the checks sits the one combination search,
 :func:`positive_combination`: is the target (or 0) a positive combination
-of these columns?  Coherence, membership of a posi-generated cone,
-Lambda_o's certificates and the vertices of an envelope's hull all come
-down to it.  It tries one exact solve before any LP and checks the terms it
-returns by substitution (:func:`combination_reaches`), so every combination
-is checked where it is made, by the same check.
+of these columns?  Coherence, membership of a posi-generated cone and
+Lambda_o's certificates all come down to it.  It tries one exact solve
+before any LP and checks the terms it returns by substitution
+(:func:`combination_reaches`), so every combination is checked where it is
+made, by the same check.
 
 Strict inequalities never appear in an ``LpProblem``.  Every strict system
 is homogeneous and is decided by one :func:`solve`: its strict rows

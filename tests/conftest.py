@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from conechoice.cone import LexCone, OpenDualCone, PosiCone
+from conechoice.choice import OptionSet
+from conechoice.cone import LexCone, OpenDualCone, PosiCone, posi_member
 from conechoice.functional import LinearF
 from conechoice.numeric import Background, OptionSpace, Vector, vec
 
@@ -16,6 +17,13 @@ def expectation(p) -> LinearF:
     """The coin expectation functional u -> p*u_heads + (1-p)*u_tails."""
     p = Fraction(p)
     return LinearF(vec(p, 1 - p))
+
+
+def mixing_instance(b: OptionSet, b2: OptionSet) -> bool:
+    """Is (B, B2) an instance of the mixing axiom, B in B2 in posi(B)?  The
+    axiom asks that B2 in the model puts B in it too."""
+    base = list(b.options)
+    return all(u in b2 for u in b) and all(u in b or posi_member(base, u) for u in b2)
 
 
 def rand_fraction(rng: random.Random, span: int = 4, max_den: int = 4) -> Fraction:

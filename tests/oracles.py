@@ -9,6 +9,9 @@ engine solved before it read Lambda_o off the dual's extreme rays.  It calls
 the engine's simplex, a different algorithm from the double description it
 checks.
 
+``hull_vertices`` decides each point by ``brute_force_lp``, and ``mix``
+builds a state-wise mixture of horse lotteries entry by entry.
+
 The choice oracles decide by definition: ``e_admissible`` compares expected
 values under each credal functional, and ``maximal_by_definition`` asks, for
 every ordered pair of menu options, whether their difference lies in the cone.
@@ -22,6 +25,7 @@ from typing import Callable, Optional, Sequence
 
 from conechoice.choice import OptionSet
 from conechoice.functional import LinearF
+from conechoice.lottery import HorseLottery
 from conechoice.lp import EQ, GE, LE, Constraint, LpProblem, Objective, Optimal, solve
 from conechoice.numeric import OptionSpace, Vector, unit_vector
 
@@ -132,6 +136,28 @@ def brute_force_lp(
     if small == large:
         return "optimal", small
     return "unbounded", None
+
+
+def hull_vertices(points: Sequence[Vector]) -> list[Vector]:
+    """The vertices of the convex hull of the points, distinct, in first-seen
+    order.  A point p is a vertex iff it is not a convex combination of the
+    others, that is iff ``(p, 1)`` is not a nonnegative combination of their
+    ``(q, 1)``: an infeasible system for ``brute_force_lp``."""
+    distinct = list(dict.fromkeys(points))
+    if len(distinct) == 1:
+        return distinct
+    vertices = []
+    for p in distinct:
+        lifted = [(*q.entries, Fraction(1)) for q in distinct if q != p]
+        n = len(lifted)
+        rows = [
+            Constraint(Vector(tuple(column[i] for column in lifted)), EQ, target)
+            for i, target in enumerate((*p.entries, Fraction(1)))
+        ]
+        rows += [Constraint(unit_vector(n, k), GE, Fraction(0)) for k in range(n)]
+        if brute_force_lp(LpProblem(n, tuple(rows)))[0] == "infeasible":
+            vertices.append(p)
+    return vertices
 
 
 def _rot90(v: Vector) -> Vector:
@@ -256,3 +282,13 @@ def maximal_by_definition(in_cone: Callable[[Vector], bool], a: OptionSet) -> tu
 def open_dual_member(pieces: Sequence[Vector], v: Vector) -> bool:
     """Is v in the open cone {v : p.v > 0 for every piece p}?"""
     return all(p.dot(v) > 0 for p in pieces)
+
+
+def mix(h: HorseLottery, z: HorseLottery, alpha: Fraction) -> HorseLottery:
+    """The state-wise mixture alpha * h + (1 - alpha) * z; ``HorseLottery``
+    refuses it when a mass comes out negative."""
+    table = tuple(
+        tuple(alpha * x + (1 - alpha) * y for x, y in zip(row_h, row_z))
+        for row_h, row_z in zip(h.table, z.table)
+    )
+    return HorseLottery(h.states, h.rewards, table)

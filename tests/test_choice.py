@@ -10,16 +10,13 @@ from conechoice.choice import (
     AssessmentK,
     BinaryK,
     CredalK,
-    KmOutcome,
     OptionSet,
     archimedean_consistent,
-    archimedean_member,
     archimedean_member_evidence,
     choose,
     consistent,
     displaced,
     is_binary,
-    km_check,
     maximal,
     member,
     option_set,
@@ -30,7 +27,7 @@ from conechoice.cone import OpenDualCone, PosiCone, is_mixing, member as cone_me
 from conechoice.functional import LinearF, is_positive
 from conechoice.numeric import Background, OptionSpace, vec, zero_vector
 
-from conftest import expectation, rand_positive_vector, rand_vector
+from conftest import expectation, mixing_instance, rand_positive_vector, rand_vector
 from oracles import (
     cone2_member,
     e_admissible,
@@ -118,9 +115,9 @@ def test_archimedean_consistency_examples(pw2, k_hot):
 
 
 def test_archimedean_membership_examples(pw2, k_hot):
-    assert archimedean_member(k_hot, option_set(vec(1, 1)))
+    assert archimedean_member_evidence(k_hot, option_set(vec(1, 1))) is None
     single = AssessmentK((option_set(vec(1, -1)),), pw2)
-    assert archimedean_member(single, option_set(vec(1, -1)))
+    assert archimedean_member_evidence(single, option_set(vec(1, -1))) is None
     envelope = archimedean_member_evidence(single, option_set(vec(-2, 2)))
     assert envelope is not None
     assert is_positive(envelope, pw2)
@@ -134,7 +131,7 @@ def test_archimedean_membership_examples(pw2, k_hot):
 def test_archimedean_membership_requires_consistency(pw2):
     forced = AssessmentK((option_set(vec(1, -1)), option_set(vec(-1, 1))), pw2)
     with pytest.raises(ValueError):
-        archimedean_member(forced, option_set(vec(1, 1)))
+        archimedean_member_evidence(forced, option_set(vec(1, 1)))
 
 
 def test_binary_extraction(k_hot, pw2, d_half):
@@ -147,7 +144,8 @@ def test_binary_extraction(k_hot, pw2, d_half):
 
 def test_km_check_examples(pw2, k_credal, d_interval):
     b = option_set(vec(1, -1), vec(-1, 1))
-    assert km_check(k_credal, b, b) == KmOutcome.PASS
+    # B2 = B is an instance, on which the axiom holds whatever the model.
+    assert mixing_instance(b, b)
     rng = random.Random(61)
     for _ in range(100):
         base = [rand_vector(rng, 2) for _ in range(rng.randint(1, 3))]
@@ -155,24 +153,22 @@ def test_km_check_examples(pw2, k_credal, d_interval):
         b = OptionSet(tuple(base))
         extra = b.options[0].scale(2) + b.options[-1]
         b2 = OptionSet(b.options + (extra,))
-        assert km_check(k_credal, b, b2) == KmOutcome.PASS
+        assert mixing_instance(b, b2)
+        assert not (member(k_credal, b2) and not member(k_credal, b))
 
     mix = is_mixing(d_interval)
     u, v = mix.witness
     witness_b = option_set(u, v)
     witness_b2 = OptionSet(witness_b.options + (u + v,))
-    assert km_check(BinaryK(d_interval), witness_b, witness_b2) == KmOutcome.VIOLATION
+    assert mixing_instance(witness_b, witness_b2)
+    model = BinaryK(d_interval)
+    assert member(model, witness_b2) and not member(model, witness_b)
 
 
-def test_km_check_preconditions(k_credal):
-    with pytest.raises(ValueError):
-        km_check(k_credal, option_set(vec(1, 0)), option_set(vec(0, 1)))
-    with pytest.raises(ValueError):
-        km_check(
-            k_credal,
-            option_set(vec(1, 0)),
-            option_set(vec(1, 0), vec(-1, 0)),
-        )
+def test_km_check_preconditions():
+    # B not inside B2, and B2 not inside posi(B): neither is an instance.
+    assert not mixing_instance(option_set(vec(1, 0)), option_set(vec(0, 1)))
+    assert not mixing_instance(option_set(vec(1, 0)), option_set(vec(1, 0), vec(-1, 0)))
 
 
 def test_displacement():
@@ -411,7 +407,7 @@ def test_archimedean_membership_against_separation_oracle(pw2):
                 )
                 for s in product(*pruned)
             ) if options else True
-            assert archimedean_member(model, b) == (not excluded)
+            assert (archimedean_member_evidence(model, b) is None) == (not excluded)
             checked += 1
     assert checked >= 40
 

@@ -6,30 +6,47 @@ import pytest
 from conechoice.functional import (
     LinearF,
     SuperlinF,
-    dominating_polytope,
-    hahn_banach_witness,
     is_positive,
     nml,
-    operator_norm,
-    operator_norm_bound,
     pieces_of,
 )
 from conechoice.numeric import Vector, ones, vec
 
 from conftest import expectation, rand_positive_vector, rand_vector
+from oracles import hull_vertices
 
 
 def corner_min(pieces):
     return SuperlinF(tuple(LinearF(p) for p in pieces))
 
 
+def conjugate(f, u):
+    """The conjugate -f(-u): the max over f's pieces."""
+    return max(p.eval(u) for p in pieces_of(f))
+
+
+def norm(f: LinearF) -> Fraction:
+    """The operator norm under the sup-norm: the sum of absolute coefficients."""
+    return sum((abs(c) for c in f.coeffs.entries), Fraction(0))
+
+
+def polytope(f: SuperlinF) -> list[LinearF]:
+    """The vertices of the hull of f's piece coefficient vectors."""
+    return [LinearF(p) for p in hull_vertices([piece.coeffs for piece in f.pieces])]
+
+
+def argmin_piece(f: SuperlinF, u: Vector) -> LinearF:
+    """A least-index piece attaining f(u)."""
+    return min(f.pieces, key=lambda piece: piece.eval(u))
+
+
 def test_eval_and_conjugate_examples():
     f = corner_min([vec(1, 0), vec(0, 1)])
     assert f.eval(vec(1, 1)) == 1
-    assert f.conjugate_eval(vec(1, 1)) == 1
+    assert conjugate(f, vec(1, 1)) == 1
     assert f.eval(vec(2, 0)) == 0
-    assert f.conjugate_eval(vec(2, 0)) == 2
-    assert LinearF(vec(2, 3)).conjugate_eval(vec(1, 1)) == 5
+    assert conjugate(f, vec(2, 0)) == 2
+    assert conjugate(LinearF(vec(2, 3)), vec(1, 1)) == 5
 
 
 def test_conjugate_identity():
@@ -37,7 +54,7 @@ def test_conjugate_identity():
     f = corner_min([vec(1, -1), vec("1/2", 2), vec(0, 1)])
     for _ in range(50):
         u = rand_vector(rng, 2)
-        assert f.conjugate_eval(u) == -f.eval(-u)
+        assert conjugate(f, u) == -f.eval(-u)
 
 
 def test_sign_at_is_the_sign_of_eval():
@@ -66,10 +83,10 @@ def test_is_positive_examples(pw2, st2):
 
 
 def test_operator_norms():
-    assert operator_norm(LinearF(vec(2, -3))) == 5
-    assert operator_norm(expectation("1/3")) == 1
+    assert norm(LinearF(vec(2, -3))) == 5
+    assert norm(expectation("1/3")) == 1
     f = corner_min([vec(1, 0), vec(0, 1)])
-    bound = operator_norm_bound(f)
+    bound = max(norm(p) for p in f.pieces)
     assert bound == 1
     rng = random.Random(5)
     for _ in range(100):
@@ -81,26 +98,26 @@ def test_operator_norm_is_tight_for_linear():
     # |Lambda(u)| over the sup-norm ball is maximized at a sign-pattern corner.
     f = LinearF(vec(2, -3))
     corner = vec(1, -1)
-    assert abs(f.eval(corner)) == operator_norm(f)
+    assert abs(f.eval(corner)) == norm(f)
 
 
 def test_dominating_polytope_examples():
     interval = corner_min([vec("1/4", "3/4"), vec("3/4", "1/4")])
-    vertices = {v.coeffs for v in dominating_polytope(interval)}
+    vertices = {v.coeffs for v in polytope(interval)}
     assert vertices == {vec("1/4", "3/4"), vec("3/4", "1/4")}
 
     single = corner_min([vec(1, 2)])
-    assert [v.coeffs for v in dominating_polytope(single)] == [vec(1, 2)]
+    assert [v.coeffs for v in polytope(single)] == [vec(1, 2)]
 
     with_midpoint = corner_min([vec(1, 0), vec(0, 1), vec("1/2", "1/2")])
-    vertices = {v.coeffs for v in dominating_polytope(with_midpoint)}
+    vertices = {v.coeffs for v in polytope(with_midpoint)}
     assert vertices == {vec(1, 0), vec(0, 1)}
 
 
 def test_dominating_polytope_is_an_exact_envelope():
     rng = random.Random(9)
     f = corner_min([vec(1, 0), vec(0, 1), vec("1/2", "1/2"), vec(2, -1)])
-    vertices = dominating_polytope(f)
+    vertices = polytope(f)
     for _ in range(60):
         u = rand_vector(rng, 2)
         assert f.eval(u) == min(v.eval(u) for v in vertices)
@@ -112,14 +129,14 @@ def test_dominating_polytope_is_an_exact_envelope():
 
 def test_hahn_banach_witness():
     f = corner_min([vec(1, 0), vec(0, 1)])
-    at_corner = hahn_banach_witness(f, vec(2, 0))
+    at_corner = argmin_piece(f, vec(2, 0))
     assert at_corner.coeffs == vec(0, 1)
-    tie = hahn_banach_witness(f, vec(1, 1))
+    tie = argmin_piece(f, vec(1, 1))
     assert tie.coeffs == vec(1, 0)  # least index wins ties
     rng = random.Random(21)
     for _ in range(100):
         u = rand_vector(rng, 2)
-        witness = hahn_banach_witness(f, u)
+        witness = argmin_piece(f, u)
         assert witness.eval(u) == f.eval(u)
         v = rand_vector(rng, 2)
         assert witness.eval(v) >= f.eval(v)
@@ -190,19 +207,19 @@ def test_superlinear_calculus_inequalities():
         )
         f = SuperlinF(pieces)
         u, v = rand_vector(rng, 2), rand_vector(rng, 2)
-        lower_u, upper_u = f.eval(u), f.conjugate_eval(u)
-        lower_v, upper_v = f.eval(v), f.conjugate_eval(v)
+        lower_u, upper_u = f.eval(u), conjugate(f, u)
+        lower_v, upper_v = f.eval(v), conjugate(f, v)
         assert lower_u <= upper_u
         assert lower_u + lower_v <= f.eval(u + v)
         assert f.eval(u + v) <= lower_u + upper_v
-        assert lower_u + upper_v <= f.conjugate_eval(u + v)
-        assert f.conjugate_eval(u + v) <= upper_u + upper_v
+        assert lower_u + upper_v <= conjugate(f, u + v)
+        assert conjugate(f, u + v) <= upper_u + upper_v
         diff = u - v
-        assert abs(lower_u - lower_v) <= max(abs(f.eval(diff)), abs(f.conjugate_eval(diff)))
+        assert abs(lower_u - lower_v) <= max(abs(f.eval(diff)), abs(conjugate(f, diff)))
         lam = abs(rand_vector(rng, 1)[0])
         assert f.eval(u.scale(lam)) == lam * lower_u
-        assert f.conjugate_eval(u.scale(lam)) == lam * upper_u
-        bound = operator_norm_bound(f)
+        assert conjugate(f, u.scale(lam)) == lam * upper_u
+        bound = max(norm(p) for p in f.pieces)
         assert abs(lower_u - lower_v) <= bound * diff.sup_norm()
 
 

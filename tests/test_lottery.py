@@ -8,11 +8,11 @@ from conechoice.lottery import (
     HorseLottery,
     embed_pref,
     from_vector,
-    mix,
-    mixture_independence_check,
     to_vector,
 )
 from conechoice.numeric import vec
+
+from oracles import mix
 
 
 COIN = ("H", "T")
@@ -126,7 +126,10 @@ def test_mixture_independence():
     for _ in range(40):
         h, g, z = (rand_lottery(rng) for _ in range(3))
         alpha = Fraction(rng.randint(1, 8), 8)
-        assert mixture_independence_check(h, g, z, alpha)
+        # Embedding the mixed preference scales the plain one by alpha, so the
+        # preference-to-option correspondence is independent of the mixing level.
+        mixed = embed_pref(mix(h, z, alpha), mix(g, z, alpha), Fraction(1))
+        assert mixed == embed_pref(h, g, Fraction(1)).scale(alpha)
     # The coin triple at alpha = 1/3 scales the embedding by exactly 1/3.
     h, g, z = point_up_on_heads(), uniform(), uniform()
     third = Fraction(1, 3)
@@ -143,8 +146,14 @@ def test_embedding_linearity():
 
 
 def test_mix_validation():
-    with pytest.raises(ValueError):
+    # alpha = 3/2 gives the tails-up entry 3/2 * 0 - 1/2 * 1/2 < 0.
+    with pytest.raises(ValueError, match="lottery masses must be nonnegative"):
         mix(point_up_on_heads(), uniform(), Fraction(3, 2))
     assert mix(point_up_on_heads(), uniform(), Fraction(1)) == point_up_on_heads()
-    with pytest.raises(ValueError, match=r"mixture coefficient must lie in \(0, 1\]"):
-        mixture_independence_check(point_up_on_heads(), uniform(), uniform(), Fraction(0))
+    # At alpha = 0 both mixtures are z, so the mixed preference is the zero
+    # option, and embedding at scale 0 is refused.
+    h, g, z = point_up_on_heads(), uniform(), uniform()
+    zero = Fraction(0)
+    assert embed_pref(mix(h, z, zero), mix(g, z, zero), Fraction(1)).is_zero()
+    with pytest.raises(ValueError, match="the embedding scale must be positive"):
+        embed_pref(h, g, zero)

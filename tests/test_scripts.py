@@ -29,12 +29,16 @@ def test_code_lines_totals_are_the_sums_of_the_module_rows():
     )
     assert proc.returncode == 0, proc.stderr
     header, *rows, total = [line.split() for line in proc.stdout.splitlines()]
-    assert header == ["module", "physical", "code"]
+    assert header == ["module", "physical", "code", "public"]
     assert {row[0] for row in rows} >= {"__init__.py", "cone.py", "lp.py"}
     assert total[0] == "total"
-    for column in (1, 2):
+    for column in (1, 2, 3):
         assert int(total[column]) == sum(int(row[column]) for row in rows)
     assert all(0 < int(row[2]) <= int(row[1]) for row in rows)
+    # __init__.py only re-exports; every public function or class counts once,
+    # in the module that defines it.
+    public = {row[0]: int(row[3]) for row in rows}
+    assert public["__init__.py"] == 0 and public["cone.py"] > 0
 
 
 def test_unreached_lines_finds_each_statement_once(monkeypatch):
