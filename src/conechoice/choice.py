@@ -20,10 +20,10 @@ solve each selection's consistency at most once per model object.  What a
 query can decide before any LP it decides there: a selection that picks an
 option of B has an extension meeting B (the option is a generator,
 coefficient 1), and a background-positive option is a member of every
-extension (``cone.member``), so ``member`` passes every selection for it
-without solving the selection's consistency.  A selection known to be
-inconsistent is skipped by the Archimedean queries: no functional is
-strictly positive on a set holding 0.
+extension (``cone.member``), so ``member`` answers True for it before
+walking the selections, and so before the cap is checked.  A selection
+known to be inconsistent is skipped by the Archimedean queries: no
+functional is strictly positive on a set holding 0.
 
 There is one choice rule, the rejection bridge: u in a menu A is rejected
 iff ``(A \\ {u}) - u`` is in the model (``reject``), and ``choose`` keeps
@@ -182,10 +182,11 @@ def member(model: KModel, b: OptionSet) -> bool:
     """Is B in the model's semantic set (for AssessmentK: in the closure)?
 
     For an AssessmentK, a selection refutes B when its extension is
-    consistent and meets no option of B.  A selection that picks an option of
-    B meets it with no LP, and so does every selection when an option of B is
-    background-positive; otherwise its kept consistency is read (solved on
-    first need), then ``cone.member`` decides each option.
+    consistent and meets no option of B.  When an option of B is
+    background-positive, every extension meets B and no selection is
+    walked.  A selection that picks an option of B meets it with no LP;
+    otherwise its kept consistency is read (solved on first need), then
+    ``cone.member`` decides each option.
     """
     options = b.without_zero()
     if not options:
@@ -195,9 +196,10 @@ def member(model: KModel, b: OptionSet) -> bool:
     if isinstance(model, BinaryK):
         return any(cone_member(model.cone, u) for u in options)
     # A background-positive option is a member of every extension.
-    positive = any(model.space.background_strictly_positive(u) for u in options)
+    if any(model.space.background_strictly_positive(u) for u in options):
+        return True
     for cone in _extensions_of(model):
-        if positive or any(u in cone.generators for u in options):
+        if any(u in cone.generators for u in options):
             continue
         if cone.kept("consistent", _consistency) and not any(
             cone_member(cone, u) for u in options

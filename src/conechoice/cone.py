@@ -106,7 +106,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Any, Callable, Optional, Sequence, Union
 
 from . import lp
@@ -1091,16 +1090,10 @@ def _hull_lambda_o_lp(cone: PosiCone, record: OptionRecord) -> None:
     n = len(hull) + 1  # lambda_c for each column c, then alpha
     rows = lp.combination_rows(hull + [u_o], record.option)
     rows += lp.nonneg_rows(n)[:-1]
-    result = lp.solve(lp.LpProblem(n, tuple(rows), _maximize_last(n)))
+    result = lp.solve(lp.LpProblem(n, tuple(rows), lp.Objective("max", unit_vector(n, n - 1))))
     if isinstance(result, lp.Optimal):
         record.active = result.value, LinearF(Vector(result.dual[: u_o.dim]))
         record.combination = lp.nonzero_terms(hull, result.witness)
     else:
         ray = result.ray
         cone.kept("all_of_v", lambda c: lp.nonzero_terms(hull, ray.scale(1 / ray[-1])))
-
-
-@cache
-def _maximize_last(n: int) -> lp.Objective:
-    """The objective ``max x_n`` over n variables, built once per n."""
-    return lp.Objective("max", unit_vector(n, n - 1))

@@ -23,7 +23,6 @@ from .numeric import Vector, as_rational
 Table = tuple[tuple[Fraction, ...], ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _check_support(states: Sequence[str], rewards: Sequence[str], table: Table) -> None:
@@ -62,9 +61,6 @@ class HorseLottery:
             if row_sum != den:
                 raise ValueError("each state's masses must sum to one")
 
-    def mass(self, state: str, reward: str) -> Fraction:
-        return self.table[self.states.index(state)][self.rewards.index(reward)]
-
 
 @dataclass(frozen=True)
 class DiffOption:
@@ -76,21 +72,6 @@ class DiffOption:
         _check_support(self.states, self.rewards, self.table)
         if any(_row_sums(self.table)[0]):
             raise ValueError("difference tables must have zero row sums")
-
-    def value(self, state: str, reward: str) -> Fraction:
-        return self.table[self.states.index(state)][self.rewards.index(reward)]
-
-    def scale(self, factor: Fraction) -> "DiffOption":
-        table = _combine(as_rational(factor), self.table, _ZERO, self.table)
-        return DiffOption(self.states, self.rewards, table)
-
-    def __add__(self, other: "DiffOption") -> "DiffOption":
-        _check_same_support(self, other)
-        table = _combine(_ONE, self.table, _ONE, other.table)
-        return DiffOption(self.states, self.rewards, table)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.table for v in row)
 
 
 def _check_same_support(a, b) -> None:

@@ -49,7 +49,10 @@ sign rows included, and never the tableau's layout, so a wrong layout cannot
 pass its own evidence.
 
 :func:`solve` is the one entry point, and every problem takes the same path
-through it, a problem without rows included.
+through it, a problem without rows included.  A problem is its rows, its
+variable count and its objective, with no variable bounds: every certificate
+and dual holds one multiplier per row of ``problem.constraints``, in the
+order the caller built them.
 
 Beside the checks sits the one combination search,
 :func:`positive_combination`: is the target (or 0) a positive combination
@@ -74,7 +77,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 from .numeric import Vector, integer_form, ones, solve_in_span, unit_vector
 
@@ -139,15 +142,15 @@ class Objective:
             raise ValueError(f"unknown direction {self.direction!r}")
 
 
-Bound = tuple[Optional[Fraction], Optional[Fraction]]
-
-
 @dataclass(frozen=True)
 class LpProblem:
     n_vars: int
     constraints: tuple[Constraint, ...]
     objective: Optional[Objective] = None
-    bounds: Optional[tuple[Bound, ...]] = None
+    # Not a field: no problem has variable bounds.  perfbench/tracing.py
+    # still reads ``problem.bounds or ()`` to count rows; ROADMAP item 2c
+    # moves that read and removes this attribute.
+    bounds: ClassVar[None] = None
 
     def __post_init__(self) -> None:
         if self.n_vars <= 0:
@@ -157,25 +160,6 @@ class LpProblem:
                 raise ValueError("constraint coefficient vector has wrong length")
         if self.objective is not None and self.objective.coeffs.dim != self.n_vars:
             raise ValueError("objective coefficient vector has wrong length")
-        if self.bounds is not None and len(self.bounds) != self.n_vars:
-            raise ValueError("bounds list has wrong length")
-
-    def normalized(self) -> "LpProblem":
-        """An equivalent problem with bounds folded into explicit constraints.
-
-        Certificates returned by :func:`solve` index the constraints of the
-        normalized problem.
-        """
-        if self.bounds is None:
-            return self
-        extra = []
-        for j, (lo, hi) in enumerate(self.bounds):
-            e_j = unit_vector(self.n_vars, j)
-            if lo is not None:
-                extra.append(Constraint(e_j, GE, lo))
-            if hi is not None:
-                extra.append(Constraint(e_j, LE, hi))
-        return LpProblem(self.n_vars, self.constraints + tuple(extra), self.objective, None)
 
 
 @dataclass(frozen=True)
@@ -186,7 +170,7 @@ class Feasible:
 @dataclass(frozen=True)
 class Optimal:
     """An optimal witness, its value, and the dual: one multiplier per row of
-    the normalized problem, as a certificate's (:func:`verify_optimality`)."""
+    the problem, as a certificate's (:func:`verify_optimality`)."""
 
     witness: Vector
     value: Fraction
@@ -227,7 +211,7 @@ def _holds_all(problem: LpProblem, X: Sequence[int], d: int) -> bool:
     Every row, a sign row included, is compared in its integer form,
     ``a.X REL b.d``.
     """
-    for c in problem.normalized().constraints:
+    for c in problem.constraints:
         row = c.integer_row[1]
         value = sum(map(operator.mul, row, X)) - row[-1] * d
         relation = c.relation
@@ -237,14 +221,14 @@ def _holds_all(problem: LpProblem, X: Sequence[int], d: int) -> bool:
 
 
 def verify_witness(problem: LpProblem, x: Vector) -> bool:
-    """Does x satisfy every constraint of the normalized problem exactly?"""
+    """Does x satisfy every row of the problem exactly?"""
     return _holds_all(problem, *_integer_vector(problem, x))
 
 
 def _row_combination(
     problem: LpProblem, multipliers: Sequence[Fraction]
 ) -> Optional[tuple[list[int], int]]:
-    """``(C, d)`` with ``C / d`` the sum of the normalized problem's rows
+    """``(C, d)`` with ``C / d`` the sum of the problem's rows
     ``(a, b)``, each oriented as "<=" and weighed by its multiplier; None
     when there is not one multiplier per row or an inequality row's is
     negative.  For ">=" rows the multiplier applies to the negated row.
@@ -254,12 +238,11 @@ def _row_combination(
     over ``q * scale``, and all weights are brought over one common
     denominator d.  A sign row is weighed like any other row.
     """
-    constraints = problem.normalized().constraints
-    if len(multipliers) != len(constraints):
+    if len(multipliers) != len(problem.constraints):
         return None
     # (numerator, denominator, row) of each weighted row.
     weighted: list[tuple[int, int, Sequence[int]]] = []
-    for mult, c in zip(multipliers, constraints):
+    for mult, c in zip(multipliers, problem.constraints):
         if c.relation != EQ and mult < 0:
             return None
         if mult == 0:
@@ -282,7 +265,7 @@ def verify_infeasibility_certificate(
 ) -> bool:
     """Check a Farkas certificate by pure arithmetic.
 
-    Multiplier r applies to constraint r of the normalized problem, oriented
+    Multiplier r applies to row r of the problem, as written, oriented
     as "<=".  A valid certificate has nonnegative multipliers on inequality
     rows and combines the rows (``_row_combination``) into the contradiction
     0 <= negative, i.e. 0 >= positive.  The test reads only zeros and a sign,
@@ -299,7 +282,7 @@ def verify_optimality(problem: LpProblem, result: Optimal) -> bool:
     into ``c.x <= value`` for a max problem and ``-c.x <= -value`` for a
     min problem.  Every feasible x then has ``c.x`` at most (at least) the
     value, so the witness is optimal."""
-    objective = problem.normalized().objective
+    objective = problem.objective
     combined = _row_combination(problem, result.dual)
     if objective is None or combined is None or not verify_witness(problem, result.witness):
         return False
@@ -348,19 +331,19 @@ def nonzero_terms(columns: Sequence[Vector], x: Sequence[Fraction]) -> Combinati
 
 def verify_ray(problem: LpProblem, ray: Vector) -> bool:
     """Does the ray preserve feasibility for all positive steps and improve the objective?"""
-    norm = problem.normalized()
-    if norm.objective is None:
+    objective = problem.objective
+    if objective is None:
         return False
-    R, _ = _integer_vector(norm, ray)
-    if not _holds_all(norm, R, 0):
+    R, _ = _integer_vector(problem, ray)
+    if not _holds_all(problem, R, 0):
         return False
-    gain = norm.objective.coeffs.dot(ray)
-    return gain > 0 if norm.objective.direction == "max" else gain < 0
+    gain = objective.coeffs.dot(ray)
+    return gain > 0 if objective.direction == "max" else gain < 0
 
 
 class _Tableau:
-    """The dense simplex tableau of a normalized problem, in maximization
-    form, with integer rows.
+    """The dense simplex tableau of a problem's rows as written, in
+    maximization form, with integer rows.
 
     Sign rows (see :attr:`Constraint.sign_row`) stay out of the tableau: a
     variable with one gets a single nonnegative column, and every other
@@ -630,8 +613,8 @@ def _checked_witness(problem: LpProblem, t: _Tableau) -> Vector:
 
 
 def solve(problem: LpProblem) -> LpResult:
-    """Solve exactly; certificates refer to problem.normalized().constraints."""
-    problem = problem.normalized()
+    """Solve exactly; every certificate and dual indexes
+    ``problem.constraints`` as written."""
     t = _Tableau(problem)
     certificate = t.phase_one()
     if certificate is not None:

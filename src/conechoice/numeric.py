@@ -139,9 +139,6 @@ class Vector:
                     den *= q
         return num, den
 
-    def sup_norm(self) -> Fraction:
-        return max(abs(a) for a in self.entries)
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
 

@@ -107,21 +107,20 @@ def brute_force_lp(
     in the larger box exposes unboundedness.  Sound for problems whose data is
     tiny compared to the boxes, which the random test instances guarantee.
     """
-    norm = problem.normalized()
     constraints = [
-        (tuple(c.coeffs.entries), c.relation, c.rhs) for c in norm.constraints
+        (tuple(c.coeffs.entries), c.relation, c.rhs) for c in problem.constraints
     ]
-    n = norm.n_vars
+    n, objective = problem.n_vars, problem.objective
 
     def best_in_box(box: Fraction):
         vertices = _vertices_in_box(constraints, n, box)
         if not vertices:
             return None
-        if norm.objective is None:
+        if objective is None:
             return "feasible"
-        sign = 1 if norm.objective.direction == "max" else -1
+        sign = 1 if objective.direction == "max" else -1
         values = [
-            sign * sum((c * v for c, v in zip(norm.objective.coeffs, x)), Fraction(0))
+            sign * sum((c * v for c, v in zip(objective.coeffs, x)), Fraction(0))
             for x in vertices
         ]
         return sign * max(values)
@@ -130,7 +129,7 @@ def brute_force_lp(
     large = best_in_box(boxes[1])
     if small is None and large is None:
         return "infeasible", None
-    if norm.objective is None:
+    if objective is None:
         return "feasible", None
     assert small is not None and large is not None
     if small == large:

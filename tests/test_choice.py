@@ -107,6 +107,22 @@ def test_selection_cap(pw2, monkeypatch):
         list(selections(model))
 
 
+def test_member_answers_a_background_positive_option_before_walking_selections(pw2, monkeypatch):
+    # A background-positive option is in every selection's extension, so
+    # member answers True before the walk: no selection's cone is built, and
+    # a product past the cap is not enumerated, where a query without such
+    # an option still hits the cap.
+    sets = tuple(option_set(vec(1, -1), vec(-1, 2)) for _ in range(3))
+    model = AssessmentK(sets, pw2)
+    monkeypatch.setattr(choice, "SELECTION_CAP", 7)
+    assert member(model, option_set(vec(1, 1)))
+    assert member(model, option_set(vec(-1, -1), vec(0, 1)))
+    assert model._extensions == []
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        member(model, option_set(vec(-1, -1)))
+    assert model._extensions == []
+
+
 def test_archimedean_consistency_examples(pw2, k_hot):
     assert archimedean_consistent(k_hot)
     forced = AssessmentK((option_set(vec(1, -1)), option_set(vec(-1, 1))), pw2)

@@ -55,7 +55,7 @@ def test_lottery_validation():
     # one sums to one with a negative mass.
     rewards = ("a", "b", "c")
     good = (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))
-    assert HorseLottery(COIN, rewards, (good, good)).mass("T", "c") == Fraction(1, 2)
+    assert HorseLottery(COIN, rewards, (good, good)).table[1][2] == Fraction(1, 2)
     for row, error in (((Fraction(1, 3), Fraction(1, 6), Fraction(1, 3)), "sum to one"),
                        ((Fraction(-1, 6), Fraction(2, 3), Fraction(1, 2)), "nonnegative")):
         with pytest.raises(ValueError, match=error):
@@ -69,7 +69,7 @@ def test_diff_option_rows_sum_to_zero():
     with pytest.raises(ValueError):
         DiffOption(COIN, BETS, ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))))
     zero = DiffOption(COIN, BETS, ((Fraction(0),) * 2,) * 2)
-    assert zero.is_zero()
+    assert to_vector(zero, "bot").is_zero()
     third, sixth = Fraction(1, 3), Fraction(1, 6)
     DiffOption(COIN, BETS, ((third, -third), (-sixth, sixth)))
     with pytest.raises(ValueError):
@@ -78,17 +78,19 @@ def test_diff_option_rows_sum_to_zero():
 
 def test_coin_embedding():
     diff = embed_pref(point_up_on_heads(), uniform(), Fraction(1))
-    assert diff.value("H", "top") == Fraction(1, 2)
-    assert diff.value("T", "top") == Fraction(-1, 2)
+    # table[state][reward], states H, T and rewards top, bot in order.
+    assert diff.table[0][0] == Fraction(1, 2)
+    assert diff.table[1][0] == Fraction(-1, 2)
     assert to_vector(diff, "bot") == vec("1/2", "-1/2")
 
 
 def test_embedding_edge_cases():
     h = point_up_on_heads()
-    assert embed_pref(h, h, Fraction(1)).is_zero()
+    # to_vector is a linear bijection, so options compare through it.
+    assert to_vector(embed_pref(h, h, Fraction(1)), "bot").is_zero()
     doubled = embed_pref(h, uniform(), Fraction(2))
     single = embed_pref(h, uniform(), Fraction(1))
-    assert doubled == single.scale(Fraction(2))
+    assert to_vector(doubled, "bot") == to_vector(single, "bot").scale(Fraction(2))
     with pytest.raises(ValueError):
         embed_pref(h, uniform(), Fraction(0))
     with pytest.raises(ValueError):
@@ -129,12 +131,14 @@ def test_mixture_independence():
         # Embedding the mixed preference scales the plain one by alpha, so the
         # preference-to-option correspondence is independent of the mixing level.
         mixed = embed_pref(mix(h, z, alpha), mix(g, z, alpha), Fraction(1))
-        assert mixed == embed_pref(h, g, Fraction(1)).scale(alpha)
+        plain = embed_pref(h, g, Fraction(1))
+        assert to_vector(mixed, "bot") == to_vector(plain, "bot").scale(alpha)
     # The coin triple at alpha = 1/3 scales the embedding by exactly 1/3.
     h, g, z = point_up_on_heads(), uniform(), uniform()
     third = Fraction(1, 3)
     mixed = embed_pref(mix(h, z, third), mix(g, z, third), Fraction(1))
-    assert mixed == embed_pref(h, g, Fraction(1)).scale(third)
+    plain = embed_pref(h, g, Fraction(1))
+    assert to_vector(mixed, "bot") == to_vector(plain, "bot").scale(third)
 
 
 def test_embedding_linearity():
@@ -142,7 +146,10 @@ def test_embedding_linearity():
     for _ in range(20):
         h, g, k = (rand_lottery(rng) for _ in range(3))
         alpha = Fraction(rng.randint(1, 4))
-        assert embed_pref(h, g, alpha) + embed_pref(g, k, alpha) == embed_pref(h, k, alpha)
+        hg, gk, hk = (
+            to_vector(embed_pref(a, b, alpha), "bot") for a, b in ((h, g), (g, k), (h, k))
+        )
+        assert hg + gk == hk
 
 
 def test_mix_validation():
@@ -154,6 +161,6 @@ def test_mix_validation():
     # option, and embedding at scale 0 is refused.
     h, g, z = point_up_on_heads(), uniform(), uniform()
     zero = Fraction(0)
-    assert embed_pref(mix(h, z, zero), mix(g, z, zero), Fraction(1)).is_zero()
+    assert to_vector(embed_pref(mix(h, z, zero), mix(g, z, zero), Fraction(1)), "bot").is_zero()
     with pytest.raises(ValueError, match="the embedding scale must be positive"):
         embed_pref(h, g, zero)

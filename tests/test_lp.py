@@ -17,7 +17,6 @@ from conechoice.lp import (
     EQ,
     GE,
     LE,
-    Bound,
     Constraint,
     Feasible,
     Infeasible,
@@ -32,19 +31,27 @@ from conechoice.lp import (
     verify_ray,
     verify_witness,
 )
-from conechoice.numeric import Vector, vec
+from conechoice.numeric import Vector, unit_vector, vec
 
 from conftest import rand_fraction
 from oracles import _satisfies, brute_force_lp
 
 
+def _bounded(n: int, constraints, objective, bounds) -> LpProblem:
+    """The problem with each variable bound ``(lo, hi)`` written as rows
+    after the given ones: ``x_j >= lo`` and then ``x_j <= hi``, for each
+    variable in order, a None bound giving no row."""
+    rows = list(constraints)
+    for j, (lo, hi) in enumerate(bounds or ()):
+        if lo is not None:
+            rows.append(Constraint(unit_vector(n, j), GE, lo))
+        if hi is not None:
+            rows.append(Constraint(unit_vector(n, j), LE, hi))
+    return LpProblem(n, tuple(rows), objective)
+
+
 def test_bounded_maximization():
-    problem = LpProblem(
-        1,
-        (),
-        Objective("max", vec(1)),
-        bounds=((Fraction(0), Fraction(1)),),
-    )
+    problem = _bounded(1, (), Objective("max", vec(1)), ((Fraction(0), Fraction(1)),))
     result = solve(problem)
     assert isinstance(result, Optimal)
     assert result.value == 1
@@ -177,7 +184,7 @@ def test_constraint_rows_follow_their_definition_and_stay_out_of_eq_hash_repr():
     sign_rows = 0
     for _ in range(400):
         for problem in (_random_problem(rng), _random_signed_problem(rng)):
-            for c in problem.normalized().constraints:
+            for c in problem.constraints:
                 assert c.sign_row == _sign_row_by_definition(c)
                 assert c.integer_row == _integer_row_by_definition(c)
                 sign_rows += c.sign_row is not None
@@ -190,7 +197,7 @@ def test_constraint_rows_follow_their_definition_and_stay_out_of_eq_hash_repr():
     assert "sign_row" not in repr(c) and "integer_row" not in repr(c)
 
 
-def _random_bound(rng: random.Random) -> Bound:
+def _random_bound(rng: random.Random) -> tuple[Fraction | None, Fraction | None]:
     lo = rand_fraction(rng, 3, 3) if rng.random() < 0.5 else None
     hi = rand_fraction(rng, 3, 3) if rng.random() < 0.5 else None
     return (lo, hi)
@@ -216,9 +223,9 @@ def _random_problem(rng: random.Random) -> LpProblem:
             rng.choice(["max", "min"]),
             Vector(tuple(rand_fraction(rng, 3, 3) for _ in range(n))),
         )
-    # Bounds fold into extra rows of normalized(), which certificates index.
+    # Bounds are extra rows after the others, which certificates index.
     bounds = tuple(_random_bound(rng) for _ in range(n)) if rng.random() < 0.3 else None
-    return LpProblem(n, tuple(constraints), objective, bounds)
+    return _bounded(n, constraints, objective, bounds)
 
 
 def test_random_answers_carry_checkable_evidence():
@@ -339,7 +346,7 @@ def test_fractional_costs_priced_against_non_unit_basic_entries(monkeypatch):
     # 10 rather than 1 when phase 2 prices the costs 1/3 and 2/7, and phase 2
     # then pivots twice with a scaled objective row.
     entries, priced = _spy_phases(monkeypatch)
-    problem = LpProblem(
+    problem = _bounded(
         2,
         (
             Constraint(vec(3, 5), GE, Fraction(9)),
@@ -347,7 +354,7 @@ def test_fractional_costs_priced_against_non_unit_basic_entries(monkeypatch):
             Constraint(vec(1, 5), GE, Fraction(5)),
         ),
         Objective("min", vec("1/3", "2/7")),
-        bounds=((Fraction(0), None), (Fraction(0), None)),
+        ((Fraction(0), None), (Fraction(0), None)),
     )
     result = solve(problem)
     (_, _), (phase_two_basic, pivots_before) = priced
@@ -502,7 +509,7 @@ def _random_signed_problem(rng: random.Random) -> LpProblem:
             )
             for _ in range(n)
         )
-    return LpProblem(n, tuple(constraints), objective, bounds)
+    return _bounded(n, constraints, objective, bounds)
 
 
 def test_sign_rows_agree_with_vertex_enumeration_oracle():
@@ -550,7 +557,7 @@ def test_optimal_duals_certify_the_oracles_optimum():
         assert not verify_optimality(problem, replace(result, value=result.value + 1))
         for dual in (result.dual + (Fraction(0),), result.dual[:-1]):
             assert not verify_optimality(problem, replace(result, dual=dual))
-        for r, c in enumerate(problem.normalized().constraints):
+        for r, c in enumerate(problem.constraints):
             if any(c.integer_row[1]):
                 dual = list(result.dual)
                 dual[r] += Fraction(1, 7)
@@ -597,14 +604,14 @@ def test_unbounded_ray_after_row_scaling(monkeypatch):
     # x/3 - y/2 >= 1/5 and 5x/7 + y/4 >= -3 are scaled by 30 and 28; x + y
     # grows without bound along the first row's boundary.
     _spy_pivots(monkeypatch)
-    problem = LpProblem(
+    problem = _bounded(
         2,
         (
             Constraint(vec("1/3", "-1/2"), GE, Fraction(1, 5)),
             Constraint(vec("5/7", "1/4"), GE, Fraction(-3)),
         ),
         Objective("max", vec(1, 1)),
-        bounds=((Fraction(0), None), (None, None)),
+        ((Fraction(0), None), (None, None)),
     )
     result = solve(problem)
     assert isinstance(result, Unbounded)
@@ -613,7 +620,7 @@ def test_unbounded_ray_after_row_scaling(monkeypatch):
 
 def _farkas_by_fractions(problem: LpProblem, certificate) -> bool:
     """The Farkas predicate recomputed row by row over Fractions."""
-    constraints = problem.normalized().constraints
+    constraints = problem.constraints
     if len(certificate) != len(constraints):
         return False
     combo = [Fraction(0)] * problem.n_vars
@@ -645,7 +652,7 @@ def test_integer_checks_reject_broken_evidence():
             for broken in (y + [Fraction(0)], y[:-1]):
                 assert not verify_infeasibility_certificate(problem, broken)
                 rejected["length"] += 1
-            for r, c in enumerate(problem.normalized().constraints):
+            for r, c in enumerate(problem.constraints):
                 if y[r] == 0:
                     continue
                 zeroed = y[:r] + [Fraction(0)] + y[r + 1:]
@@ -659,7 +666,7 @@ def test_integer_checks_reject_broken_evidence():
         else:
             assert verify_witness(problem, result.witness)
             rows = [
-                (tuple(c.coeffs), c.relation, c.rhs) for c in problem.normalized().constraints
+                (tuple(c.coeffs), c.relation, c.rhs) for c in problem.constraints
             ]
             x = list(result.witness)
             q = rng.randint(10**6, 10**7)
@@ -792,8 +799,6 @@ def test_problem_validation():
         lp.Objective("maximize", vec(1))
     with pytest.raises(ValueError, match="objective coefficient vector has wrong length"):
         LpProblem(2, (), Objective("max", vec(1)))
-    with pytest.raises(ValueError, match="bounds list has wrong length"):
-        LpProblem(2, (), bounds=((None, None),))
     with pytest.raises(ValueError, match="dimension mismatch: 2 vs 1"):
         verify_witness(LpProblem(2, ()), vec(1))
     assert not verify_ray(LpProblem(1, ()), vec(1))

@@ -159,7 +159,8 @@ def test_rejects_bad_lottery_masses(tmp_path):
         block = {"states": ["H", "T"], "rewards": ["a", "b", "c"], "h": [good, row], "g": [good, good]}
         path = write(tmp_path, dict(MINIMAL, lotteries={"L": block}))
         if error is None:
-            assert load_model(path).lotteries["L"].h.mass("T", "c") == Fraction(1, 2)
+            # The mass of reward c in state T.
+            assert load_model(path).lotteries["L"].h.table[1][2] == Fraction(1, 2)
         else:
             with pytest.raises(ModelError, match=error):
                 load_model(path)

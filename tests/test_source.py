@@ -1,8 +1,11 @@
 import ast
+import dataclasses
 import importlib
 import sys
 from pathlib import Path
 from types import ModuleType
+
+from conechoice.lp import LpProblem
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "conechoice"
 
@@ -259,3 +262,20 @@ def test_the_package_exports_only_api_names():
         if isinstance(getattr(conechoice, name, None), ModuleType)
     ]
     assert not missing and not modules, (missing, modules)
+
+
+def test_an_lp_problem_is_its_rows_as_written():
+    # A problem has no variable bounds and no normalised view: every
+    # certificate and dual indexes problem.constraints as the caller built
+    # them, and no engine module reads `.bounds` or calls `.normalized`.
+    found = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("bounds", "normalized")
+    ]
+    assert not found, found
+    assert [f.name for f in dataclasses.fields(LpProblem)] == ["n_vars", "constraints", "objective"]
+    # perfbench/tracing.py counts rows as `problem.bounds or ()`, so the class
+    # attribute stays None until that read moves (ROADMAP item 2c).
+    assert LpProblem.bounds is None
